@@ -21,7 +21,7 @@ use scv_checker::{CycleChecker, ScChecker};
 use scv_descriptor::decode;
 use scv_graph::baseline::{BaselineChecker, BaselineVerdict};
 use scv_graph::serial_search::has_serial_reordering;
-use scv_mc::{verify_protocol, Outcome, SearchStrategy, SymmetryMode, VerifyOptions};
+use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
 use scv_observer::{observer_size_bound, Observer, ObserverConfig};
 use scv_protocol::{
     DirectoryProtocol, Fig4Protocol, LazyCaching, MsiProtocol, Protocol, Runner, SerialMemory,
@@ -341,22 +341,7 @@ fn e9_parallel() {
     };
     row("sequential", sweep.clone().threads(1));
     for threads in [2usize, 4, 8] {
-        row(
-            "work-stealing",
-            sweep
-                .clone()
-                .threads(threads)
-                .strategy(SearchStrategy::WorkStealing),
-        );
-    }
-    for threads in [2usize, 4, 8] {
-        row(
-            "level-sync",
-            sweep
-                .clone()
-                .threads(threads)
-                .strategy(SearchStrategy::LevelSync),
-        );
+        row("work-stealing", sweep.clone().threads(threads));
     }
     println!();
 
@@ -369,13 +354,9 @@ fn e9_parallel() {
     println!("|---|---|---|---|---|---|");
     macro_rules! cex_rows {
         ($name:expr, $mk:expr) => {
-            for (engine, threads, strategy) in [
-                ("sequential", 1usize, SearchStrategy::WorkStealing),
-                ("work-stealing", 4, SearchStrategy::WorkStealing),
-                ("level-sync", 4, SearchStrategy::LevelSync),
-            ] {
+            for (engine, threads) in [("sequential", 1usize), ("work-stealing", 4)] {
                 let t0 = Instant::now();
-                let out = verify_protocol($mk, sweep.clone().threads(threads).strategy(strategy));
+                let out = verify_protocol($mk, sweep.clone().threads(threads));
                 let dt = t0.elapsed();
                 let Outcome::Violation { run, ref stats, .. } = out else {
                     panic!("{} must violate", $name);

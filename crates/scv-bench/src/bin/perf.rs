@@ -7,22 +7,18 @@
 //! ```
 //!
 //! Runs a *pinned* matrix — protocols {serial, msi, mesi, directory,
-//! lazy} × symmetry {off, full} × threads {1, 4} — once through
-//! the admission-gated lazy expansion path and once through the eager
-//! reference path, and appends one schema-versioned
-//! [`scv_telemetry::RunReport`] JSONL record per run plus a `perf/summary`
-//! record (total wall clock, process peak RSS). The matrix and the report
-//! names are deliberately stable: CI regenerates the file and feeds it to
-//! `report_diff` against the committed `BENCH_7.json` baseline, failing
-//! on a >10% `states_per_sec` (or peak-RSS) regression.
+//! lazy} × symmetry {off, full} × threads {1, 4} — and appends one
+//! schema-versioned [`scv_telemetry::RunReport`] JSONL record per cell plus
+//! a `perf/summary` record (total wall clock, process peak RSS). The
+//! matrix and the report names are deliberately stable (each cell's record
+//! is `perf/<protocol>/sym=<mode>/t=<threads>/lazy`, named after the
+//! admission-gated expansion path every search runs): CI regenerates the
+//! file and feeds it to `report_diff` against the committed `BENCH_7.json`
+//! baseline, failing on a >10% `states_per_sec` (or peak-RSS) regression.
 //!
-//! Both modes run the *same* search to the same state cap, so the
-//! lazy-mode reports carry a `speedup_vs_eager` metric (ratio of
-//! states/sec) that makes the admission-gating win auditable per cell.
-//!
-//! Each (case, mode) runs `--reps` times (default 3) and the *best*
-//! states/sec is reported: best-of-k discards interference from a shared
-//! or single-core host, which otherwise swings short runs by ±20%.
+//! Each cell runs `--reps` times (default 3) and the *best* states/sec is
+//! reported: best-of-k discards interference from a shared or single-core
+//! host, which otherwise swings short runs by ±20%.
 
 use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
 use scv_protocol::{
@@ -67,7 +63,7 @@ fn sym_tag(m: SymmetryMode) -> &'static str {
     }
 }
 
-fn run_generic<P>(proto: P, sym: SymmetryMode, threads: usize, lazy: bool, cap: usize) -> CaseResult
+fn run_generic<P>(proto: P, sym: SymmetryMode, threads: usize, cap: usize) -> CaseResult
 where
     P: Symmetry + Sync,
     P::State: Send + Sync + 'static,
@@ -75,8 +71,7 @@ where
     let opts = VerifyOptions::new()
         .max_states(cap)
         .threads(threads)
-        .symmetry(sym)
-        .lazy(lazy);
+        .symmetry(sym);
     let t0 = Instant::now();
     let out = verify_protocol(proto, opts);
     let elapsed = t0.elapsed().as_secs_f64();
@@ -100,15 +95,15 @@ where
     }
 }
 
-fn run_case(proto: &str, sym: SymmetryMode, threads: usize, lazy: bool, cap: usize) -> CaseResult {
+fn run_case(proto: &str, sym: SymmetryMode, threads: usize, cap: usize) -> CaseResult {
     let p = Params::new(6, 2, 2);
     match proto {
-        "serial" => run_generic(SerialMemory::new(p), sym, threads, lazy, cap),
-        "msi" => run_generic(MsiProtocol::new(p), sym, threads, lazy, cap),
-        "mesi" => run_generic(MesiProtocol::new(p), sym, threads, lazy, cap),
-        "directory" => run_generic(DirectoryProtocol::new(p), sym, threads, lazy, cap),
-        "lazy" => run_generic(LazyCaching::new(p, 2, 2), sym, threads, lazy, cap),
-        "tso" => run_generic(StoreBufferTso::new(p, 2), sym, threads, lazy, cap),
+        "serial" => run_generic(SerialMemory::new(p), sym, threads, cap),
+        "msi" => run_generic(MsiProtocol::new(p), sym, threads, cap),
+        "mesi" => run_generic(MesiProtocol::new(p), sym, threads, cap),
+        "directory" => run_generic(DirectoryProtocol::new(p), sym, threads, cap),
+        "lazy" => run_generic(LazyCaching::new(p, 2, 2), sym, threads, cap),
+        "tso" => run_generic(StoreBufferTso::new(p, 2), sym, threads, cap),
         other => panic!("unknown protocol {other}"),
     }
 }
@@ -161,8 +156,8 @@ fn main() {
     }
 
     println!("# perf matrix → {out_path} (max_states {max_states})\n");
-    println!("| case | mode | verdict | states | states/sec | speedup |");
-    println!("|---|---|---|---|---|---|");
+    println!("| case | verdict | states | states/sec |");
+    println!("|---|---|---|---|");
     let t_all = Instant::now();
     let mut cases = 0usize;
     for proto in PROTOCOLS {
@@ -173,113 +168,62 @@ fn main() {
                     continue;
                 }
                 cases += 1;
-                let mut per_mode: Vec<(&str, CaseResult)> = Vec::new();
-                for lazy in [false, true] {
-                    // Best-of-reps: keep the fastest rep (and its counter
-                    // movement — the counters are deterministic per run).
-                    let mut best: Option<(CaseResult, Counters, Counters)> = None;
-                    for _ in 0..reps {
-                        let before = scv_telemetry::registry().counter_snapshot();
-                        let r = run_case(proto, sym, threads, lazy, max_states);
-                        let after = scv_telemetry::registry().counter_snapshot();
-                        if best
-                            .as_ref()
-                            .is_none_or(|(b, _, _)| r.states_per_sec > b.states_per_sec)
-                        {
-                            best = Some((r, before, after));
-                        }
+                // Best-of-reps: keep the fastest rep (and its counter
+                // movement — the counters are deterministic per run).
+                let mut best: Option<(CaseResult, Counters, Counters)> = None;
+                for _ in 0..reps {
+                    let before = scv_telemetry::registry().counter_snapshot();
+                    let r = run_case(proto, sym, threads, max_states);
+                    let after = scv_telemetry::registry().counter_snapshot();
+                    if best
+                        .as_ref()
+                        .is_none_or(|(b, _, _)| r.states_per_sec > b.states_per_sec)
+                    {
+                        best = Some((r, before, after));
                     }
-                    let (r, before, after) = best.expect("reps >= 1");
-                    let mode = if lazy { "lazy" } else { "eager" };
-                    let mut report = scv_telemetry::RunReport::new(format!("{case}/{mode}"))
-                        .param("protocol", proto)
-                        .param("symmetry", sym_tag(sym))
-                        .param("threads", threads.to_string())
-                        .param("expand", mode)
-                        .param("max_states", max_states.to_string())
-                        .param("reps", reps.to_string())
-                        .with_verdict(r.verdict)
-                        .metric("states", r.states as f64)
-                        .metric("transitions", r.transitions as f64)
-                        .metric("elapsed_secs", r.elapsed_secs)
-                        .metric("states_per_sec", r.states_per_sec);
-                    if lazy {
-                        let eager = &per_mode[0].1;
-                        if eager.states_per_sec > 0.0 {
-                            report = report.metric(
-                                "speedup_vs_eager",
-                                r.states_per_sec / eager.states_per_sec,
-                            );
-                        }
-                        // Counter movement attributable to the lazy run:
-                        // clones avoided, seal-cache traffic, arena bytes,
-                        // and the canonicalizer's fast-path/fallback split.
-                        for key in [
-                            "mc.clones_avoided",
-                            "mc.arena_alloc_bytes",
-                            "symmetry.seal_cache_hits",
-                            "symmetry.seal_cache_misses",
-                            "symmetry.seal_cache_l2_hits",
-                            "symmetry.seal_cache_l2_misses",
-                            "symmetry.refine_exact",
-                            "symmetry.residual_enum",
-                        ] {
-                            let old = before
-                                .iter()
-                                .find(|(k, _)| *k == key)
-                                .map(|(_, v)| *v)
-                                .unwrap_or(0);
-                            let new = after
-                                .iter()
-                                .find(|(k, _)| *k == key)
-                                .map(|(_, v)| *v)
-                                .unwrap_or(0);
-                            report = report.metric(key, new.saturating_sub(old) as f64);
-                        }
-                    }
-                    scv_telemetry::emit_report(report);
-                    per_mode.push((mode, r));
                 }
-                let eager = &per_mode[0].1;
-                let lazy = &per_mode[1].1;
-                let speedup = if eager.states_per_sec > 0.0 {
-                    lazy.states_per_sec / eager.states_per_sec
-                } else {
-                    0.0
-                };
-                for (mode, r) in &per_mode {
-                    println!(
-                        "| {case} | {mode} | {} | {} | {:.0} | {} |",
-                        r.verdict,
-                        r.states,
-                        r.states_per_sec,
-                        if *mode == "lazy" {
-                            format!("{speedup:.2}x")
-                        } else {
-                            "—".to_string()
-                        }
-                    );
+                let (r, before, after) = best.expect("reps >= 1");
+                let mut report = scv_telemetry::RunReport::new(format!("{case}/lazy"))
+                    .param("protocol", proto)
+                    .param("symmetry", sym_tag(sym))
+                    .param("threads", threads.to_string())
+                    .param("max_states", max_states.to_string())
+                    .param("reps", reps.to_string())
+                    .with_verdict(r.verdict)
+                    .metric("states", r.states as f64)
+                    .metric("transitions", r.transitions as f64)
+                    .metric("elapsed_secs", r.elapsed_secs)
+                    .metric("states_per_sec", r.states_per_sec);
+                // Counter movement attributable to the run: clones
+                // avoided, seal-cache traffic, arena bytes, and the
+                // canonicalizer's fast-path/fallback split.
+                for key in [
+                    "mc.clones_avoided",
+                    "mc.arena_alloc_bytes",
+                    "symmetry.seal_cache_hits",
+                    "symmetry.seal_cache_misses",
+                    "symmetry.seal_cache_l2_hits",
+                    "symmetry.seal_cache_l2_misses",
+                    "symmetry.refine_exact",
+                    "symmetry.residual_enum",
+                ] {
+                    let old = before
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .map(|(_, v)| *v)
+                        .unwrap_or(0);
+                    let new = after
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .map(|(_, v)| *v)
+                        .unwrap_or(0);
+                    report = report.metric(key, new.saturating_sub(old) as f64);
                 }
-                // Cross-check: both modes are the same search. Sequential
-                // runs must agree exactly; parallel bounded runs race the
-                // state cap, so allow the same ~5% drift the differential
-                // tests do.
-                assert_eq!(eager.verdict, lazy.verdict, "verdict diverged on {case}");
-                if threads == 1 {
-                    assert_eq!(
-                        (eager.states, eager.transitions),
-                        (lazy.states, lazy.transitions),
-                        "lazy/eager count divergence on {case}"
-                    );
-                } else if eager.verdict != "violation" {
-                    // Parallel bounded runs race the state cap: allow the
-                    // same ~5% drift the differential tests do. Parallel
-                    // *violation* runs race the counterexample instead —
-                    // states-explored-until-found is not comparable.
-                    let drift = (eager.states as f64 - lazy.states as f64).abs()
-                        / eager.states.max(1) as f64;
-                    assert!(drift <= 0.05, "lazy/eager drifted {drift:.3} on {case}");
-                }
+                scv_telemetry::emit_report(report);
+                println!(
+                    "| {case} | {} | {} | {:.0} |",
+                    r.verdict, r.states, r.states_per_sec
+                );
             }
         }
     }

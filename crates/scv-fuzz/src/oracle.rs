@@ -26,7 +26,7 @@ use rand::Rng;
 use scv_checker::{ScChecker, ScVerdict};
 use scv_descriptor::{decode, Descriptor};
 use scv_graph::{has_serial_reordering, BaselineChecker, Witness};
-use scv_mc::{verify_protocol, Outcome, SearchStrategy, SymmetryMode, VerifyOptions};
+use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
 use scv_observer::{Observer, ObserverConfig};
 use scv_protocol::{Action, Protocol, Run};
 use std::fmt;
@@ -245,29 +245,23 @@ pub struct McCheck {
     pub any_bounded: bool,
 }
 
-fn combo_opts(
-    threads: usize,
-    strategy: SearchStrategy,
-    symmetry: SymmetryMode,
-    max_states: usize,
-) -> VerifyOptions {
+fn combo_opts(threads: usize, symmetry: SymmetryMode, max_states: usize) -> VerifyOptions {
     VerifyOptions::new()
         .threads(threads)
-        .strategy(strategy)
         .symmetry(symmetry)
         .max_states(max_states)
 }
 
-fn combo_tag(threads: usize, strategy: SearchStrategy, symmetry: SymmetryMode) -> String {
-    format!("{strategy:?}/t{threads}/{symmetry:?}")
+fn combo_tag(threads: usize, symmetry: SymmetryMode) -> String {
+    format!("t{threads}/{symmetry:?}")
 }
 
 /// Run the model-checking matrix on a generated protocol and check the
 /// verdicts against each other and against the construction.
 ///
 /// A fixed baseline combination (sequential, symmetry off) runs first;
-/// `extra` further combinations are drawn at random from
-/// engines × {1,4} threads × symmetry modes. Agreement is on the *safe
+/// `extra` further combinations are drawn at random from {1,4} threads
+/// (sequential BFS or work-stealing) × symmetry modes. Agreement is on the *safe
 /// class*: with `expect_violation` no combination may report `Verified`,
 /// and without it no combination may report `Violation` (`Bounded` is
 /// always permitted — caps are per-combination).
@@ -278,13 +272,11 @@ pub fn mc_matrix<R: Rng>(
     max_states: usize,
     rng: &mut R,
 ) -> Result<McCheck, Disagreement> {
-    let strategies = [SearchStrategy::WorkStealing, SearchStrategy::LevelSync];
     let modes = [SymmetryMode::Off, SymmetryMode::Proc, SymmetryMode::Full];
-    let mut combos = vec![(1usize, SearchStrategy::WorkStealing, SymmetryMode::Off)];
+    let mut combos = vec![(1usize, SymmetryMode::Off)];
     for _ in 0..extra {
         combos.push((
             if rng.gen_bool(0.5) { 1 } else { 4 },
-            strategies[rng.gen_range(0..strategies.len())],
             modes[rng.gen_range(0..modes.len())],
         ));
     }
@@ -293,10 +285,10 @@ pub fn mc_matrix<R: Rng>(
         any_violation: false,
         any_bounded: false,
     };
-    for (threads, strategy, symmetry) in combos {
+    for (threads, symmetry) in combos {
         let proto = GenProtocol::new(*cfg);
-        let out = verify_protocol(proto, combo_opts(threads, strategy, symmetry, max_states));
-        let tag = combo_tag(threads, strategy, symmetry);
+        let out = verify_protocol(proto, combo_opts(threads, symmetry, max_states));
+        let tag = combo_tag(threads, symmetry);
         match out {
             Outcome::Verified { .. } if expect_violation => {
                 return Err(Disagreement {

@@ -223,7 +223,7 @@ fn inner_map_matches(perm: &scv_types::SymPerm, dim: SymDim, fwd: &[u8]) -> bool
 
 /// Reusable work buffers for [`fast_min`] — non-generic, so one instance
 /// serves both the per-worker lazy scratch and the thread-local used by
-/// the eager seal path.
+/// the materializing seal path (`successors`).
 pub(crate) struct CanonScratch {
     keys: SortKeyBuf,
     /// Observer-extension key per element (owner words of its location
@@ -630,9 +630,9 @@ pub(crate) fn fast_min<P: Symmetry>(
     }
 }
 
-/// Access the thread-local scratch used by the eager seal path (the lazy
-/// expansion path carries a [`CanonScratch`] in its per-worker scratch
-/// instead).
+/// Access the thread-local scratch used by the materializing seal path
+/// (the lazy expansion path carries a [`CanonScratch`] in its per-worker
+/// scratch instead).
 pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut CanonScratch) -> R) -> R {
     thread_local! {
         static SCRATCH: std::cell::RefCell<CanonScratch> =

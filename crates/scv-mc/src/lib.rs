@@ -10,14 +10,11 @@
 //!   safety predicate;
 //! * [`bfs`] — sequential breadth-first reachability with counterexample
 //!   extraction (paths are depth-minimal);
-//! * [`ws_search`] — the default parallel engine: asynchronous
-//!   work-stealing search over chunked per-worker deques with a striped,
-//!   batch-claimed seen-set ([`StripedSeen`]) and per-worker successor
-//!   arenas; see the [`ws`] module docs for the architecture and its
-//!   termination/counterexample arguments;
-//! * [`bfs_parallel`] — the older level-synchronous parallel BFS, kept
-//!   selectable via [`SearchStrategy::LevelSync`] for differential
-//!   testing against the work-stealing engine;
+//! * [`ws_search`] — the parallel engine, used whenever `threads > 1`:
+//!   asynchronous work-stealing search over chunked per-worker deques
+//!   with a striped, batch-claimed seen-set ([`StripedSeen`]) and
+//!   per-worker successor arenas; see the [`ws`] module docs for the
+//!   architecture and its termination/counterexample arguments;
 //! * [`VerifySystem`] — the product system whose states pair a protocol
 //!   state with the observer and checker states (hashed through their
 //!   canonical encodings, which keeps the product finite);
@@ -44,14 +41,11 @@ pub mod ws;
 pub use checkpoint::{CheckpointError, CheckpointFile};
 pub use control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 pub use mc::{
-    bfs, bfs_controlled, bfs_parallel, bfs_parallel_controlled, eager_expand, BfsOptions,
-    ControlledSearch, Counterexample, ExpandScratch, Fingerprinter, McStats, SearchCheckpoint,
-    SearchResult, SearchStrategy, TransitionSystem,
+    bfs, bfs_controlled, BfsOptions, ControlledSearch, Counterexample, ExpandScratch,
+    Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
 pub use seen::StripedSeen;
 pub use sip::{Sip, SipBuild, SipHasher13};
-#[allow(deprecated)]
-pub use verify::verify_system;
 pub use verify::{
     verify_protocol, EncRef, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
     VerifySystem,

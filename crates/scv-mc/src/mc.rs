@@ -1,12 +1,11 @@
-//! Generic explicit-state reachability: sequential and parallel BFS.
+//! Generic explicit-state reachability: sequential BFS and the search
+//! contract shared with the work-stealing engine ([`crate::ws`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::control::{code_to_reason, reason_to_code, InterruptReason, RunControl};
+use crate::control::{InterruptReason, RunControl};
 use crate::sip::SipBuild;
 
 /// 128-bit state fingerprints for the seen-set.
@@ -106,14 +105,10 @@ impl ExpandScratch {
     }
 }
 
-/// The reference implementation of admission-gated expansion: materialize
-/// every successor eagerly, fingerprint them, then let `admit` filter.
-///
-/// This is both the trait default (correct for any system) and the
-/// explicit "eager" mode of the product system — it reproduces the
-/// pre-gating cost profile (full clone + encode per successor, admitted or
-/// not), which is what the lazy path is benchmarked against.
-pub fn eager_expand<T: TransitionSystem + ?Sized>(
+/// The body of the default [`TransitionSystem::expand_admitted`]:
+/// materialize every successor, fingerprint them, then let `admit` filter.
+/// Crate-visible so overrides can fall back to it.
+pub(crate) fn eager_expand<T: TransitionSystem + ?Sized>(
     sys: &T,
     s: &T::State,
     fper: &Fingerprinter,
@@ -173,7 +168,7 @@ pub trait TransitionSystem {
     /// first, ask `admit` which fingerprints are worth keeping, and push
     /// only the admitted `(label, state, fingerprint)` triples to `out`.
     ///
-    /// The contract, which all three engines rely on:
+    /// The contract, which both engines rely on:
     ///
     /// * every candidate successor's fingerprint is passed to `admit`
     ///   (possibly across several calls), and `admit` fills one `bool` per
@@ -186,10 +181,11 @@ pub trait TransitionSystem {
     ///   fingerprint appears twice in one expansion) cost a wasted
     ///   materialization, never a duplicate or dropped state.
     ///
-    /// The default materializes everything first (via
-    /// [`TransitionSystem::successors_into`]) and filters afterwards —
-    /// correct for any system; systems with expensive states override this
-    /// to defer the clone/allocate work until after admission.
+    /// The default is the reference implementation: materialize every
+    /// successor first (via [`TransitionSystem::successors_into`]),
+    /// fingerprint them, and filter afterwards — correct for any system;
+    /// systems with expensive states override this to defer the
+    /// clone/allocate work until after admission.
     fn expand_admitted(
         &self,
         s: &Self::State,
@@ -201,25 +197,6 @@ pub trait TransitionSystem {
         let _ = scratch;
         eager_expand(self, s, fper, admit, out);
     }
-}
-
-/// Which search engine to run when `threads > 1`.
-///
-/// Both engines implement the same [`TransitionSystem`] contract and
-/// return the same verdicts; keeping the old level-synchronous path
-/// selectable enables differential testing (`tests/parallel_mc.rs` runs
-/// every protocol under both).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Asynchronous work-stealing search ([`crate::ws::ws_search`]):
-    /// chunked per-worker deques, batch-granular stealing, batched
-    /// seen-set claiming. The default.
-    #[default]
-    WorkStealing,
-    /// Level-synchronous parallel BFS ([`bfs_parallel`]): a barrier per
-    /// BFS level, one seen-set lock per successor. Kept for differential
-    /// testing and as the reference for depth-minimal exploration order.
-    LevelSync,
 }
 
 /// Search limits.
@@ -406,7 +383,7 @@ impl<S, L, V> ControlledSearch<S, L, V> {
 ///
 /// Engines that already stream counters during the run (the work-stealing
 /// searcher) pass `counters_live = true` so only gauges are written;
-/// the sequential/level-sync engines publish everything here. Gauges
+/// the sequential engine publishes everything here. Gauges
 /// describe the *most recent* search — counters accumulate across runs.
 pub(crate) fn publish_search_stats(stats: &McStats, counters_live: bool) {
     if !scv_telemetry::enabled() {
@@ -615,356 +592,6 @@ pub fn bfs_controlled<T: TransitionSystem>(
     })
 }
 
-/// Parallel level-synchronous BFS: each level's frontier is split among
-/// scoped worker threads; the seen-set is sharded by state hash behind
-/// mutexes. Returns the same verdicts as [`bfs`] (the counterexample path
-/// is reconstructed from parent edges stored in the shards).
-pub fn bfs_parallel<T>(
-    sys: &T,
-    opts: BfsOptions,
-    threads: usize,
-) -> SearchResult<T::Label, T::Violation>
-where
-    T: TransitionSystem + Sync,
-    T::State: Sync,
-    T::Label: Sync,
-{
-    if threads <= 1 {
-        return bfs(sys, opts);
-    }
-    let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-    let r = match bfs_parallel_controlled(sys, opts, threads, &RunControl::unlimited(), None) {
-        ControlledSearch::Finished(r) => r,
-        ControlledSearch::Interrupted { .. } => {
-            unreachable!("an unlimited RunControl never interrupts")
-        }
-    };
-    publish_search_stats(&r.stats(), false);
-    r
-}
-
-/// One shard of the parallel parent map: fingerprint -> optional
-/// (parent fingerprint, label) edge.
-type ParentShard<L> = Mutex<HashMap<u128, Option<(u128, L)>>>;
-
-/// Collect the contents of sharded parent maps into checkpoint form:
-/// every key into `seen`, every recorded edge into `parents`.
-fn drain_shard_maps<L: Clone>(shards: &[ParentShard<L>]) -> (Vec<u128>, Vec<(u128, u128, L)>) {
-    let mut seen = Vec::new();
-    let mut parents = Vec::new();
-    for shard in shards {
-        let m = shard.lock().unwrap();
-        for (child, edge) in m.iter() {
-            seen.push(*child);
-            if let Some((parent, label)) = edge {
-                parents.push((*child, *parent, label.clone()));
-            }
-        }
-    }
-    (seen, parents)
-}
-
-/// Level-synchronous parallel BFS under a [`RunControl`], optionally
-/// resuming a prior [`SearchCheckpoint`].
-///
-/// Workers poll the control once per state (the admission boundary) and
-/// raise a shared interrupt flag on a trip; every worker then stops
-/// *between* expansions, so each processed state has all successors
-/// admitted. The checkpoint frontier is the unprocessed remainder of each
-/// worker's chunk plus everything admitted this level.
-pub fn bfs_parallel_controlled<T>(
-    sys: &T,
-    opts: BfsOptions,
-    threads: usize,
-    ctrl: &RunControl,
-    resume: Option<SearchCheckpoint<T::State, T::Label>>,
-) -> ControlledSearch<T::State, T::Label, T::Violation>
-where
-    T: TransitionSystem + Sync,
-    T::State: Sync,
-    T::Label: Sync,
-{
-    if threads <= 1 {
-        return bfs_controlled(sys, opts, ctrl, resume);
-    }
-    use scv_telemetry::recorder;
-    const SHARDS: usize = 64;
-    let start = Instant::now();
-    if recorder::recorder_enabled() {
-        recorder::set_worker("main");
-    }
-    let fper = match &resume {
-        Some(ck) => Fingerprinter::from_seeds(ck.seeds),
-        None => Fingerprinter::new(),
-    };
-    let shard_of = |fp: u128| -> usize { (fp as usize) % SHARDS };
-    // Shard maps: fingerprint -> (parent fingerprint, label); the label
-    // chain is all a counterexample needs.
-    type Parent<T> = Option<(u128, <T as TransitionSystem>::Label)>;
-    let shards: Vec<Mutex<HashMap<u128, Parent<T>>>> =
-        (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-
-    let n_states = AtomicU64::new(0);
-    let n_trans = AtomicU64::new(0);
-    let depth_max = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let interrupt = AtomicU8::new(0);
-    let depth_limited = AtomicBool::new(false);
-    let found: Mutex<Option<(u128, T::Violation)>> = Mutex::new(None);
-    let init_fp;
-
-    let mut frontier: Vec<(T::State, u128, usize)>;
-    match resume {
-        Some(ck) => {
-            init_fp = ck.init_fp;
-            for fp in &ck.seen {
-                shards[shard_of(*fp)].lock().unwrap().insert(*fp, None);
-            }
-            for (child, parent, label) in ck.parents {
-                shards[shard_of(child)]
-                    .lock()
-                    .unwrap()
-                    .insert(child, Some((parent, label)));
-            }
-            n_states.store(ck.states as u64, Ordering::Relaxed);
-            n_trans.store(ck.transitions as u64, Ordering::Relaxed);
-            depth_max.store(ck.depth as u64, Ordering::Relaxed);
-            frontier = ck.frontier;
-        }
-        None => {
-            let init = sys.initial();
-            if let Some(reason) = sys.violation(&init) {
-                let stats = McStats {
-                    states: 1,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                };
-                return ControlledSearch::Finished(SearchResult::Unsafe(
-                    Counterexample {
-                        path: Vec::new(),
-                        reason,
-                    },
-                    stats,
-                ));
-            }
-            init_fp = fper.fp(&init);
-            shards[shard_of(init_fp)]
-                .lock()
-                .unwrap()
-                .insert(init_fp, None);
-            n_states.store(1, Ordering::Relaxed);
-            frontier = vec![(init, init_fp, 0)];
-        }
-    }
-
-    let mut truncated = false;
-    // Per-worker expansion scratch, hoisted out of the level loop so the
-    // replay buffers and seal caches survive across levels.
-    let mut scratches: Vec<ExpandScratch> = (0..threads).map(|_| sys.expand_scratch()).collect();
-
-    while !frontier.is_empty() && !stop.load(Ordering::Relaxed) {
-        if recorder::recorder_enabled() {
-            recorder::counter(recorder::CounterTrack::FrontierDepth, frontier.len() as f64);
-            recorder::counter(
-                recorder::CounterTrack::SeenStates,
-                n_states.load(Ordering::Relaxed) as f64,
-            );
-            recorder::set_live(recorder::LiveGauge::FrontierDepth, frontier.len() as u64);
-        }
-        // A frontier entry: state, its fingerprint, and its depth.
-        type Entry<S> = (S, u128, usize);
-        let chunk_slices: Vec<&[Entry<T::State>]> =
-            frontier.chunks(frontier.len().div_ceil(threads)).collect();
-        // Each worker returns (admitted successors, states fully processed):
-        // on an interrupt the unprocessed chunk tail goes back into the
-        // checkpoint frontier.
-        let results: Vec<(Vec<Entry<T::State>>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk_slices
-                .iter()
-                .copied()
-                .zip(scratches.iter_mut())
-                .enumerate()
-                .map(|(wi, (chunk, scratch))| {
-                    let shards = &shards;
-                    let n_states = &n_states;
-                    let n_trans = &n_trans;
-                    let depth_max = &depth_max;
-                    let stop = &stop;
-                    let interrupt = &interrupt;
-                    let depth_limited = &depth_limited;
-                    let found = &found;
-                    let fper = &fper;
-                    let shard_of = &shard_of;
-                    scope.spawn(move || {
-                        if recorder::recorder_enabled() {
-                            recorder::set_worker(&format!("bfs-{wi}"));
-                        }
-                        let mut local = Vec::new();
-                        let mut admitted: Vec<(T::Label, T::State, u128)> = Vec::new();
-                        let mut ticks = 0u32;
-                        let mut processed = 0usize;
-                        for (s, sfp, d) in chunk {
-                            if stop.load(Ordering::Relaxed)
-                                || interrupt.load(Ordering::Relaxed) != 0
-                            {
-                                break;
-                            }
-                            if let Some(reason) =
-                                ctrl.trip(n_states.load(Ordering::Relaxed) as usize, &mut ticks)
-                            {
-                                let _ = interrupt.compare_exchange(
-                                    0,
-                                    reason_to_code(reason),
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                );
-                                break;
-                            }
-                            if *d >= opts.max_depth {
-                                depth_limited.store(true, Ordering::Relaxed);
-                                processed += 1;
-                                continue;
-                            }
-                            // Probe-only admission (one shard lock per
-                            // candidate); the insert below stays
-                            // authoritative, so probe races are safe.
-                            admitted.clear();
-                            let mut admit = |fps: &[u128], keep: &mut Vec<bool>| {
-                                n_trans.fetch_add(fps.len() as u64, Ordering::Relaxed);
-                                keep.clear();
-                                keep.extend(fps.iter().map(|fp| {
-                                    !shards[shard_of(*fp)].lock().unwrap().contains_key(fp)
-                                }));
-                            };
-                            sys.expand_admitted(s, scratch, fper, &mut admit, &mut admitted);
-                            let mut broke = false;
-                            for (label, t, tfp) in admitted.drain(..) {
-                                {
-                                    let mut m = shards[shard_of(tfp)].lock().unwrap();
-                                    if m.contains_key(&tfp) {
-                                        continue;
-                                    }
-                                    m.insert(tfp, Some((*sfp, label)));
-                                }
-                                let total = n_states.fetch_add(1, Ordering::Relaxed) + 1;
-                                depth_max.fetch_max(*d as u64 + 1, Ordering::Relaxed);
-                                if let Some(v) = sys.violation(&t) {
-                                    *found.lock().unwrap() = Some((tfp, v));
-                                    stop.store(true, Ordering::Relaxed);
-                                    broke = true;
-                                    break;
-                                }
-                                if total as usize >= opts.max_states {
-                                    stop.store(true, Ordering::Relaxed);
-                                    broke = true;
-                                    break;
-                                }
-                                local.push((t, tfp, d + 1));
-                            }
-                            if broke {
-                                break;
-                            }
-                            processed += 1;
-                        }
-                        // Level threads are short-lived; move their rings
-                        // into the collected set before the scope joins
-                        // (TLS destructors may run after `scope` returns).
-                        recorder::flush_worker();
-                        (local, processed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .collect::<Vec<_>>()
-        });
-
-        let tripped = interrupt.load(Ordering::Relaxed);
-        if tripped != 0 && !stop.load(Ordering::Relaxed) {
-            // Consistent point: every processed state is fully expanded;
-            // the snapshot frontier is each chunk's unprocessed tail plus
-            // everything admitted this level.
-            let mut snap: Vec<(T::State, u128, usize)> = Vec::new();
-            for (chunk, (local, processed)) in chunk_slices.iter().zip(results) {
-                snap.extend(chunk[processed..].iter().cloned());
-                snap.extend(local);
-            }
-            let (seen, parents) = drain_shard_maps(&shards);
-            let stats = McStats {
-                states: n_states.load(Ordering::Relaxed) as usize,
-                transitions: n_trans.load(Ordering::Relaxed) as usize,
-                depth: depth_max.load(Ordering::Relaxed) as usize,
-                elapsed: start.elapsed(),
-                workers: threads,
-                ..Default::default()
-            };
-            let checkpoint = SearchCheckpoint {
-                seeds: fper.seeds(),
-                init_fp,
-                seen,
-                frontier: snap,
-                parents,
-                states: stats.states,
-                transitions: stats.transitions,
-                depth: stats.depth,
-            };
-            return ControlledSearch::Interrupted {
-                reason: code_to_reason(tripped),
-                checkpoint,
-                stats,
-            };
-        }
-
-        frontier = results.into_iter().flat_map(|(local, _)| local).collect();
-        if stop.load(Ordering::Relaxed) {
-            truncated = true;
-            break;
-        }
-    }
-
-    let mut stats = McStats {
-        states: n_states.load(Ordering::Relaxed) as usize,
-        transitions: n_trans.load(Ordering::Relaxed) as usize,
-        depth: depth_max.load(Ordering::Relaxed) as usize,
-        elapsed: start.elapsed(),
-        workers: threads,
-        ..Default::default()
-    };
-    let found = found.lock().unwrap().take();
-    if let Some((bad, reason)) = found {
-        // Reconstruct the label path through the shard parent maps.
-        let mut path = Vec::new();
-        let mut cur = bad;
-        loop {
-            let parent = shards[shard_of(cur)]
-                .lock()
-                .unwrap()
-                .get(&cur)
-                .cloned()
-                .flatten();
-            match parent {
-                Some((p, l)) => {
-                    path.push(l);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        path.reverse();
-        stats.elapsed = start.elapsed();
-        return ControlledSearch::Finished(SearchResult::Unsafe(
-            Counterexample { path, reason },
-            stats,
-        ));
-    }
-    ControlledSearch::Finished(if truncated || depth_limited.load(Ordering::Relaxed) {
-        SearchResult::Bounded(stats)
-    } else {
-        SearchResult::Safe(stats)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,46 +668,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential_on_safe() {
-        let sys = Counter { n: 977, bad: None };
-        let seq = bfs(&sys, BfsOptions::default());
-        let par = bfs_parallel(&sys, BfsOptions::default(), 4);
-        assert!(seq.is_safe() && par.is_safe());
-        assert_eq!(seq.stats().states, par.stats().states);
-    }
-
-    #[test]
-    fn parallel_finds_violations() {
-        let sys = Counter {
-            n: 977,
-            bad: Some(123),
-        };
-        match bfs_parallel(&sys, BfsOptions::default(), 4) {
-            SearchResult::Unsafe(ce, _) => {
-                let mut s = 0u32;
-                for l in &ce.path {
-                    s = match *l {
-                        "inc" => (s + 1) % 977,
-                        _ => (s * 2) % 977,
-                    };
-                }
-                assert_eq!(s, 123, "path must replay to the bad state");
-            }
-            r => panic!("expected Unsafe, got {r:?}"),
-        }
-    }
-
-    #[test]
     fn violating_initial_state_caught() {
         let sys = Counter {
             n: 10,
             bad: Some(0),
         };
         match bfs(&sys, BfsOptions::default()) {
-            SearchResult::Unsafe(ce, _) => assert!(ce.path.is_empty()),
-            r => panic!("expected Unsafe, got {r:?}"),
-        }
-        match bfs_parallel(&sys, BfsOptions::default(), 2) {
             SearchResult::Unsafe(ce, _) => assert!(ce.path.is_empty()),
             r => panic!("expected Unsafe, got {r:?}"),
         }
@@ -1120,33 +713,6 @@ mod tests {
             assert!(r2.is_safe(), "cut {cut}");
             assert_eq!(r2.stats().states, clean.stats().states, "cut {cut}");
             assert_eq!(r2.stats().depth, clean.stats().depth, "cut {cut}");
-        }
-    }
-
-    /// Same for the level-synchronous parallel engine, including resuming
-    /// a parallel checkpoint on a different thread count.
-    #[test]
-    fn levelsync_interrupt_resume_matches_clean_run() {
-        let sys = Counter { n: 977, bad: None };
-        let clean = bfs(&sys, BfsOptions::default());
-        for cut in [5usize, 200, 800] {
-            let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
-            let r = bfs_parallel_controlled(&sys, BfsOptions::default(), 4, &ctrl, None);
-            let ControlledSearch::Interrupted { checkpoint, .. } = r else {
-                panic!("budget of {cut} must interrupt a 977-state space");
-            };
-            let resumed = bfs_parallel_controlled(
-                &sys,
-                BfsOptions::default(),
-                2,
-                &RunControl::unlimited(),
-                Some(checkpoint),
-            );
-            let ControlledSearch::Finished(r2) = resumed else {
-                panic!("unlimited resume must finish");
-            };
-            assert!(r2.is_safe(), "cut {cut}");
-            assert_eq!(r2.stats().states, clean.stats().states, "cut {cut}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Striped open-addressing seen-set over 128-bit state fingerprints.
 //!
-//! The level-synchronous searcher's profile (EXPERIMENTS.md E9) showed the
-//! sharded-`HashMap` seen-set absorbing the parallelism: one mutex
+//! The profile of an earlier level-synchronous searcher (EXPERIMENTS.md E9)
+//! showed a sharded-`HashMap` seen-set absorbing the parallelism: one mutex
 //! acquisition *per successor*, plus `HashMap`'s per-entry overhead. This
 //! table is built for the work-stealing engine's access pattern instead:
 //!

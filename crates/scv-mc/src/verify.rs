@@ -6,9 +6,8 @@ use crate::canon::{self, CanonScratch, FastPlan};
 use crate::checkpoint::{CheckpointError, CheckpointFile};
 use crate::control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 use crate::mc::{
-    bfs_controlled, bfs_parallel_controlled, eager_expand, publish_search_stats, BfsOptions,
-    ControlledSearch, ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult,
-    SearchStrategy, TransitionSystem,
+    bfs_controlled, eager_expand, publish_search_stats, BfsOptions, ControlledSearch,
+    ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
 use crate::ws::ws_search_controlled;
 use scv_checker::{ScChecker, ScError};
@@ -142,7 +141,7 @@ pub struct EncRef {
 
 impl EncRef {
     /// Intern a standalone encoding in its own chunk (initial state and
-    /// eager-mode successors).
+    /// successors materialized outside the admission gate).
     fn owned(enc: &[u64]) -> Self {
         EncRef {
             chunk: Arc::from(enc),
@@ -495,11 +494,6 @@ pub struct VerifySystem<P: Symmetry> {
     /// The mode the system was built with (recorded in checkpoint files so
     /// a resume under a different quotient is rejected up front).
     mode: SymmetryMode,
-    /// Admission-gated lazy materialization (the default). `false` forces
-    /// the eager reference path in `expand_admitted`: every successor is
-    /// fully materialized before the seen-set probe — the pre-gating cost
-    /// profile, kept for differential testing and benchmarking.
-    lazy: bool,
 }
 
 impl<P: Symmetry> VerifySystem<P> {
@@ -552,7 +546,6 @@ impl<P: Symmetry> VerifySystem<P> {
             fast,
             l2: SealCacheL2::new(),
             mode,
-            lazy: true,
         }
     }
 
@@ -564,32 +557,6 @@ impl<P: Symmetry> VerifySystem<P> {
     /// The symmetry mode this system was built with.
     pub fn symmetry_mode(&self) -> SymmetryMode {
         self.mode
-    }
-
-    /// Select admission-gated lazy materialization (`true`, the default)
-    /// or the eager reference expansion path (`false`). Consuming builder,
-    /// consistent with [`VerifySystem::with_symmetry`]:
-    ///
-    /// ```ignore
-    /// let sys = VerifySystem::with_symmetry(p, SymmetryMode::Full).lazy(false);
-    /// ```
-    pub fn lazy(mut self, lazy: bool) -> Self {
-        self.lazy = lazy;
-        self
-    }
-
-    /// Toggle admission-gated lazy materialization in place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the consuming builder `VerifySystem::lazy`"
-    )]
-    pub fn set_lazy(&mut self, lazy: bool) {
-        self.lazy = lazy;
-    }
-
-    /// Is lazy (admission-gated) expansion active?
-    pub fn is_lazy(&self) -> bool {
-        self.lazy
     }
 
     /// Order of the effective symmetry group (1 = no reduction).
@@ -852,11 +819,6 @@ where
         if s.error.is_some() {
             return; // rejection is absorbing
         }
-        if !self.lazy {
-            let _t = scv_telemetry::timer(scv_telemetry::Phase::Expand);
-            eager_expand(self, s, fper, admit, out);
-            return;
-        }
         let Some(sc) = scratch.get_mut::<SealScratch<P::State>>() else {
             // A foreign scratch: some engine didn't thread ours through.
             // The reference path is always correct.
@@ -910,7 +872,8 @@ where
             // Replay into the slot's scratch copies: `clone_from` reuses
             // the previous round's allocations; only an emptied slot (its
             // components were moved into an admitted state) pays a fresh
-            // clone — which the eager path paid for *every* candidate.
+            // clone — which the materialize-first path (`successors`) pays
+            // for *every* candidate.
             match &mut slot.obs {
                 Some(o) => o.clone_from(&s.obs),
                 None => slot.obs = Some(s.obs.clone()),
@@ -924,8 +887,8 @@ where
             // leaves the checker untouched: skip the checker copy and
             // encode through the parent's checker directly. Materializing
             // such a candidate clones the parent checker then — but only
-            // for admitted candidates, where the eager path cloned it for
-            // every one.
+            // for admitted candidates, where the materialize-first path
+            // clones it for every one.
             slot.chk_is_parent = sc.syms.is_empty();
             if !slot.chk_is_parent {
                 match &mut slot.chk {
@@ -1258,23 +1221,16 @@ where
 pub struct VerifyOptions {
     /// BFS limits.
     pub bfs: BfsOptions,
-    /// Worker threads (1 = sequential).
+    /// Worker threads: 1 runs sequential BFS, more run the work-stealing
+    /// engine.
     pub threads: usize,
-    /// Parallel engine to use when `threads > 1` (ignored otherwise).
-    pub strategy: SearchStrategy,
     /// Work-stealing batch granularity: states per deque chunk and
-    /// fingerprints claimed per seen-set lock acquisition (ignored by the
-    /// level-synchronous engine).
+    /// fingerprints claimed per seen-set lock acquisition (ignored by
+    /// sequential BFS).
     pub batch_size: usize,
     /// Symmetry reduction: quotient the product space by the protocol's
     /// declared symmetry group.
     pub symmetry: SymmetryMode,
-    /// Admission-gated lazy state materialization (the default). `false`
-    /// selects the eager reference path: every successor is fully
-    /// materialized before the seen-set probe. Consumed by
-    /// [`verify_protocol`] when it builds the system; [`verify_system`]
-    /// runs whatever the passed-in system was configured with.
-    pub lazy: bool,
     /// Resource budget for the run (wall clock, admitted states, resident
     /// memory). Tripping yields [`Outcome::Inconclusive`].
     pub budget: Budget,
@@ -1298,10 +1254,8 @@ impl Default for VerifyOptions {
         VerifyOptions {
             bfs: BfsOptions::new().max_states(200_000),
             threads: 1,
-            strategy: SearchStrategy::default(),
             batch_size: 128,
             symmetry: SymmetryMode::Off,
-            lazy: true,
             budget: Budget::unlimited(),
             cancel: CancelToken::new(),
             checkpoint_every: None,
@@ -1318,7 +1272,8 @@ impl VerifyOptions {
         Self::default()
     }
 
-    /// Worker threads (1 = sequential).
+    /// Worker threads: 1 runs sequential BFS, more run the work-stealing
+    /// engine.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -1342,12 +1297,6 @@ impl VerifyOptions {
         self
     }
 
-    /// Parallel engine to use when `threads > 1`.
-    pub fn strategy(mut self, s: SearchStrategy) -> Self {
-        self.strategy = s;
-        self
-    }
-
     /// Work-stealing batch granularity.
     pub fn batch_size(mut self, n: usize) -> Self {
         self.batch_size = n;
@@ -1357,13 +1306,6 @@ impl VerifyOptions {
     /// Symmetry reduction mode.
     pub fn symmetry(mut self, m: SymmetryMode) -> Self {
         self.symmetry = m;
-        self
-    }
-
-    /// Admission-gated lazy materialization (`true`, the default) or the
-    /// eager reference expansion path (`false`).
-    pub fn lazy(mut self, on: bool) -> Self {
-        self.lazy = on;
         self
     }
 
@@ -1472,9 +1414,8 @@ impl Outcome {
 
     /// The typed violation diagnosis, if this outcome is a violation.
     ///
-    /// Borrowing replacement for [`Outcome::message`]: no allocation, and
-    /// the caller can match on [`scv_checker::ScErrorKind`] structurally
-    /// instead of parsing text. The historical message text is
+    /// Borrowing, so the caller can match on [`scv_checker::ScErrorKind`]
+    /// structurally instead of parsing text. The message text is
     /// `reason.to_string()` (its `Display` is pinned by the
     /// `options_and_reasons` test battery).
     pub fn reject_reason(&self) -> Option<&RejectReason> {
@@ -1490,16 +1431,6 @@ impl Outcome {
             Outcome::Inconclusive { coverage, .. } => Some(*coverage),
             _ => None,
         }
-    }
-
-    /// The violation diagnosis rendered as the historical message text,
-    /// if this outcome is a violation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call and loses the typed reason; use `reject_reason`"
-    )]
-    pub fn message(&self) -> Option<String> {
-        self.reject_reason().map(RejectReason::to_string)
     }
 }
 
@@ -1556,7 +1487,7 @@ where
             deadline: None,
             ..opts.budget
         };
-        let is_ws = opts.threads > 1 && opts.strategy == SearchStrategy::WorkStealing;
+        let is_ws = opts.threads > 1;
         // Floor the tick: a zero-length slice would trip before expanding
         // anything. `effective_every` then adapts upward (doubling) any
         // time a slice makes no progress — as the seen-set grows, resume
@@ -1579,13 +1510,9 @@ where
                 ws_search_controlled(self, opts.bfs, opts.threads, opts.batch_size, &ctrl, taken).0
             } else {
                 // The work-stealing engine times and publishes internally;
-                // these two do neither, so the driver does both.
+                // sequential BFS does neither, so `try_search` does both.
                 let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-                if opts.threads > 1 {
-                    bfs_parallel_controlled(self, opts.bfs, opts.threads, &ctrl, taken)
-                } else {
-                    bfs_controlled(self, opts.bfs, &ctrl, taken)
-                }
+                bfs_controlled(self, opts.bfs, &ctrl, taken)
             };
             match result {
                 ControlledSearch::Finished(r) => {
@@ -1784,26 +1711,13 @@ where
     }
 }
 
-/// Run a search over an already-built product system.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `VerifySystem::search`/`try_search`, or the root-crate `Verifier` facade"
-)]
-pub fn verify_system<P>(sys: &VerifySystem<P>, opts: VerifyOptions) -> Outcome
-where
-    P: Symmetry + Sync,
-    P::State: Send + Sync + 'static,
-{
-    sys.search(&opts)
-}
-
 /// Run the complete §3.4 method on a protocol.
 pub fn verify_protocol<P>(protocol: P, opts: VerifyOptions) -> Outcome
 where
     P: Symmetry + Sync,
     P::State: Send + Sync + 'static,
 {
-    let sys = VerifySystem::with_symmetry(protocol, opts.symmetry).lazy(opts.lazy);
+    let sys = VerifySystem::with_symmetry(protocol, opts.symmetry);
     sys.search(&opts)
 }
 
@@ -1923,16 +1837,14 @@ mod tests {
     #[test]
     fn parallel_agrees_with_sequential() {
         // Verdicts must agree on a violation hunt (counterexamples are
-        // found quickly in parallel too), under both parallel engines.
+        // found quickly in parallel too).
         let seq = verify_protocol(MsiProtocol::buggy(Params::new(2, 2, 1)), opts(2_000_000));
         assert!(matches!(seq, Outcome::Violation { .. }));
-        for strategy in [SearchStrategy::WorkStealing, SearchStrategy::LevelSync] {
-            let par = verify_protocol(
-                MsiProtocol::buggy(Params::new(2, 2, 1)),
-                opts(2_000_000).threads(4).strategy(strategy),
-            );
-            assert!(matches!(par, Outcome::Violation { .. }), "{strategy:?}");
-        }
+        let par = verify_protocol(
+            MsiProtocol::buggy(Params::new(2, 2, 1)),
+            opts(2_000_000).threads(4),
+        );
+        assert!(matches!(par, Outcome::Violation { .. }));
     }
 
     #[test]
@@ -2148,25 +2060,19 @@ mod tests {
     #[test]
     fn reject_reason_accessor_borrows_the_typed_reason() {
         let out = verify_protocol(MsiProtocol::buggy(Params::new(2, 2, 1)), opts(2_000_000));
+        let Outcome::Violation { reason: owned, .. } = &out else {
+            panic!("buggy MSI violates");
+        };
         let reason = out.reject_reason().expect("buggy MSI violates");
-        // The borrowing accessor and the historical text agree.
-        #[allow(deprecated)]
-        let msg = out.message().unwrap();
-        assert_eq!(msg, reason.to_string());
+        assert!(
+            std::ptr::eq(reason, owned),
+            "the accessor borrows the outcome's reason"
+        );
         assert!(
             verify_protocol(SerialMemory::new(Params::new(2, 1, 1)), opts(5_000))
                 .reject_reason()
                 .is_none()
         );
-    }
-
-    #[test]
-    fn lazy_builder_replaces_set_lazy() {
-        let sys = VerifySystem::new(SerialMemory::new(Params::new(2, 1, 1))).lazy(false);
-        assert!(!sys.is_lazy());
-        let sys = sys.lazy(true);
-        assert!(sys.is_lazy());
-        assert_eq!(sys.symmetry_mode(), SymmetryMode::Off);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Asynchronous work-stealing reachability search.
 //!
-//! The level-synchronous parallel BFS ([`crate::mc::bfs_parallel`], kept
-//! for differential testing) pays three taxes that EXPERIMENTS.md E9
+//! This is the only parallel engine: `threads > 1` runs it, `threads ==
+//! 1` runs sequential BFS ([`crate::mc::bfs`]), which stays as the
+//! reference for exact counts and shortest counterexamples. A
+//! level-synchronous parallel BFS pays three taxes that EXPERIMENTS.md E9
 //! measured as absorbing *all* parallelism at product-state granularity
 //! (tens of microseconds per state): a full-frontier barrier every level,
 //! one seen-set mutex acquisition per successor, and allocator traffic for
@@ -46,7 +48,7 @@
 //! schedule (same `states` count), and a violation reachable within the
 //! limits is found by *some* worker before quiescence. Only searches
 //! truncated by `max_states`/`max_depth` may differ in which frontier
-//! they saw — identical to the level-synchronous engine's behaviour.
+//! they saw.
 //! `tests/parallel_mc.rs` pins this battery down across the protocol zoo.
 //!
 //! **Interrupts** ([`ws_search_controlled`]): budgets and cancellation are
@@ -440,7 +442,7 @@ fn flush_stripe<T: TransitionSystem>(
         }
         if pending.depth >= shared.opts.max_depth {
             // Visited but not expanded — the depth frontier is non-empty,
-            // exactly the level-synchronous engine's Bounded condition.
+            // exactly sequential BFS's Bounded condition.
             shared.depth_limited.store(true, Ordering::Relaxed);
             continue;
         }
@@ -462,9 +464,8 @@ fn flush_stripe<T: TransitionSystem>(
         .fetch_max(max_depth_seen, Ordering::Relaxed);
 }
 
-/// Work-stealing search; same contract as [`crate::mc::bfs`] /
-/// [`crate::mc::bfs_parallel`]. Returns the aggregate result plus
-/// per-worker statistics.
+/// Work-stealing search; same contract as [`crate::mc::bfs`]. Returns
+/// the aggregate result plus per-worker statistics.
 pub fn ws_search_detailed<T>(
     sys: &T,
     opts: BfsOptions,
@@ -585,7 +586,7 @@ where
             shared.seen.insert(init_fp);
             shared.states.store(1, Ordering::Relaxed);
             if opts.max_depth == 0 {
-                // Nothing may be expanded; mirror the level-synchronous verdict.
+                // Nothing may be expanded; mirror sequential BFS's verdict.
                 let has_succs = !sys.successors(&init).is_empty();
                 let stats = McStats {
                     states: 1,

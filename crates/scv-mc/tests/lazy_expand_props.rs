@@ -13,28 +13,63 @@
 //! Neither object is directly observable from outside the crate, but a
 //! single wrong fingerprint is: it either drops a reachable state
 //! (probe says "seen" for a state that isn't) or double-counts one
-//! (probe admits a duplicate), so the lazy and eager paths diverge in
-//! `(verdict, states, transitions)` on a deterministic search. These
-//! properties drive randomly parameterized zoo protocols through both
-//! paths and require exact agreement.
+//! (probe admits a duplicate), so the lazy path and the trait-default
+//! materialize-then-filter path (selected by the [`Eager`] wrapper)
+//! diverge in `(verdict, states, transitions)` on a deterministic
+//! sequential search. These properties drive randomly parameterized zoo
+//! protocols through both paths and require exact agreement.
 //!
 //! The vendored proptest is deterministic (cases seeded from the test
 //! name), so failures reproduce exactly.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use scv_mc::{verify_protocol, Outcome, SymmetryMode, VerifyOptions};
-use scv_protocol::{DirectoryProtocol, LazyCaching, MesiProtocol, MsiProtocol, SerialMemory};
+use scv_mc::{bfs, BfsOptions, SearchResult, SymmetryMode, TransitionSystem, VerifySystem};
+use scv_protocol::{
+    DirectoryProtocol, LazyCaching, MesiProtocol, MsiProtocol, SerialMemory, Symmetry,
+};
 use scv_types::Params;
 
-fn verdict(out: &Outcome) -> &'static str {
-    match out {
-        Outcome::Verified { .. } => "Verified",
-        Outcome::Violation { .. } => "Violation",
-        Outcome::Bounded { .. } => "Bounded",
-        // No budget/cancel is configured here, so this can't occur.
-        Outcome::Inconclusive { .. } => "Inconclusive",
+/// The materialize-then-filter reference: delegates `initial`,
+/// `successors` and `violation` only, so `expand_admitted` is the trait
+/// default (every successor cloned and encoded before the seen-set probe).
+struct Eager<'a, T>(&'a T);
+
+impl<T: TransitionSystem> TransitionSystem for Eager<'_, T> {
+    type State = T::State;
+    type Label = T::Label;
+    type Violation = T::Violation;
+
+    fn initial(&self) -> T::State {
+        self.0.initial()
     }
+    fn successors(&self, s: &T::State) -> Vec<(T::Label, T::State)> {
+        self.0.successors(s)
+    }
+    fn violation(&self, s: &T::State) -> Option<T::Violation> {
+        self.0.violation(s)
+    }
+}
+
+fn verdict<L, V>(r: &SearchResult<L, V>) -> &'static str {
+    match r {
+        SearchResult::Safe(_) => "Verified",
+        SearchResult::Unsafe(..) => "Violation",
+        SearchResult::Bounded(_) => "Bounded",
+    }
+}
+
+/// Sequential BFS through both expansion paths, as `(verdict, states,
+/// transitions)` for the eager reference and then the lazy path.
+fn both_paths<P>(proto: P, sym: SymmetryMode, cap: usize) -> [(&'static str, usize, usize); 2]
+where
+    P: Symmetry + Sync,
+    P::State: Send + Sync + 'static,
+{
+    let sys = VerifySystem::with_symmetry(proto, sym);
+    let opts = BfsOptions::new().max_states(cap);
+    let summary = |r: SearchResult<_, _>| (verdict(&r), r.stats().states, r.stats().transitions);
+    [summary(bfs(&Eager(&sys), opts)), summary(bfs(&sys, opts))]
 }
 
 /// Run one configuration through both expansion paths and demand exact
@@ -48,24 +83,16 @@ fn assert_parity(
     cap: usize,
 ) -> Result<(), TestCaseError> {
     let params = Params::new(p, b, v);
-    let run = |lazy: bool| {
-        let opts = VerifyOptions::new()
-            .max_states(cap)
-            .symmetry(sym)
-            .lazy(lazy);
-        match proto {
-            0 => verify_protocol(SerialMemory::new(params), opts),
-            1 => verify_protocol(MsiProtocol::new(params), opts),
-            2 => verify_protocol(MesiProtocol::new(params), opts),
-            3 => verify_protocol(DirectoryProtocol::new(params), opts),
-            _ => verify_protocol(LazyCaching::new(params, 1, 1), opts),
-        }
+    let [eager, lazy] = match proto {
+        0 => both_paths(SerialMemory::new(params), sym, cap),
+        1 => both_paths(MsiProtocol::new(params), sym, cap),
+        2 => both_paths(MesiProtocol::new(params), sym, cap),
+        3 => both_paths(DirectoryProtocol::new(params), sym, cap),
+        _ => both_paths(LazyCaching::new(params, 1, 1), sym, cap),
     };
-    let eager = run(false);
-    let lazy = run(true);
     prop_assert_eq!(
-        verdict(&eager),
-        verdict(&lazy),
+        eager.0,
+        lazy.0,
         "verdict diverged (proto {} {:?} {:?} cap {})",
         proto,
         params,
@@ -73,8 +100,8 @@ fn assert_parity(
         cap
     );
     prop_assert_eq!(
-        (eager.stats().states, eager.stats().transitions),
-        (lazy.stats().states, lazy.stats().transitions),
+        (eager.1, eager.2),
+        (lazy.1, lazy.2),
         "counts diverged (proto {} {:?} {:?} cap {})",
         proto,
         params,

@@ -10,8 +10,8 @@
 
 use scv_checker::{ScError, ScErrorKind};
 use scv_mc::{
-    BfsOptions, Budget, CancelToken, Coverage, InterruptReason, RejectReason, SearchStrategy,
-    SymmetryMode, VerifyOptions,
+    BfsOptions, Budget, CancelToken, Coverage, InterruptReason, RejectReason, SymmetryMode,
+    VerifyOptions,
 };
 use std::time::Duration;
 
@@ -156,8 +156,6 @@ fn verify_options_defaults() {
         assert_eq!(opts.threads, 1);
         assert_eq!(opts.bfs.max_states, 200_000);
         assert_eq!(opts.bfs.max_depth, usize::MAX);
-        assert!(matches!(opts.strategy, SearchStrategy::WorkStealing));
-        assert_eq!(opts.strategy, SearchStrategy::default());
         assert_eq!(opts.batch_size, 128);
         assert!(matches!(opts.symmetry, SymmetryMode::Off));
         // Run control defaults: no budget, fresh token, no checkpointing.
@@ -255,10 +253,6 @@ fn verify_options_builders_touch_only_their_field() {
     assert_eq!(opts.bfs.max_states, 1_000_000);
     assert_eq!(opts.threads, 1);
 
-    let opts = VerifyOptions::new().strategy(SearchStrategy::LevelSync);
-    assert!(matches!(opts.strategy, SearchStrategy::LevelSync));
-    assert_eq!(opts.threads, 1);
-
     let opts = VerifyOptions::new().batch_size(64);
     assert_eq!(opts.batch_size, 64);
     assert_eq!(opts.bfs.max_states, base.bfs.max_states);
@@ -273,18 +267,15 @@ fn builders_chain_in_any_order() {
     let a = VerifyOptions::new()
         .threads(4)
         .max_states(10_000)
-        .strategy(SearchStrategy::LevelSync)
         .symmetry(SymmetryMode::Proc)
         .batch_size(32);
     let b = VerifyOptions::new()
         .batch_size(32)
         .symmetry(SymmetryMode::Proc)
-        .strategy(SearchStrategy::LevelSync)
         .max_states(10_000)
         .threads(4);
     assert_eq!(a.threads, b.threads);
     assert_eq!(a.bfs.max_states, b.bfs.max_states);
-    assert_eq!(a.strategy, b.strategy);
     assert_eq!(a.batch_size, b.batch_size);
     assert!(matches!(b.symmetry, SymmetryMode::Proc));
 }

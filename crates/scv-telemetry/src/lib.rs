@@ -207,15 +207,7 @@ pub fn flush() {
         if snap.count == 0 {
             continue;
         }
-        sink.record(&Event::PhaseSummary {
-            phase: phase.name(),
-            count: snap.count,
-            total_ns: snap.sum,
-            mean_ns: snap.mean(),
-            p99_ns: snap.quantile_bound(0.99),
-            max_ns: snap.max,
-            max_depth: phases.max_depth(phase),
-        });
+        sink.record(&phase_summary(phase, &snap, phases.max_depth(phase)));
     }
     let counters = registry().counter_snapshot();
     if !counters.is_empty() {
@@ -241,6 +233,21 @@ pub fn flush() {
         sink.record(&Event::Gauges { items: gauges });
     }
     sink.flush();
+}
+
+/// One phase's summary event. The p99 is interpolated within its log₂
+/// bucket ([`HistSnapshot::quantile`]), the same estimate histogram
+/// summaries report.
+fn phase_summary(phase: Phase, snap: &HistSnapshot, max_depth: u64) -> Event {
+    Event::PhaseSummary {
+        phase: phase.name(),
+        count: snap.count,
+        total_ns: snap.sum,
+        mean_ns: snap.mean(),
+        p99_ns: snap.quantile(0.99).round() as u64,
+        max_ns: snap.max,
+        max_depth,
+    }
 }
 
 /// [`flush`], then disable collection and drop the sink.
@@ -278,10 +285,13 @@ impl TestSession {
         }
     }
 
-    /// Lock and force telemetry off (for disabled-path assertions).
+    /// Lock, force telemetry off and zero the registry and phase table,
+    /// so disabled-path assertions do not see an earlier session's data.
     pub fn start_disabled() -> TestSession {
         let lock = test_mutex().lock().unwrap_or_else(PoisonError::into_inner);
         shutdown();
+        registry().reset();
+        phase_table().reset();
         let (_, events) = MemorySink::new();
         TestSession {
             events,
@@ -343,6 +353,28 @@ mod tests {
             e,
             Event::Gauges { items } if items.iter().any(|(k, v)| k == "mc.peak_frontier" && *v == 17.0)
         )));
+    }
+
+    #[test]
+    fn phase_summary_p99_is_interpolated_not_a_bucket_bound() {
+        // 1..=200 plus one 10 000: rank 198.99 of 201 falls in the
+        // 128..=255 bucket, 127 values before it, so the interpolated
+        // p99 is 128 + (198.99 - 127) / 73 · 127 ≈ 253.24. The bucket's
+        // upper bound would report 255 = 2⁸ − 1.
+        let h = metrics::Histogram::default();
+        for v in (1..=200u64).chain([10_000]) {
+            h.record(v);
+        }
+        let snap = h.snapshot();
+        let Event::PhaseSummary {
+            p99_ns, max_depth, ..
+        } = phase_summary(Phase::Search, &snap, 2)
+        else {
+            panic!("phase_summary builds a PhaseSummary");
+        };
+        assert_eq!(p99_ns, 253);
+        assert_eq!(p99_ns, snap.quantile(0.99).round() as u64);
+        assert_eq!(max_depth, 2);
     }
 
     #[test]

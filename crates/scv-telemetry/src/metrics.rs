@@ -306,32 +306,13 @@ impl HistSnapshot {
         }
     }
 
-    /// Upper bound of the bucket containing the q-quantile (q in [0,1]);
-    /// 0 when empty. Bucket-resolution, which is all log₂ buckets give.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return bucket_bound(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
     /// The q-quantile linearly interpolated *within* its log₂ bucket
-    /// (q in [0,1]; 0 when empty). Where [`quantile_bound`] answers
-    /// "p99 ≤ 63", this assumes values spread uniformly across the
+    /// (0 ≤ q ≤ 1; 0 when empty). Where the bucket's upper bound only
+    /// says "p99 ≤ 63", this assumes values spread uniformly across the
     /// bucket's range and places the quantile proportionally to the
     /// target rank's position inside the bucket — still an estimate
     /// (the buckets are lossy), but one that moves smoothly as the
     /// distribution shifts instead of jumping between powers of two.
-    ///
-    /// [`quantile_bound`]: HistSnapshot::quantile_bound
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -465,12 +446,12 @@ mod tests {
         assert_eq!(s.sum, 5050);
         assert_eq!(s.max, 100);
         assert!((s.mean() - 50.5).abs() < 1e-9);
-        // Median of 1..=100 lives in the bucket for 33..=64.
-        let med = s.quantile_bound(0.5);
-        assert!((33..=64).contains(&med), "median bound {med}");
+        // Median of 1..=100 lives in the bucket for 32..=63.
+        let med = s.quantile(0.5);
+        assert!((32.0..=63.0).contains(&med), "median {med}");
         // p100 is clamped to the true max, not the bucket's bound.
-        assert_eq!(s.quantile_bound(1.0), 100);
-        assert_eq!(HistSnapshot::default().quantile_bound(0.5), 0);
+        assert_eq!(s.quantile(1.0), 100.0);
+        assert_eq!(HistSnapshot::default().quantile(0.5), 0.0);
     }
 
     #[test]

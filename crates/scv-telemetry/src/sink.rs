@@ -41,7 +41,7 @@ pub enum Event {
         total_ns: u64,
         /// Mean span nanoseconds.
         mean_ns: f64,
-        /// Bucket-resolution p99 span nanoseconds.
+        /// Interpolated p99 span nanoseconds, rounded.
         p99_ns: u64,
         /// Largest single span in nanoseconds.
         max_ns: u64,
@@ -94,9 +94,9 @@ pub enum Event {
         /// Instant argument or counter value (0 for span records).
         value: f64,
     },
-    /// Free-form scoped key/value numbers (probe binaries).
+    /// Free-form scoped key/value numbers (ad-hoc diagnostics).
     Kv {
-        /// Dotted scope, e.g. `probe_diag.depth.3`.
+        /// Dotted scope, e.g. `diag.depth.3`.
         scope: String,
         /// `(name, value)` pairs.
         items: Vec<(String, f64)>,

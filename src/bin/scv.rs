@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! scv verify <protocol> [-p N] [-b N] [-v N] [--threads N] [--max-states N]
-//!                       [--strategy ws|level-sync] [--batch N]
-//!                       [--symmetry off|proc|full|full-enum] [--expand lazy|eager]
+//!                       [--batch N] [--symmetry off|proc|full|full-enum]
 //!                       [--timeout SECS] [--checkpoint PATH]
 //!                       [--checkpoint-every SECS] [--resume PATH]
 //!                       # --timeout trips to an Inconclusive verdict (exit 3)
@@ -54,10 +53,8 @@ struct Args {
     v: u8,
     threads: usize,
     max_states: usize,
-    strategy: SearchStrategy,
     batch: usize,
     symmetry: SymmetryMode,
-    lazy: bool,
     steps: usize,
     seed: u64,
     progress: bool,
@@ -77,10 +74,8 @@ impl Args {
             v: 2,
             threads: 1,
             max_states: 2_000_000,
-            strategy: SearchStrategy::default(),
             batch: 128,
             symmetry: SymmetryMode::default(),
-            lazy: true,
             steps: 100,
             seed: 0,
             progress: false,
@@ -106,16 +101,6 @@ impl Args {
                 "--threads" => a.threads = val("--threads")? as usize,
                 "--max-states" => a.max_states = val("--max-states")? as usize,
                 "--batch" => a.batch = val("--batch")? as usize,
-                "--strategy" => {
-                    let v = it.next().ok_or("--strategy needs a value".to_string())?;
-                    a.strategy = match v.as_str() {
-                        "ws" | "work-stealing" => SearchStrategy::WorkStealing,
-                        "level-sync" | "levelsync" => SearchStrategy::LevelSync,
-                        other => {
-                            return Err(format!("unknown strategy `{other}` (ws | level-sync)"))
-                        }
-                    };
-                }
                 "--steps" => a.steps = val("--steps")? as usize,
                 "--seed" => a.seed = val("--seed")?,
                 "--progress" => a.progress = true,
@@ -158,25 +143,7 @@ impl Args {
                 "--dot" => {
                     a.dot = Some(it.next().ok_or("--dot needs a path".to_string())?.clone());
                 }
-                "--expand" => {
-                    let v = it.next().ok_or("--expand needs a value (lazy | eager)")?;
-                    a.lazy = match v.as_str() {
-                        "lazy" => true,
-                        "eager" => false,
-                        other => {
-                            return Err(format!("unknown expand mode `{other}` (lazy | eager)"))
-                        }
-                    };
-                }
                 other => {
-                    if let Some(v) = other.strip_prefix("--expand=") {
-                        a.lazy = match v {
-                            "lazy" => true,
-                            "eager" => false,
-                            _ => return Err(format!("unknown expand mode `{v}` (lazy | eager)")),
-                        };
-                        continue;
-                    }
                     let sym = if let Some(v) = other.strip_prefix("--symmetry=") {
                         Some(v.to_string())
                     } else if other == "--symmetry" {
@@ -216,10 +183,8 @@ impl Args {
         let mut o = VerifyOptions::new()
             .max_states(self.max_states)
             .threads(self.threads)
-            .strategy(self.strategy)
             .batch_size(self.batch)
-            .symmetry(self.symmetry)
-            .lazy(self.lazy);
+            .symmetry(self.symmetry);
         if let Some(d) = self.timeout {
             o = o.timeout(d);
         }
@@ -538,14 +503,13 @@ fn run(argv: &[String]) -> ExitCode {
     match cmd.as_str() {
         "verify" => dispatch!(proto_name, args.params(), |p| {
             println!(
-                "verifying {} (p={}, b={}, v={}, L={}) with {} thread(s) [{:?}], cap {} states…",
+                "verifying {} (p={}, b={}, v={}, L={}) with {} thread(s), cap {} states…",
                 p.name(),
                 args.p,
                 args.b,
                 args.v,
                 p.locations(),
                 args.threads,
-                args.strategy,
                 args.max_states
             );
             if telemetry::enabled() {
@@ -556,13 +520,8 @@ fn run(argv: &[String]) -> ExitCode {
                         ("b".into(), args.b.to_string()),
                         ("v".into(), args.v.to_string()),
                         ("threads".into(), args.threads.to_string()),
-                        ("strategy".into(), format!("{:?}", args.strategy)),
                         ("max_states".into(), args.max_states.to_string()),
                         ("symmetry".into(), format!("{:?}", args.symmetry)),
-                        (
-                            "expand".into(),
-                            (if args.lazy { "lazy" } else { "eager" }).to_string(),
-                        ),
                     ],
                 });
             }

@@ -21,8 +21,7 @@
 //! ```
 
 use scv_mc::{
-    Budget, CancelToken, CheckpointError, Outcome, SearchStrategy, SymmetryMode, VerifyOptions,
-    VerifySystem,
+    Budget, CancelToken, CheckpointError, Outcome, SymmetryMode, VerifyOptions, VerifySystem,
 };
 use scv_protocol::Symmetry;
 use std::path::PathBuf;
@@ -86,15 +85,10 @@ where
         self
     }
 
-    /// Number of worker threads (1 = sequential).
+    /// Number of worker threads: 1 runs sequential BFS, more run the
+    /// work-stealing engine.
     pub fn threads(mut self, n: usize) -> Self {
         self.options = self.options.threads(n);
-        self
-    }
-
-    /// Parallel engine used when `threads > 1`.
-    pub fn strategy(mut self, s: SearchStrategy) -> Self {
-        self.options = self.options.strategy(s);
         self
     }
 
@@ -108,13 +102,6 @@ where
     /// declares sound).
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self {
         self.options = self.options.symmetry(mode);
-        self
-    }
-
-    /// Admission-gated lazy materialization (`true`, the default) or the
-    /// eager reference expansion path (`false`).
-    pub fn lazy(mut self, on: bool) -> Self {
-        self.options = self.options.lazy(on);
         self
     }
 
@@ -180,8 +167,7 @@ where
     pub fn run_controlled(self) -> Result<Outcome, CheckpointError> {
         let name = self.protocol.name().to_string();
         let params = self.protocol.params();
-        let system = VerifySystem::with_symmetry(self.protocol, self.options.symmetry)
-            .lazy(self.options.lazy);
+        let system = VerifySystem::with_symmetry(self.protocol, self.options.symmetry);
         let out = system.try_search(&self.options)?;
         if scv_telemetry::enabled() {
             let s = out.stats();
@@ -192,12 +178,10 @@ where
                 .param("b", params.b.to_string())
                 .param("v", params.v.to_string())
                 .param("threads", self.options.threads.to_string())
-                .param("strategy", format!("{:?}", self.options.strategy))
                 .param("batch", self.options.batch_size.to_string())
                 .param("max_states", self.options.bfs.max_states.to_string())
                 .param("symmetry", format!("{:?}", self.options.symmetry))
                 .param("symmetry_group", system.symmetry_group_order().to_string())
-                .param("expand", if self.options.lazy { "lazy" } else { "eager" })
                 .with_verdict(verdict)
                 .metric("states", s.states as f64)
                 .metric("transitions", s.transitions as f64)

@@ -1,12 +1,10 @@
 //! Deterministic-search battery for the parallel model checker.
 //!
 //! Every protocol in the zoo is verified under every thread count in
-//! {1, 2, 4, 8} and under both parallel engines (the default asynchronous
-//! work-stealing search and the legacy level-synchronous BFS, kept
-//! exactly for this differential test). The checked invariant is
-//! *verdict-variant determinism*: whenever the search limits are not the
-//! deciding factor, every schedule must produce the same `Outcome`
-//! variant —
+//! {1, 2, 4, 8}: one thread runs sequential BFS, more run the asynchronous
+//! work-stealing search. The checked invariant is *verdict-variant
+//! determinism*: whenever the search limits are not the deciding factor,
+//! every schedule must produce the same `Outcome` variant —
 //!
 //! * safe protocols capped far below their product size: always
 //!   `Bounded` (never a spurious `Violation`);
@@ -39,24 +37,16 @@
 use sc_verify::prelude::*;
 use sc_verify::testing::{MonitorStep, RunMonitor};
 
-/// The full (threads, strategy) matrix. At `threads == 1` both strategies
-/// collapse to the sequential searcher, so it appears once.
-fn matrix() -> Vec<(usize, SearchStrategy)> {
-    let mut m = vec![(1, SearchStrategy::WorkStealing)];
-    for threads in [2usize, 4, 8] {
-        m.push((threads, SearchStrategy::WorkStealing));
-        m.push((threads, SearchStrategy::LevelSync));
-    }
-    m
-}
+/// The thread-count matrix: 1 is the sequential searcher, the rest run
+/// the work-stealing engine.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn opts(max_states: usize, threads: usize, strategy: SearchStrategy) -> VerifyOptions {
+fn opts(max_states: usize, threads: usize) -> VerifyOptions {
     // Small batches so even modest searches exercise chunk hand-off
     // and stealing, not just one worker draining one chunk.
     VerifyOptions::new()
         .max_states(max_states)
         .threads(threads)
-        .strategy(strategy)
         .batch_size(32)
 }
 
@@ -103,12 +93,12 @@ where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    for (threads, strategy) in matrix() {
-        let out = verify_protocol(p.clone(), opts(max_states, threads, strategy));
+    for threads in THREADS {
+        let out = verify_protocol(p.clone(), opts(max_states, threads));
         assert_eq!(
             verdict(&out),
             expected,
-            "threads={threads} strategy={strategy:?}: {:?}",
+            "threads={threads}: {:?}",
             out.stats()
         );
         if let Outcome::Violation { run, reason, .. } = &out {
@@ -198,7 +188,7 @@ fn fig4_rejected_on_all_engines() {
 }
 
 // ---- Exhaustive differential test (release-mode; ~120k-state product
-// ---- searched 7 times): all engines must agree on Verified, hold their
+// ---- searched 5 times): all engines must agree on Verified, hold their
 // ---- internal conservation laws exactly, and land within a small
 // ---- tolerance of the sequential reachable-class count (see the module
 // ---- docs for why exact equality is not the right spec).
@@ -324,28 +314,20 @@ fn stress_work_stealing_stats_invariants() {
 #[test]
 fn exhaustive_serial_memory_engines_agree() {
     if !stress_enabled() {
-        eprintln!("skipping exhaustive 7-way product search; enable with SCV_STRESS=1");
+        eprintln!("skipping exhaustive 5-way product search; enable with SCV_STRESS=1");
         return;
     }
     let p = SerialMemory::new(Params::new(2, 1, 1));
-    // threads == 1 collapses to the sequential FIFO searcher, whose
+    // threads == 1 is the sequential FIFO searcher, whose
     // representative choice — and therefore class count — is
     // deterministic. It anchors the tolerance band for every schedule.
-    let reference = verify_protocol(p.clone(), opts(400_000, 1, SearchStrategy::WorkStealing));
+    let reference = verify_protocol(p.clone(), opts(400_000, 1));
     assert!(reference.is_verified(), "{:?}", reference.stats());
     let want = reference.stats().states;
     assert!(want > 50_000, "product unexpectedly small: {want}");
-    for (threads, strategy) in matrix() {
-        let out = verify_protocol(p.clone(), opts(400_000, threads, strategy));
-        assert!(
-            out.is_verified(),
-            "threads={threads} {strategy:?}: {:?}",
-            out.stats()
-        );
-        assert_states_close(
-            out.stats().states,
-            want,
-            &format!("threads={threads} {strategy:?}"),
-        );
+    for threads in THREADS {
+        let out = verify_protocol(p.clone(), opts(400_000, threads));
+        assert!(out.is_verified(), "threads={threads}: {:?}", out.stats());
+        assert_states_close(out.stats().states, want, &format!("threads={threads}"));
     }
 }

@@ -19,7 +19,7 @@
 //!    has no serial reordering — resume cannot fabricate or corrupt a
 //!    counterexample.
 //!
-//! The matrix spans {1, 4} threads × {level-sync, work-stealing} ×
+//! The matrix spans {1, 4} threads (sequential BFS, work-stealing) ×
 //! {off, full} symmetry, as drawn by the (deterministic, vendored)
 //! proptest runner.
 
@@ -37,11 +37,10 @@ fn ckpt_path(tag: &str, case: u64) -> PathBuf {
     ))
 }
 
-fn base_opts(threads: usize, strategy: SearchStrategy, sym: SymmetryMode) -> VerifyOptions {
+fn base_opts(threads: usize, sym: SymmetryMode) -> VerifyOptions {
     VerifyOptions::new()
         .max_states(2_000_000)
         .threads(threads)
-        .strategy(strategy)
         .symmetry(sym)
         .batch_size(16)
 }
@@ -98,7 +97,6 @@ fn kill_resume_case<P, F>(
     case: u64,
     kill_at: usize,
     threads: usize,
-    strategy: SearchStrategy,
     sym: SymmetryMode,
     expect_violation: bool,
 ) -> Result<(), TestCaseError>
@@ -110,9 +108,9 @@ where
     let path = ckpt_path(tag, case);
     let _ = std::fs::remove_file(&path);
 
-    let clean = Verifier::with_options(mk(), base_opts(threads, strategy, sym)).run();
+    let clean = Verifier::with_options(mk(), base_opts(threads, sym)).run();
 
-    let killed = Verifier::with_options(mk(), base_opts(threads, strategy, sym))
+    let killed = Verifier::with_options(mk(), base_opts(threads, sym))
         .budget(Budget::unlimited().states(kill_at))
         .checkpoint_to(&path)
         .run_controlled()
@@ -129,7 +127,7 @@ where
                 kill_at
             );
             prop_assert!(path.is_file(), "budget trip must write the checkpoint");
-            Verifier::with_options(mk(), base_opts(threads, strategy, sym))
+            Verifier::with_options(mk(), base_opts(threads, sym))
                 .resume_from(&path)
                 .run_controlled()
                 .map_err(|e| TestCaseError::fail(format!("resume run: {e}")))?
@@ -195,19 +193,14 @@ fn stats_of(out: &Outcome) -> usize {
     out.stats().states
 }
 
-fn matrix(pick: u8) -> (usize, SearchStrategy, SymmetryMode) {
+fn matrix(pick: u8) -> (usize, SymmetryMode) {
     let threads = if pick & 1 == 0 { 1 } else { 4 };
-    let strategy = if pick & 2 == 0 {
-        SearchStrategy::LevelSync
-    } else {
-        SearchStrategy::WorkStealing
-    };
-    let sym = if pick & 4 == 0 {
+    let sym = if pick & 2 == 0 {
         SymmetryMode::Off
     } else {
         SymmetryMode::Full
     };
-    (threads, strategy, sym)
+    (threads, sym)
 }
 
 proptest! {
@@ -220,16 +213,15 @@ proptest! {
     fn kill_resume_parity_on_a_verified_product(
         case in 0u64..1_000_000,
         kill_at in 30usize..450,
-        pick in 0u8..8,
+        pick in 0u8..4,
     ) {
-        let (threads, strategy, sym) = matrix(pick);
+        let (threads, sym) = matrix(pick);
         kill_resume_case(
             || SerialMemory::new(Params::new(1, 1, 2)),
             "serial",
             case,
             kill_at,
             threads,
-            strategy,
             sym,
             false,
         )?;
@@ -242,9 +234,9 @@ proptest! {
     fn kill_resume_parity_on_a_violating_product(
         case in 0u64..1_000_000,
         kill_at in 30usize..800,
-        pick in 0u8..8,
+        pick in 0u8..4,
     ) {
-        let (threads, strategy, sym) = matrix(pick);
+        let (threads, sym) = matrix(pick);
         // Value symmetry is trivial here (v = 1); Full still exercises
         // the symmetry-aware checkpoint round-trip.
         kill_resume_case(
@@ -253,7 +245,6 @@ proptest! {
             case,
             kill_at,
             threads,
-            strategy,
             sym,
             true,
         )?;

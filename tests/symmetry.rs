@@ -18,26 +18,14 @@
 use sc_verify::prelude::*;
 use sc_verify::testing::{MonitorStep, RunMonitor};
 
-/// Engine/thread configurations exercised by every differential check:
-/// sequential, asynchronous work-stealing, and level-synchronous BFS.
-fn engines() -> [(usize, SearchStrategy); 3] {
-    [
-        (1, SearchStrategy::WorkStealing),
-        (4, SearchStrategy::WorkStealing),
-        (4, SearchStrategy::LevelSync),
-    ]
-}
+/// Engine thread counts exercised by every differential check: 1 runs
+/// sequential BFS, 4 the asynchronous work-stealing engine.
+const THREADS: [usize; 2] = [1, 4];
 
-fn opts(
-    max_states: usize,
-    threads: usize,
-    strategy: SearchStrategy,
-    sym: SymmetryMode,
-) -> VerifyOptions {
+fn opts(max_states: usize, threads: usize, sym: SymmetryMode) -> VerifyOptions {
     VerifyOptions::new()
         .max_states(max_states)
         .threads(threads)
-        .strategy(strategy)
         .symmetry(sym)
 }
 
@@ -57,24 +45,24 @@ fn verdict(out: &Outcome) -> &'static str {
 /// here comes entirely from value symmetry.
 #[test]
 fn exhaustive_parity_on_every_engine() {
-    for (threads, strategy) in engines() {
+    for threads in THREADS {
         let off = verify_protocol(
             SerialMemory::new(Params::new(1, 1, 2)),
-            opts(2_000_000, threads, strategy, SymmetryMode::Off),
+            opts(2_000_000, threads, SymmetryMode::Off),
         );
         let on = verify_protocol(
             SerialMemory::new(Params::new(1, 1, 2)),
-            opts(2_000_000, threads, strategy, SymmetryMode::Full),
+            opts(2_000_000, threads, SymmetryMode::Full),
         );
         assert!(
             off.is_verified() && on.is_verified(),
-            "threads={threads} {strategy:?}: off={:?} on={:?}",
+            "threads={threads}: off={:?} on={:?}",
             off.stats(),
             on.stats()
         );
         assert!(
             on.stats().states < off.stats().states,
-            "threads={threads} {strategy:?}: quotient must shrink the space \
+            "threads={threads}: quotient must shrink the space \
              ({} vs {})",
             on.stats().states,
             off.stats().states
@@ -115,26 +103,18 @@ fn msi_reduction_is_at_least_two_fold() {
 /// orbit merging.
 #[test]
 fn safe_protocols_stay_safe_under_symmetry() {
-    for (threads, strategy) in engines() {
+    for threads in THREADS {
         for sym in [SymmetryMode::Proc, SymmetryMode::Full] {
             let out = verify_protocol(
                 MsiProtocol::new(Params::new(2, 1, 2)),
-                opts(6_000, threads, strategy, sym),
+                opts(6_000, threads, sym),
             );
-            assert_eq!(
-                verdict(&out),
-                "Bounded",
-                "threads={threads} {strategy:?} {sym:?}"
-            );
+            assert_eq!(verdict(&out), "Bounded", "threads={threads} {sym:?}");
             let out = verify_protocol(
                 LazyCaching::new(Params::new(2, 1, 1), 1, 1),
-                opts(6_000, threads, strategy, sym),
+                opts(6_000, threads, sym),
             );
-            assert_eq!(
-                verdict(&out),
-                "Bounded",
-                "lazy threads={threads} {strategy:?} {sym:?}"
-            );
+            assert_eq!(verdict(&out), "Bounded", "lazy threads={threads} {sym:?}");
         }
     }
 }
@@ -181,11 +161,11 @@ where
     P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
 {
-    for (threads, strategy) in engines() {
-        let out = verify_protocol(p.clone(), opts(2_000_000, threads, strategy, sym));
+    for threads in THREADS {
+        let out = verify_protocol(p.clone(), opts(2_000_000, threads, sym));
         let Outcome::Violation { run, trace, .. } = &out else {
             panic!(
-                "threads={threads} {strategy:?} {sym:?}: expected Violation, got {:?}",
+                "threads={threads} {sym:?}: expected Violation, got {:?}",
                 out.stats()
             );
         };
