@@ -203,7 +203,6 @@ fn main() {
                     "symmetry.seal_cache_hits",
                     "symmetry.seal_cache_misses",
                     "symmetry.seal_cache_l2_hits",
-                    "symmetry.seal_cache_l2_misses",
                     "symmetry.refine_exact",
                     "symmetry.residual_enum",
                 ] {

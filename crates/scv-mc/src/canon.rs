@@ -20,7 +20,11 @@
 //! 2. **Residual-subgroup enumeration.** Tied key runs leave a residual
 //!    subgroup `∏ len(run)!` that the prefix cannot discriminate; only
 //!    those arrangements (times the enumerated *outer* perms over the
-//!    remaining dimensions) are completed to full candidates.
+//!    remaining dimensions) are completed to full candidates. Tied
+//!    elements are usually interchangeable outright: a few check walks
+//!    split each run into classes whose transpositions are automorphisms
+//!    of the state, and only distinct orders of class labels are walked,
+//!    each tie counting for all `∏ |class|!` arrangements it stands for.
 //! 3. **Incremental word-by-word comparison.** Each completed candidate
 //!    streams its encoding through a [`CmpSink`] against the incumbent
 //!    minimum and aborts at the first losing word — most candidates die
@@ -242,6 +246,18 @@ pub(crate) struct CanonScratch {
     /// Maximal tied-key rank runs of `order`.
     runs: Vec<(u32, u32)>,
     residual: ResidualEnum,
+    /// The block's first residual arrangement.
+    first: Vec<u8>,
+    /// The arrangement being walked.
+    arr: Vec<u8>,
+    /// Ranks `r` whose check walk (`first` with ranks `r`, `r + 1`
+    /// swapped) found a class boundary.
+    boundaries: Vec<u8>,
+    /// Label orders of those check walks, back to back: the enumeration
+    /// skips them, their outcomes are already tallied.
+    walked: Vec<u8>,
+    /// Label-order scratch.
+    labels: Vec<u8>,
     /// Forward map scratch (`fwd[element] = rank`).
     fwd: Vec<u8>,
     /// Renamed protocol-encoding scratch for candidates whose proto words
@@ -260,8 +276,336 @@ impl CanonScratch {
             order: Vec::new(),
             runs: Vec::new(),
             residual: ResidualEnum::new(),
+            first: Vec::new(),
+            arr: Vec::new(),
+            boundaries: Vec::new(),
+            walked: Vec::new(),
+            labels: Vec::new(),
             fwd: Vec::new(),
             proto_cand: Vec::new(),
+        }
+    }
+}
+
+/// How one residual candidate compared with the incumbent minimum.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Walk {
+    /// The identity, whose encoding already is the incumbent: not walked.
+    Identity,
+    /// There was no incumbent: the candidate became the first one.
+    First {
+        /// The candidate is the identity element.
+        identity: bool,
+    },
+    Less,
+    Equal,
+    /// Lost beyond the block-shared prefix.
+    Greater,
+    /// Lost within the block-shared prefix, so every remaining candidate
+    /// of the block loses too.
+    BlockLost,
+}
+
+/// Group elements mapping the state to the incumbent minimum, and whether
+/// that minimum beats the identity encoding.
+struct Ties {
+    count: usize,
+    beaten: bool,
+    /// Does the identity encoding (still) equal the incumbent? Tracked so
+    /// `symmetry.canon_hits` stays exact when the identity encoding was
+    /// never materialized.
+    identity_min: bool,
+}
+
+impl Ties {
+    /// Account one walked label order standing for `weight` arrangements
+    /// with the same encoding.
+    fn tally(&mut self, walk: Walk, weight: usize) {
+        match walk {
+            Walk::Identity | Walk::Greater | Walk::BlockLost => {}
+            Walk::First { identity } => {
+                self.count = weight;
+                self.identity_min = identity;
+            }
+            Walk::Less => {
+                self.count = weight;
+                self.beaten = true;
+                self.identity_min = false;
+            }
+            Walk::Equal => self.count += weight,
+        }
+    }
+}
+
+/// Streams residual candidates against the incumbent minimum for one
+/// [`fast_min`] call, carrying what earlier walks proved: the warm aux-ID
+/// map, the observer section's length, and how far the current block's
+/// shared prefix is known to tie the incumbent.
+struct Walker<'a, P: Symmetry> {
+    protocol: &'a P,
+    plan: &'a FastPlan,
+    perms: &'a [PermEntry],
+    proto: &'a P::State,
+    obs: &'a Observer,
+    chk: &'a ScChecker,
+    /// Fixed-ID base, for the debug contracts' from-scratch walks.
+    #[cfg(debug_assertions)]
+    base: u32,
+    proto_len: usize,
+    best: &'a mut Vec<u64>,
+    cand: &'a mut Vec<u64>,
+    fwd: &'a mut Vec<u8>,
+    proto_cand: &'a mut Vec<u64>,
+    have_best: bool,
+    ids: IdCanon<'a>,
+    /// The aux-ID renaming an observer walk builds is
+    /// arrangement-invariant (first-use order = entry order), so one
+    /// completed walk's map serves every candidate: `ids_warm` snapshots
+    /// it, and candidates known to tie the incumbent through the whole
+    /// observer section skip their observer walk entirely — clone the
+    /// map, rename only the checker.
+    ids_warm: IdCanon<'a>,
+    warm: bool,
+    /// Word index one past the observer section of the identity encoding —
+    /// the same for every candidate (section lengths are
+    /// arrangement-invariant) — or 0 until the first candidate is
+    /// materialized.
+    obs_end: usize,
+    /// Group-list index of the current block's outer coset leader.
+    base_idx: usize,
+    /// Protocol words the block's sort keys cover.
+    covered: usize,
+    /// How far the incumbent's prefix is provably shared by every
+    /// candidate of the block.
+    covered_cmp: usize,
+    /// The full-observer key extension is live for the block.
+    use_full: bool,
+    /// The block-shared protocol prefix is known to equal the
+    /// incumbent's, so candidates skip it without streaming.
+    prefix_known_eq: bool,
+    /// Like `prefix_known_eq`, but through the whole observer section
+    /// (`use_full`): the candidates' observer walks are re-derivations
+    /// and are skipped.
+    obs_eq: bool,
+}
+
+impl<'a, P: Symmetry> Walker<'a, P> {
+    /// The group element of the current block placing element
+    /// `arr[rank]` at each rank.
+    fn entry(&mut self, arr: &[u8]) -> (usize, &'a PermEntry) {
+        self.fwd.clear();
+        self.fwd.resize(arr.len(), 0);
+        for (rank, &e) in arr.iter().enumerate() {
+            self.fwd[e as usize] = rank as u8;
+        }
+        let idx = self.plan.candidate_index(self.base_idx, self.fwd);
+        let e = &self.perms[idx];
+        debug_assert!(
+            inner_map_matches(&e.perm, self.plan.inner, self.fwd),
+            "factorial-rank lookup disagrees with the composed renaming"
+        );
+        (idx, e)
+    }
+
+    /// Stream-compare E(g·s) for the arrangement `arr` against the
+    /// incumbent, replacing it when the candidate is smaller.
+    fn walk(&mut self, arr: &[u8]) -> Walk {
+        let (idx, e) = self.entry(arr);
+        if idx == 0 && self.have_best {
+            return Walk::Identity;
+        }
+        let view = SymView {
+            perm: &e.perm,
+            loc: &e.locs,
+            loc_inv: &e.locs_inv,
+        };
+        let (protocol, proto, obs, chk) = (self.protocol, self.proto, self.obs, self.chk);
+        if !self.have_best {
+            // Materialize the first candidate as the incumbent.
+            self.best.clear();
+            let ps = protocol.permute_state(proto, &e.perm);
+            protocol.encode_state(&ps, self.best);
+            debug_assert_eq!(
+                self.best.len(),
+                self.proto_len,
+                "perms preserve encoding length"
+            );
+            self.ids.reset();
+            self.ids.set_locs(&e.locs);
+            obs.canonical_encoding_into(self.best, &mut self.ids, Some(&view));
+            if !self.warm {
+                self.ids_warm.clone_from(&self.ids);
+                self.warm = true;
+            }
+            if self.obs_end == 0 {
+                self.obs_end = self.best.len();
+                if self.use_full {
+                    self.covered_cmp = self.obs_end;
+                }
+            }
+            chk.canonical_encoding_into(self.best, &mut self.ids, Some(&view));
+            self.have_best = true;
+            self.prefix_known_eq = true;
+            self.obs_eq = self.use_full && self.obs_end != 0;
+            return Walk::First { identity: idx == 0 };
+        }
+        let (covered, obs_end) = (self.covered, self.obs_end);
+        let mut sink = CmpSink::new(self.best, self.cand);
+        let skip_obs = self.obs_eq && self.warm;
+        if skip_obs {
+            // The candidate provably ties the incumbent through the
+            // whole observer section: skip straight to the checker
+            // walk, with the aux-ID map restored from the snapshot.
+            sink.skip_equal(obs_end);
+            #[cfg(debug_assertions)]
+            {
+                self.proto_cand.clear();
+                let ps = protocol.permute_state(proto, &e.perm);
+                protocol.encode_state(&ps, self.proto_cand);
+                let mut dbg_ids = IdCanon::new(self.base);
+                dbg_ids.set_locs(&e.locs);
+                obs.canonical_encoding_into(self.proto_cand, &mut dbg_ids, Some(&view));
+                debug_assert_eq!(
+                    &self.proto_cand[..],
+                    &self.best[..obs_end],
+                    "obs-skip contract violated: skipped region differs"
+                );
+            }
+            self.ids.clone_from(&self.ids_warm);
+            self.ids.set_locs(&e.locs);
+        } else if self.prefix_known_eq && covered == self.proto_len {
+            // The whole protocol prefix ties the incumbent's: no
+            // renamed protocol state is materialized at all.
+            sink.skip_equal(self.proto_len);
+            #[cfg(debug_assertions)]
+            {
+                self.proto_cand.clear();
+                let ps = protocol.permute_state(proto, &e.perm);
+                protocol.encode_state(&ps, self.proto_cand);
+                debug_assert_eq!(
+                    &self.proto_cand[..],
+                    &self.best[..self.proto_len],
+                    "sort-key contract violated: skipped prefix differs"
+                );
+            }
+        } else {
+            self.proto_cand.clear();
+            let ps = protocol.permute_state(proto, &e.perm);
+            protocol.encode_state(&ps, self.proto_cand);
+            if self.prefix_known_eq {
+                sink.skip_equal(covered);
+                debug_assert_eq!(
+                    &self.proto_cand[..covered],
+                    &self.best[..covered],
+                    "sort-key contract violated: skipped prefix differs"
+                );
+                let _ = sink.words(&self.proto_cand[covered..]);
+            } else {
+                let _ = sink.words(self.proto_cand);
+            }
+            if sink.outcome() == CmpOutcome::Greater {
+                if sink.matched() < covered {
+                    // The candidate lost *within* the covered prefix,
+                    // which every remaining candidate of this block
+                    // shares: the whole block loses.
+                    return Walk::BlockLost;
+                }
+                self.prefix_known_eq = true;
+                return Walk::Greater;
+            }
+        }
+        if !skip_obs {
+            self.ids.reset();
+            self.ids.set_locs(&e.locs);
+            obs.canonical_encoding_into(&mut sink, &mut self.ids, Some(&view));
+            if !self.warm && sink.outcome() != CmpOutcome::Greater {
+                // The walk completed: the aux map is fully built.
+                self.ids_warm.clone_from(&self.ids);
+                self.warm = true;
+            }
+        }
+        if sink.outcome() != CmpOutcome::Greater {
+            chk.canonical_encoding_into(&mut sink, &mut self.ids, Some(&view));
+        }
+        let diverged_at = sink.matched();
+        let full_known = self.use_full && obs_end != 0;
+        match sink.finish() {
+            CmpOutcome::Less => {
+                std::mem::swap(self.best, self.cand);
+                // The new incumbent is a member of this block: its whole
+                // shared prefix is now the incumbent's.
+                self.prefix_known_eq = true;
+                self.obs_eq = full_known;
+                Walk::Less
+            }
+            CmpOutcome::Equal => {
+                self.prefix_known_eq = true;
+                self.obs_eq = full_known;
+                Walk::Equal
+            }
+            CmpOutcome::Greater => {
+                if diverged_at < self.covered_cmp {
+                    // Lost within the block-shared prefix (extended
+                    // through the owner section when the extension is
+                    // live): every remaining candidate loses there too.
+                    return Walk::BlockLost;
+                }
+                // Lost beyond the shared prefix — the prefix itself tied
+                // the incumbent's.
+                self.prefix_known_eq = true;
+                self.obs_eq = full_known && diverged_at >= obs_end;
+                Walk::Greater
+            }
+        }
+    }
+
+    /// The complete encoding E(g·s) of the arrangement `arr`, walked from
+    /// scratch.
+    #[cfg(debug_assertions)]
+    fn encoding_of(&mut self, arr: &[u8]) -> Vec<u64> {
+        let (_, e) = self.entry(arr);
+        let view = SymView {
+            perm: &e.perm,
+            loc: &e.locs,
+            loc_inv: &e.locs_inv,
+        };
+        let mut out = Vec::new();
+        let ps = self.protocol.permute_state(self.proto, &e.perm);
+        self.protocol.encode_state(&ps, &mut out);
+        let mut ids = IdCanon::new(self.base);
+        ids.set_locs(&e.locs);
+        self.obs
+            .canonical_encoding_into(&mut out, &mut ids, Some(&view));
+        self.chk
+            .canonical_encoding_into(&mut out, &mut ids, Some(&view));
+        out
+    }
+
+    /// The pruning contract: every residual arrangement the enumeration
+    /// skips as a class permutation encodes exactly like the
+    /// representative walked in its place.
+    #[cfg(debug_assertions)]
+    fn assert_classes(&mut self, order: &[u8], runs: &[(u32, u32)], classes: &ResidualEnum) {
+        let mut all = ResidualEnum::new();
+        all.reset(order, runs);
+        let mut reps = std::collections::HashMap::<Vec<u8>, Vec<u64>>::new();
+        let (mut labels, mut rep) = (Vec::new(), Vec::new());
+        while let Some(arr) = all.next() {
+            classes.labels_of(arr, &mut labels);
+            classes.representative(&labels, &mut rep);
+            if rep[..] == arr[..] {
+                continue;
+            }
+            let arr = arr.to_vec();
+            let got = self.encoding_of(&arr);
+            if !reps.contains_key(&labels) {
+                let enc = self.encoding_of(&rep);
+                reps.insert(labels.clone(), enc);
+            }
+            debug_assert_eq!(
+                &got, &reps[&labels],
+                "pruning contract violated: a class permutation changes the encoding"
+            );
         }
     }
 }
@@ -300,33 +644,44 @@ pub(crate) fn fast_min<P: Symmetry>(
 ) {
     let params = protocol.params();
     let n = plan.inner.count(params) as usize;
-    let mut have_best = have_identity;
-    // Group elements mapping this state to the current minimum; the
-    // initial 1 is the identity (skipped during enumeration when its
-    // encoding is already the incumbent).
-    let mut ties = 1usize;
-    let mut beaten = false;
-    // Does the identity encoding (still) equal the incumbent? Tracked so
-    // `symmetry.canon_hits` stays exact when the identity encoding was
-    // never materialized.
-    let mut identity_min = have_identity;
-    let mut ids = IdCanon::new(base);
-    // The aux-ID renaming an observer walk builds is arrangement-invariant
-    // (first-use order = entry order), so one completed walk's map serves
-    // every candidate: `ids_warm` snapshots it, and candidates known to
-    // tie the incumbent through the whole observer section skip their
-    // observer walk entirely — clone the map, rename only the checker.
-    let mut ids_warm = IdCanon::new(base);
-    let mut warm = false;
+    // The initial count of 1 is the identity (skipped during enumeration
+    // when its encoding is already the incumbent).
+    let mut ties = Ties {
+        count: 1,
+        beaten: false,
+        identity_min: have_identity,
+    };
     let mut residual_total = 0u64;
     // The observer key extension: owner words are arrangement-invariant
     // node ranks, so tied protocol keys refine further by each element's
     // slice of the encoding's `loc_owner` section.
     let have_owner = plan.ext.is_some() && obs.owner_words(&mut cs.owner);
-    // Word index one past the observer section of the identity encoding —
-    // the same for every candidate (section lengths are arrangement-
-    // invariant) — or 0 until the first candidate is materialized.
-    let mut obs_end = if have_identity { identity_obs_end } else { 0 };
+    let mut w = Walker {
+        protocol,
+        plan,
+        perms,
+        proto,
+        obs,
+        chk,
+        #[cfg(debug_assertions)]
+        base,
+        proto_len,
+        best,
+        cand,
+        fwd: &mut cs.fwd,
+        proto_cand: &mut cs.proto_cand,
+        have_best: have_identity,
+        ids: IdCanon::new(base),
+        ids_warm: IdCanon::new(base),
+        warm: false,
+        obs_end: if have_identity { identity_obs_end } else { 0 },
+        base_idx: 0,
+        covered: 0,
+        covered_cmp: 0,
+        use_full: false,
+        prefix_known_eq: false,
+        obs_eq: false,
+    };
 
     for (ui, &base_idx) in plan.outer_base.iter().enumerate() {
         let u = &perms[base_idx].perm;
@@ -375,24 +730,11 @@ pub(crate) fn fast_min<P: Symmetry>(
             let b_count = params.b as usize;
             cs.binv.clear();
             cs.binv.resize(b_count, 0);
-            let u = &perms[base_idx].perm;
             for x in 0..b_count {
                 cs.binv[u.block_idx(x)] = x as u8;
             }
             let binv = &cs.binv;
             obs.proc_key_ext(&|bi| binv[bi] as usize, &mut cs.obs_keys)
-        };
-        // How far the incumbent's prefix is provably shared by every
-        // candidate of this block: through the whole observer encoding
-        // when the full extension is live, through the owner section when
-        // only the owner extension is (protocol prefix + entry-count word
-        // + owners).
-        let mut covered_cmp = if use_full && obs_end != 0 {
-            obs_end
-        } else if use_ext {
-            proto_len + 1 + cs.owner.len()
-        } else {
-            covered
         };
         // Phase 1: stable argsort by composite key = the lexicographically
         // minimal arrangement of the covered prefix.
@@ -440,174 +782,103 @@ pub(crate) fn fast_min<P: Symmetry>(
         }
         cs.residual.reset(&cs.order, &cs.runs);
         residual_total += cs.residual.count();
+        w.base_idx = base_idx;
+        w.covered = covered;
+        w.use_full = use_full;
+        // How far the incumbent's prefix is provably shared by every
+        // candidate of this block: through the whole observer encoding
+        // when the full extension is live, through the owner section when
+        // only the owner extension is (protocol prefix + entry-count word
+        // + owners).
+        w.covered_cmp = if use_full && w.obs_end != 0 {
+            w.obs_end
+        } else if use_ext {
+            proto_len + 1 + cs.owner.len()
+        } else {
+            covered
+        };
         // Every candidate of this block shares the same covered prefix
-        // (residual arrangements only permute within tied runs). Once that
-        // prefix is known to equal the incumbent's, later candidates skip
-        // it without streaming; initially this is only known for the
-        // identity block when the identity arrangement is itself minimal
-        // (a stable sort then reproduces the identity order).
-        let mut prefix_known_eq =
-            have_best && ui == 0 && cs.order.iter().enumerate().all(|(i, &e)| e as usize == i);
-        // Like `prefix_known_eq`, but for the block-shared prefix extended
-        // through the whole observer section (`use_full`): once a candidate
-        // proves the incumbent ties it through `obs_end`, its siblings'
-        // observer walks are pure re-derivations and are skipped.
-        let mut obs_eq = prefix_known_eq && use_full && obs_end != 0;
+        // (residual arrangements only permute within tied runs). Initially
+        // it is only known to equal the incumbent's for the identity block
+        // when the identity arrangement is itself minimal (a stable sort
+        // then reproduces the identity order).
+        w.prefix_known_eq =
+            w.have_best && ui == 0 && cs.order.iter().enumerate().all(|(i, &e)| e as usize == i);
+        w.obs_eq = w.prefix_known_eq && use_full && w.obs_end != 0;
 
-        while let Some(arr) = cs.residual.next() {
-            cs.fwd.clear();
-            cs.fwd.resize(n, 0);
-            for (rank, &e) in arr.iter().enumerate() {
-                cs.fwd[e as usize] = rank as u8;
-            }
-            let idx = plan.candidate_index(base_idx, &cs.fwd);
-            let e = &perms[idx];
-            debug_assert!(
-                inner_map_matches(&e.perm, plan.inner, &cs.fwd),
-                "factorial-rank lookup disagrees with the composed renaming"
-            );
-            if idx == 0 && have_best {
-                continue; // the identity: counted by the initial `ties`
-            }
-            let view = SymView {
-                perm: &e.perm,
-                loc: &e.locs,
-                loc_inv: &e.locs_inv,
-            };
-            if !have_best {
-                // Materialize the first candidate as the incumbent.
-                best.clear();
-                let ps = protocol.permute_state(proto, &e.perm);
-                protocol.encode_state(&ps, best);
-                debug_assert_eq!(best.len(), proto_len, "perms preserve encoding length");
-                ids.reset();
-                ids.set_locs(&e.locs);
-                obs.canonical_encoding_into(best, &mut ids, Some(&view));
-                if !warm {
-                    ids_warm.clone_from(&ids);
-                    warm = true;
-                }
-                if obs_end == 0 {
-                    obs_end = best.len();
-                    if use_full {
-                        covered_cmp = obs_end;
+        cs.first.clear();
+        cs.first.extend_from_slice(
+            cs.residual
+                .next()
+                .expect("a residual has a first arrangement"),
+        );
+        let first = w.walk(&cs.first);
+        if first == Walk::BlockLost {
+            continue;
+        }
+        ties.tally(first, 1);
+        // Phase 2b: split each run into classes of interchangeable
+        // elements. When E(g₀·s) is the incumbent, a check walk of g₀ with
+        // two adjacent ranks swapped compares Equal exactly when swapping
+        // those elements is an automorphism of the state; equal encodings
+        // stay equal under every renaming, so each class's permutations
+        // then map *every* arrangement of the block to its own encoding.
+        // The walks are candidates of the block like any other: a boundary
+        // check's outcome is tallied here and its label order skipped
+        // below, so no arrangement is walked twice.
+        let mut weight = 1usize;
+        cs.boundaries.clear();
+        cs.walked.clear();
+        if first != Walk::Greater && !cs.runs.is_empty() {
+            'checks: for &(s, l) in &cs.runs {
+                for r in s as usize..(s + l) as usize - 1 {
+                    cs.arr.clone_from(&cs.first);
+                    cs.arr.swap(r, r + 1);
+                    let walk = w.walk(&cs.arr);
+                    if walk == Walk::Equal {
+                        cs.residual.join(r);
+                        continue;
+                    }
+                    // A lost check is a class boundary. The identity and
+                    // the first incumbent are both g₀, never a check.
+                    debug_assert!(matches!(walk, Walk::Less | Walk::Greater | Walk::BlockLost));
+                    cs.boundaries.push(r as u8);
+                    if walk == Walk::Less {
+                        // g₀ is not the block minimum, so later checks
+                        // would compare against the wrong reference.
+                        ties.tally(walk, 1);
+                        break 'checks;
                     }
                 }
-                chk.canonical_encoding_into(best, &mut ids, Some(&view));
-                have_best = true;
-                ties = 1;
-                identity_min = idx == 0;
-                prefix_known_eq = true;
-                obs_eq = use_full && obs_end != 0;
+            }
+            weight = cs.residual.class_perms() as usize;
+            // The incumbent's label order was tallied as one arrangement.
+            ties.count += weight - 1;
+            for &r in &cs.boundaries {
+                cs.arr.clone_from(&cs.first);
+                cs.arr.swap(r as usize, r as usize + 1);
+                cs.residual.labels_of(&cs.arr, &mut cs.labels);
+                cs.walked.extend_from_slice(&cs.labels);
+            }
+            #[cfg(debug_assertions)]
+            if weight > 1 {
+                w.assert_classes(&cs.order, &cs.runs, &cs.residual);
+            }
+        }
+        // Nothing left when g₀ and the boundary checks already cover every
+        // label order (always so for a single run of two).
+        if cs.residual.count() == weight as u64 * (1 + cs.boundaries.len() as u64) {
+            continue;
+        }
+        while let Some(arr) = cs.residual.next() {
+            cs.arr.clear();
+            cs.arr.extend_from_slice(arr);
+            if cs.walked.chunks_exact(n).any(|l| l == cs.residual.labels()) {
                 continue;
             }
-            // Phase 3: stream-compare E(g·s) against the incumbent.
-            let mut sink = CmpSink::new(best, cand);
-            let skip_obs = obs_eq && warm;
-            if skip_obs {
-                // The candidate provably ties the incumbent through the
-                // whole observer section: skip straight to the checker
-                // walk, with the aux-ID map restored from the snapshot.
-                sink.skip_equal(obs_end);
-                #[cfg(debug_assertions)]
-                {
-                    cs.proto_cand.clear();
-                    let ps = protocol.permute_state(proto, &e.perm);
-                    protocol.encode_state(&ps, &mut cs.proto_cand);
-                    let mut dbg_ids = IdCanon::new(base);
-                    dbg_ids.set_locs(&e.locs);
-                    obs.canonical_encoding_into(&mut cs.proto_cand, &mut dbg_ids, Some(&view));
-                    debug_assert_eq!(
-                        &cs.proto_cand[..],
-                        &best[..obs_end],
-                        "obs-skip contract violated: skipped region differs"
-                    );
-                }
-                ids.clone_from(&ids_warm);
-                ids.set_locs(&e.locs);
-            } else if prefix_known_eq && covered == proto_len {
-                // The whole protocol prefix ties the incumbent's: no
-                // renamed protocol state is materialized at all.
-                sink.skip_equal(proto_len);
-                #[cfg(debug_assertions)]
-                {
-                    cs.proto_cand.clear();
-                    let ps = protocol.permute_state(proto, &e.perm);
-                    protocol.encode_state(&ps, &mut cs.proto_cand);
-                    debug_assert_eq!(
-                        &cs.proto_cand[..],
-                        &best[..proto_len],
-                        "sort-key contract violated: skipped prefix differs"
-                    );
-                }
-            } else {
-                cs.proto_cand.clear();
-                let ps = protocol.permute_state(proto, &e.perm);
-                protocol.encode_state(&ps, &mut cs.proto_cand);
-                if prefix_known_eq {
-                    sink.skip_equal(covered);
-                    debug_assert_eq!(
-                        &cs.proto_cand[..covered],
-                        &best[..covered],
-                        "sort-key contract violated: skipped prefix differs"
-                    );
-                    let _ = sink.words(&cs.proto_cand[covered..]);
-                } else {
-                    let _ = sink.words(&cs.proto_cand);
-                }
-                if sink.outcome() == CmpOutcome::Greater {
-                    if sink.matched() < covered {
-                        // The candidate lost *within* the covered prefix,
-                        // which every remaining candidate of this block
-                        // shares: the whole block loses.
-                        break;
-                    }
-                    prefix_known_eq = true;
-                    continue;
-                }
-            }
-            if !skip_obs {
-                ids.reset();
-                ids.set_locs(&e.locs);
-                obs.canonical_encoding_into(&mut sink, &mut ids, Some(&view));
-                if !warm && sink.outcome() != CmpOutcome::Greater {
-                    // The walk completed: the aux map is fully built.
-                    ids_warm.clone_from(&ids);
-                    warm = true;
-                }
-            }
-            if sink.outcome() != CmpOutcome::Greater {
-                chk.canonical_encoding_into(&mut sink, &mut ids, Some(&view));
-            }
-            let diverged_at = sink.matched();
-            match sink.finish() {
-                CmpOutcome::Less => {
-                    std::mem::swap(best, cand);
-                    ties = 1;
-                    beaten = true;
-                    identity_min = false;
-                    prefix_known_eq = true;
-                    // The new incumbent is a member of this block: its
-                    // whole shared prefix is now the incumbent's.
-                    obs_eq = use_full && obs_end != 0;
-                }
-                CmpOutcome::Equal => {
-                    ties += 1;
-                    prefix_known_eq = true;
-                    obs_eq = use_full && obs_end != 0;
-                }
-                CmpOutcome::Greater => {
-                    if diverged_at < covered_cmp {
-                        // Lost within the block-shared prefix (extended
-                        // through the owner section when the extension is
-                        // live): every remaining candidate loses there too.
-                        break;
-                    }
-                    // Lost beyond the shared prefix — the prefix itself
-                    // tied the incumbent's.
-                    prefix_known_eq = true;
-                    obs_eq = use_full && obs_end != 0 && diverged_at >= obs_end;
-                }
+            match w.walk(&cs.arr) {
+                Walk::BlockLost => break,
+                walk => ties.tally(walk, weight),
             }
         }
     }
@@ -615,12 +886,18 @@ pub(crate) fn fast_min<P: Symmetry>(
     if scv_telemetry::enabled() {
         use scv_telemetry::{Hist, Metric};
         scv_telemetry::add(Metric::SymCanonicalized, 1);
-        let min_beats_identity = if have_identity { beaten } else { !identity_min };
+        let min_beats_identity = if have_identity {
+            ties.beaten
+        } else {
+            !ties.identity_min
+        };
         scv_telemetry::add(Metric::SymCanonHits, min_beats_identity as u64);
         // Orbit-stabilizer: |orbit| = |G| / |{g : E(g·s) = min}| — only
-        // enumerated candidates can tie the minimum (every skipped one has
-        // a strictly greater covered prefix), so `ties` is exact.
-        scv_telemetry::record(Hist::SymOrbitSize, (perms.len() / ties) as u64);
+        // enumerated candidates and their class permutations can tie the
+        // minimum (every skipped block has a strictly greater covered
+        // prefix), so `ties` is exact.
+        scv_telemetry::record(Hist::SymOrbitSize, (perms.len() / ties.count) as u64);
+        // The residual size before class pruning.
         if residual_total <= plan.outer_base.len() as u64 {
             scv_telemetry::add(Metric::SymRefineExact, 1);
         } else {

@@ -960,18 +960,15 @@ where
                     if k != 0 && sc.l1_keys[l1] == k {
                         hit = Some((sc.l1_fps[l1], None));
                     } else {
-                        match self.l2.get(k) {
-                            Some(entry) => {
-                                scv_telemetry::add(scv_telemetry::Metric::SealCacheL2Hits, 1);
-                                if k != 0 {
-                                    sc.l1_keys[l1] = k;
-                                    sc.l1_fps[l1] = entry.0;
-                                }
-                                hit = Some(entry);
+                        // Every miss is an L2 miss: `SealCacheMisses`
+                        // below counts it.
+                        if let Some(entry) = self.l2.get(k) {
+                            scv_telemetry::add(scv_telemetry::Metric::SealCacheL2Hits, 1);
+                            if k != 0 {
+                                sc.l1_keys[l1] = k;
+                                sc.l1_fps[l1] = entry.0;
                             }
-                            None => {
-                                scv_telemetry::add(scv_telemetry::Metric::SealCacheL2Misses, 1);
-                            }
+                            hit = Some(entry);
                         }
                     }
                     if sc.probes >= SEAL_GATE_WINDOW {

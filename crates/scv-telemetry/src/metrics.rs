@@ -89,13 +89,10 @@ pub enum Metric {
     /// Shared striped seal-cache (L2) hits: canonicalizations answered
     /// from a peer worker's earlier seal.
     SealCacheL2Hits,
-    /// Shared striped seal-cache (L2) misses (the state then paid for a
-    /// canonicalization and populated the cache for all workers).
-    SealCacheL2Misses,
 }
 
 /// All metrics, in declaration order (keep in sync with [`Metric`]).
-pub const ALL_METRICS: [Metric; 29] = [
+pub const ALL_METRICS: [Metric; 28] = [
     Metric::McStatesAdmitted,
     Metric::McTransitions,
     Metric::McStatesExpanded,
@@ -124,7 +121,6 @@ pub const ALL_METRICS: [Metric; 29] = [
     Metric::SymRefineExact,
     Metric::SymResidualEnum,
     Metric::SealCacheL2Hits,
-    Metric::SealCacheL2Misses,
 ];
 
 impl Metric {
@@ -159,7 +155,6 @@ impl Metric {
             Metric::SymRefineExact => "symmetry.refine_exact",
             Metric::SymResidualEnum => "symmetry.residual_enum",
             Metric::SealCacheL2Hits => "symmetry.seal_cache_l2_hits",
-            Metric::SealCacheL2Misses => "symmetry.seal_cache_l2_misses",
         }
     }
 }

@@ -532,11 +532,33 @@ impl SortKeyBuf {
 /// element placed at that rank) and the maximal runs of ranks whose sort
 /// keys tied; `next()` then yields every arrangement obtained by permuting
 /// elements *within* each tied run — `∏ len(run)!` arrangements in total,
-/// the refined one first. Runs advance odometer-style via the classic
-/// next-permutation step, so enumeration is allocation-free after `reset`.
+/// the refined one (each run sorted ascending) first.
+///
+/// Elements of a run may further be declared interchangeable
+/// ([`ResidualEnum::join`]), splitting each run into *classes*. The
+/// enumerator then permutes class labels instead of element ids and
+/// yields one representative per distinct label order — class members
+/// fill their label's positions in ascending order — so each yielded
+/// arrangement stands for the [`ResidualEnum::class_perms`] arrangements
+/// that only permute elements within classes. Runs advance odometer-style
+/// via the classic next-permutation step, which steps through multiset
+/// permutations when labels repeat, so enumeration is allocation-free
+/// after `reset`.
 #[derive(Debug, Default)]
 pub struct ResidualEnum {
+    /// The first arrangement: `order` with each run sorted ascending.
+    base: Vec<u8>,
+    /// `class[rank]` = rank in `base` of the first member of the class
+    /// holding `base[rank]`; classes are contiguous rank intervals.
+    class: Vec<u8>,
+    /// The current label order (`class` permuted within each run).
+    labels: Vec<u8>,
+    /// The current representative arrangement.
     cur: Vec<u8>,
+    /// `rank_of[element]` = rank of the element in `base`.
+    rank_of: Vec<u8>,
+    /// Per-class fill cursor while building a representative.
+    fill: Vec<u8>,
     runs: Vec<(u32, u32)>,
     started: bool,
     done: bool,
@@ -544,7 +566,8 @@ pub struct ResidualEnum {
 
 /// Advance `seg` to its next permutation in lexicographic order; returns
 /// false (leaving `seg` sorted ascending, i.e. wrapped around) when `seg`
-/// was the last one.
+/// was the last one. Repeated values yield each distinct multiset
+/// permutation once.
 fn next_permutation(seg: &mut [u8]) -> bool {
     if seg.len() < 2 {
         return false;
@@ -566,6 +589,29 @@ fn next_permutation(seg: &mut [u8]) -> bool {
     true
 }
 
+/// Write the representative arrangement of the label order `labels` into
+/// `out` (whose ranks outside `runs` already hold `base`): each position
+/// takes the next unused member of its class, in `base` order.
+fn fill_representative(
+    base: &[u8],
+    runs: &[(u32, u32)],
+    labels: &[u8],
+    fill: &mut [u8],
+    out: &mut [u8],
+) {
+    for &(s, l) in runs {
+        let run = s as usize..(s + l) as usize;
+        for r in run.clone() {
+            fill[r] = r as u8;
+        }
+        for p in run {
+            let c = labels[p] as usize;
+            out[p] = base[fill[c] as usize];
+            fill[c] += 1;
+        }
+    }
+}
+
 impl ResidualEnum {
     /// Empty enumerator; call `reset` before use.
     pub fn new() -> ResidualEnum {
@@ -575,21 +621,59 @@ impl ResidualEnum {
     /// Load a refined arrangement and its tied runs (`(start, len)` rank
     /// ranges, each of length ≥ 2). Within each run the elements are
     /// sorted ascending so the odometer starts from each run's first
-    /// permutation.
+    /// permutation. Every element starts in a class of its own.
     pub fn reset(&mut self, order: &[u8], runs: &[(u32, u32)]) {
-        self.cur.clear();
-        self.cur.extend_from_slice(order);
+        let n = order.len();
+        self.base.clear();
+        self.base.extend_from_slice(order);
         self.runs.clear();
         self.runs.extend_from_slice(runs);
         for &(s, l) in &self.runs {
-            debug_assert!(l >= 2 && (s + l) as usize <= order.len());
-            self.cur[s as usize..(s + l) as usize].sort_unstable();
+            debug_assert!(l >= 2 && (s + l) as usize <= n);
+            self.base[s as usize..(s + l) as usize].sort_unstable();
         }
+        self.class.clear();
+        self.class.extend(0..n as u8);
+        self.labels.clone_from(&self.class);
+        self.cur.clone_from(&self.base);
+        self.rank_of.clear();
+        self.rank_of.resize(
+            self.base.iter().map(|&e| e as usize + 1).max().unwrap_or(0),
+            0,
+        );
+        for (r, &e) in self.base.iter().enumerate() {
+            self.rank_of[e as usize] = r as u8;
+        }
+        self.fill.clear();
+        self.fill.resize(n, 0);
         self.started = false;
         self.done = false;
     }
 
-    /// Total number of arrangements this enumerator will yield.
+    /// Declare the elements at ranks `rank` and `rank + 1` of the first
+    /// arrangement interchangeable, merging their classes. Both ranks
+    /// must lie in one run, and the enumerator must not have advanced
+    /// past its first arrangement (joins keep that label order first).
+    pub fn join(&mut self, rank: usize) {
+        debug_assert!(
+            self.runs
+                .iter()
+                .any(|&(s, l)| s as usize <= rank && rank + 1 < (s + l) as usize),
+            "joined ranks must share a run"
+        );
+        debug_assert_eq!(
+            self.labels, self.class,
+            "join after the enumerator advanced"
+        );
+        let (keep, gone) = (self.class[rank], self.class[rank + 1]);
+        for c in self.class.iter_mut().filter(|c| **c == gone) {
+            *c = keep;
+        }
+        self.labels.clone_from(&self.class);
+    }
+
+    /// Total number of arrangements of the residual subgroup,
+    /// `∏ len(run)!` — independent of any joins.
     pub fn count(&self) -> u64 {
         self.runs
             .iter()
@@ -597,8 +681,47 @@ impl ResidualEnum {
             .product()
     }
 
+    /// How many arrangements each yielded representative stands for:
+    /// `∏ |class|!` over the classes (1 when nothing was joined).
+    pub fn class_perms(&self) -> u64 {
+        let mut total = 1u64;
+        let mut size = 0u64;
+        for (r, &c) in self.class.iter().enumerate() {
+            size = if r > 0 && self.class[r - 1] == c {
+                size + 1
+            } else {
+                1
+            };
+            total *= size;
+        }
+        total
+    }
+
+    /// The class-label order of the arrangement last yielded.
+    pub fn labels(&self) -> &[u8] {
+        &self.labels
+    }
+
+    /// The class-label order of an arbitrary arrangement of the residual
+    /// subgroup (`out[rank]` = class of the element at that rank).
+    pub fn labels_of(&self, arr: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        out.extend(
+            arr.iter()
+                .map(|&e| self.class[self.rank_of[e as usize] as usize]),
+        );
+    }
+
+    /// The representative arrangement `next()` yields for the label
+    /// order `labels`.
+    pub fn representative(&self, labels: &[u8], out: &mut Vec<u8>) {
+        out.clone_from(&self.base);
+        let mut fill = vec![0u8; self.base.len()];
+        fill_representative(&self.base, &self.runs, labels, &mut fill, out);
+    }
+
     /// The next arrangement (`slice[rank]` = element), or `None` when all
-    /// `count()` arrangements have been yielded.
+    /// distinct label orders have been yielded.
     ///
     /// Not an `Iterator`: the yielded slice borrows the enumerator's own
     /// scratch buffer (a lending iterator), which the trait cannot express.
@@ -612,7 +735,14 @@ impl ResidualEnum {
             return Some(&self.cur);
         }
         for &(s, l) in &self.runs {
-            if next_permutation(&mut self.cur[s as usize..(s + l) as usize]) {
+            if next_permutation(&mut self.labels[s as usize..(s + l) as usize]) {
+                fill_representative(
+                    &self.base,
+                    &self.runs,
+                    &self.labels,
+                    &mut self.fill,
+                    &mut self.cur,
+                );
                 return Some(&self.cur);
             }
             // This run wrapped back to sorted order; carry into the next.
@@ -792,6 +922,59 @@ mod tests {
         re.reset(&[2, 0, 1], &[]);
         assert_eq!(re.count(), 1);
         assert_eq!(re.next(), Some(&[2, 0, 1][..]));
+        assert_eq!(re.next(), None);
+    }
+
+    #[test]
+    fn residual_enum_joined_classes_partition_the_residual() {
+        // Same residual as above (2!·3! = 12 arrangements); elements 0 and
+        // 2 of the second run are declared interchangeable, so only the
+        // 2!·3 = 6 distinct label orders are yielded, each standing for
+        // 2! arrangements.
+        let mut re = ResidualEnum::new();
+        re.reset(&[3, 1, 2, 0, 4], &[(0, 2), (2, 3)]);
+        assert_eq!(
+            re.next(),
+            Some(&[1, 3, 0, 2, 4][..]),
+            "runs start ascending"
+        );
+        re.join(2);
+        assert_eq!(re.count(), 12, "count stays the unpruned residual size");
+        assert_eq!(re.class_perms(), 2);
+        let mut reps = vec![vec![1u8, 3, 0, 2, 4]];
+        let mut lab = Vec::new();
+        let mut rep = Vec::new();
+        while let Some(a) = re.next() {
+            let a = a.to_vec();
+            re.labels_of(&a, &mut lab);
+            assert_eq!(lab, re.labels(), "labels of the yielded arrangement");
+            re.representative(&lab, &mut rep);
+            assert_eq!(
+                rep, a,
+                "yielded arrangement is its label order's representative"
+            );
+            reps.push(a);
+        }
+        assert_eq!(reps.len(), 6);
+        // Every arrangement of the unpruned residual maps to exactly one
+        // representative, and each representative covers class_perms().
+        let mut all = ResidualEnum::new();
+        all.reset(&[3, 1, 2, 0, 4], &[(0, 2), (2, 3)]);
+        let mut covered = std::collections::HashMap::new();
+        while let Some(a) = all.next() {
+            re.labels_of(a, &mut lab);
+            re.representative(&lab, &mut rep);
+            assert!(reps.contains(&rep), "{a:?} maps to an unyielded {rep:?}");
+            *covered.entry(rep.clone()).or_insert(0u64) += 1;
+        }
+        assert_eq!(covered.len(), 6);
+        assert!(covered.values().all(|&c| c == re.class_perms()));
+        // Joining a whole run leaves a single label order for it.
+        re.reset(&[2, 0, 1], &[(0, 3)]);
+        assert!(re.next().is_some());
+        re.join(1);
+        re.join(0);
+        assert_eq!(re.class_perms(), 6);
         assert_eq!(re.next(), None);
     }
 
