@@ -34,7 +34,7 @@
 use scv_descriptor::{Descriptor, IdNum, Symbol};
 use scv_graph::EdgeSet;
 use scv_types::{Op, OpKind};
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::fmt;
 
 /// A generational handle to a (possibly already finalized) node record.
@@ -314,6 +314,138 @@ impl OrderTally {
     }
 }
 
+/// A small map kept as a key-sorted `Vec<(K, V)>`. The checker's tallies
+/// hold at most one entry per processor, block or (processor, block), so
+/// a binary search beats a tree, iteration runs in key order exactly like
+/// the `BTreeMap` it replaced (the canonical encoding depends on that
+/// order), and `clone_from` — once per replayed candidate on the lazy
+/// expansion path — copies into the existing allocation.
+#[derive(PartialEq, Eq, Debug)]
+struct SortedMap<K, V>(Vec<(K, V)>);
+
+impl<K: Copy, V: Copy> Clone for SortedMap<K, V> {
+    fn clone(&self) -> Self {
+        SortedMap(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
+
+impl<K, V> Default for SortedMap<K, V> {
+    fn default() -> Self {
+        SortedMap(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy, V> SortedMap<K, V> {
+    fn find(&self, k: K) -> Result<usize, usize> {
+        self.0.binary_search_by(|(x, _)| x.cmp(&k))
+    }
+
+    fn get(&self, k: K) -> Option<&V> {
+        self.find(k).ok().map(|i| &self.0[i].1)
+    }
+
+    /// The value under `k`, inserting `V::default()` first if absent.
+    fn entry_or_default(&mut self, k: K) -> &mut V
+    where
+        V: Default,
+    {
+        let i = match self.find(k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.insert(i, (k, V::default()));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    /// Set `k` to `v`, returning the previous value.
+    fn insert(&mut self, k: K, v: V) -> Option<V> {
+        match self.find(k) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, v)),
+            Err(i) => {
+                self.0.insert(i, (k, v));
+                None
+            }
+        }
+    }
+
+    /// Entries in ascending key order.
+    fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.0.iter().map(|(k, v)| (*k, v))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, v)| v)
+    }
+}
+
+/// Per-processor program-order tallies.
+type ProcTally = SortedMap<u8, OrderTally>;
+/// Per-block ST-order tallies and head state.
+type BlockTally = SortedMap<u8, (OrderTally, HeadState)>;
+
+/// Work buffers of [`ScChecker::check_end`] and the canonical encoding,
+/// reused across calls so neither allocates in steady state. They live in
+/// a thread-local slot ([`Scratch::take`]); a [`ScratchGuard`] hands them
+/// back on every exit path, including the early returns of an encoding
+/// walk whose sink aborted.
+#[derive(Default)]
+struct Scratch {
+    retained: Vec<(u64, Handle)>,
+    rank_by_slot: Vec<(u32, u64)>,
+    owners: Vec<(u64, u64)>,
+    bf: Vec<u64>,
+    heirs: Vec<(u8, u64)>,
+    fo: Vec<u64>,
+    reach_ranks: Vec<u64>,
+    ptally: Vec<u64>,
+    btally: Vec<(u64, u64)>,
+    bots: Vec<(u64, u64)>,
+    /// `check_end`'s working copies of the order tallies.
+    end_procs: ProcTally,
+    end_blocks: BlockTally,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+impl Scratch {
+    /// Borrow this thread's buffers (fresh ones if they are already out —
+    /// a nested call — or not yet made).
+    fn take() -> ScratchGuard {
+        ScratchGuard(Some(SCRATCH.with(Cell::take).unwrap_or_default()))
+    }
+}
+
+/// Holds the thread's [`Scratch`] while a call uses it; returns it on drop.
+struct ScratchGuard(Option<Box<Scratch>>);
+
+impl std::ops::Deref for ScratchGuard {
+    type Target = Scratch;
+    fn deref(&self) -> &Scratch {
+        self.0.as_deref().expect("scratch held until drop")
+    }
+}
+
+impl std::ops::DerefMut for ScratchGuard {
+    fn deref_mut(&mut self) -> &mut Scratch {
+        self.0.as_deref_mut().expect("scratch held until drop")
+    }
+}
+
+impl Drop for ScratchGuard {
+    fn drop(&mut self) {
+        let buffers = self.0.take();
+        SCRATCH.with(|c| c.set(buffers));
+    }
+}
+
 /// Streaming statistics, for the bandwidth experiments of §4.4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ScStats {
@@ -334,11 +466,11 @@ pub struct ScChecker {
     birth: u64,
     position: usize,
     /// Per-processor program-order tallies.
-    proc_tally: BTreeMap<u8, OrderTally>,
+    proc_tally: ProcTally,
     /// Per-block ST-order tallies and head state.
-    block_tally: BTreeMap<u8, (OrderTally, HeadState)>,
+    block_tally: BlockTally,
     /// Most recent `⊥` load per (processor, block).
-    last_bot: BTreeMap<(u8, u8), Handle>,
+    last_bot: SortedMap<(u8, u8), Handle>,
     stats: ScStats,
     rejected: Option<ScError>,
 }
@@ -346,7 +478,7 @@ pub struct ScChecker {
 // Manual `Clone` so `clone_from` reuses the target's allocations
 // field-by-field. Lazy expansion replays candidate transitions into a
 // scratch checker via `clone_from` on the model checker's hot path; the
-// derived impl reallocates `slots`/`owner` and all three maps per replay.
+// derived impl reallocates `slots`/`owner` and all three tallies per replay.
 impl Clone for ScChecker {
     fn clone(&self) -> Self {
         ScChecker {
@@ -392,9 +524,9 @@ impl ScChecker {
             next_gen: 1,
             birth: 0,
             position: 0,
-            proc_tally: BTreeMap::new(),
-            block_tally: BTreeMap::new(),
-            last_bot: BTreeMap::new(),
+            proc_tally: SortedMap::default(),
+            block_tally: SortedMap::default(),
+            last_bot: SortedMap::default(),
             stats: ScStats::default(),
             rejected: None,
         }
@@ -532,22 +664,17 @@ impl ScChecker {
         };
 
         // Fold retained nodes into copies of the order tallies.
-        let retained: Vec<Handle> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(s, r)| {
-                r.as_ref().map(|r| Handle {
-                    slot: s as u32,
-                    gen: r.gen,
-                })
-            })
-            .collect();
-        let mut proc_tally = self.proc_tally.clone();
-        let mut block_tally = self.block_tally.clone();
-        for &h in &retained {
+        let mut scratch = Scratch::take();
+        let Scratch {
+            end_procs: proc_tally,
+            end_blocks: block_tally,
+            ..
+        } = &mut *scratch;
+        proc_tally.clone_from(&self.proc_tally);
+        block_tally.clone_from(&self.block_tally);
+        for h in self.live_handles() {
             let r = self.rec(h);
-            let t = proc_tally.entry(r.label.proc.0).or_default();
+            let t = proc_tally.entry_or_default(r.label.proc.0);
             if !r.po_in {
                 t.bump_in();
             }
@@ -555,9 +682,7 @@ impl ScChecker {
                 t.bump_out();
             }
             if r.is_store() {
-                let (t, head) = block_tally
-                    .entry(r.label.block.0)
-                    .or_insert((OrderTally::default(), HeadState::Unknown));
+                let (t, head) = block_tally.entry_or_default(r.label.block.0);
                 if !r.sto_in {
                     t.bump_in();
                     if *head == HeadState::Unknown {
@@ -585,7 +710,7 @@ impl ScChecker {
         }
 
         // Constraints 4 and 5 for retained nodes.
-        for &h in &retained {
+        for h in self.live_handles() {
             let r = self.rec(h);
             if r.is_load() && !r.is_bottom_load() {
                 if !r.inh_in {
@@ -605,7 +730,7 @@ impl ScChecker {
             }
             if r.is_bottom_load() && !r.superseded {
                 let block = r.label.block.0;
-                let ok = match block_tally.get(&block) {
+                let ok = match block_tally.get(block) {
                     None => true, // no stores to the block: vacuous
                     Some((_, HeadState::Alive(head))) => r.bot_forced.contains(head),
                     Some((_, HeadState::ConfirmedGone)) => r.bot_resolved == Some(true),
@@ -692,22 +817,23 @@ impl ScChecker {
             Some(v) if val != 0 && val != 0xFF => v.perm.value(Value(val as u8)).0 as u64,
             _ => val,
         };
-        let mut retained: Vec<(u64, Handle)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(s, r)| {
-                r.as_ref().map(|r| {
-                    (
-                        r.birth,
-                        Handle {
-                            slot: s as u32,
-                            gen: r.gen,
-                        },
-                    )
-                })
-            })
-            .collect();
+        // Every buffer below comes from the thread's reused scratch.
+        let mut scratch = Scratch::take();
+        let Scratch {
+            retained,
+            rank_by_slot,
+            owners,
+            bf,
+            heirs,
+            fo,
+            reach_ranks,
+            ptally,
+            btally,
+            bots,
+            ..
+        } = &mut *scratch;
+        retained.clear();
+        retained.extend(self.live_handles().map(|h| (self.rec(h).birth, h)));
         retained.sort_unstable_by_key(|&(b, _)| b);
         // Rank table indexed directly by slot: each live slot holds at
         // most one retained handle, so this replaces two hash maps on a
@@ -715,10 +841,12 @@ impl ScChecker {
         // generation rides along to catch tokens referencing a stale
         // handle (which the old `rank[&h]` indexing would have caught by
         // panicking).
-        let mut rank_by_slot: Vec<(u32, u64)> = vec![(0, u64::MAX); self.slots.len()];
+        rank_by_slot.clear();
+        rank_by_slot.resize(self.slots.len(), (0, u64::MAX));
         for (i, &(_, h)) in retained.iter().enumerate() {
             rank_by_slot[h.slot as usize] = (h.gen, i as u64);
         }
+        let rank_by_slot = &*rank_by_slot;
         let tok = |h: Option<Handle>| -> u64 {
             h.map_or(u64::MAX, |h| {
                 let (gen, r) = rank_by_slot[h.slot as usize];
@@ -732,25 +860,21 @@ impl ScChecker {
         emit!(retained.len() as u64);
         // Owner table keyed by canonical ID (location IDs are fixed
         // points; auxiliary IDs were renamed by the observer's encoding).
-        let mut owners: Vec<(u64, u64)> = self
-            .owner
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.map(|h| (i as u32 + 1, h)))
-            .map(|(id, h)| (ids.canon(id), tok(Some(h))))
-            .collect();
+        owners.clear();
+        owners.extend(
+            self.owner
+                .iter()
+                .enumerate()
+                .filter_map(|(i, o)| o.map(|h| (i as u32 + 1, h)))
+                .map(|(id, h)| (ids.canon(id), tok(Some(h)))),
+        );
         owners.sort_unstable();
         emit!(owners.len() as u64);
-        for (id, t) in owners {
+        for &(id, t) in owners.iter() {
             emit!(id);
             emit!(t);
         }
-        // Per-record emission buffers, reused across the record walk.
-        let mut bf: Vec<u64> = Vec::new();
-        let mut heirs: Vec<(u8, u64)> = Vec::new();
-        let mut fo: Vec<u64> = Vec::new();
-        let mut reach_ranks: Vec<u64> = Vec::new();
-        for &(_, h) in &retained {
+        for &(_, h) in retained.iter() {
             let r = self.rec(h);
             // A load's value is never read again once its inheritance bit
             // is set (future inh edges are rejected on that bit before any
@@ -791,19 +915,19 @@ impl ScChecker {
             bf.extend(r.bot_forced.iter().map(|&x| tok(Some(x))));
             bf.sort_unstable();
             emit!(bf.len() as u64);
-            emit_all!(&bf);
+            emit_all!(bf);
             heirs.clear();
             heirs.extend(r.heirs.iter().map(|&(p, x)| (re_p(p), tok(Some(x)))));
             heirs.sort_unstable();
             emit!(heirs.len() as u64);
-            for &(p, x) in &heirs {
+            for &(p, x) in heirs.iter() {
                 emit!((p as u64) << 32 | x);
             }
             fo.clear();
             fo.extend(r.forced_out.iter().map(|&x| tok(Some(x))));
             fo.sort_unstable();
             emit!(fo.len() as u64);
-            emit_all!(&fo);
+            emit_all!(fo);
             // Reachability closure as a rank set (slots retained under any
             // generation, exactly as the old slot-keyed map behaved).
             reach_ranks.clear();
@@ -813,43 +937,42 @@ impl ScChecker {
             }));
             reach_ranks.sort_unstable();
             emit!(reach_ranks.len() as u64);
-            emit_all!(&reach_ranks);
+            emit_all!(reach_ranks);
         }
         // Tallies are keyed by processor/block number: rename the keys and
-        // re-sort so emission order matches the renamed BTreeMaps.
-        let mut ptally: Vec<u64> = self
-            .proc_tally
-            .iter()
-            .map(|(p, t)| (re_p(*p) as u64) << 16 | (t.no_in as u64) << 8 | t.no_out as u64)
-            .collect();
+        // re-sort so emission order matches the renamed maps.
+        ptally.clear();
+        ptally.extend(
+            self.proc_tally
+                .iter()
+                .map(|(p, t)| (re_p(p) as u64) << 16 | (t.no_in as u64) << 8 | t.no_out as u64),
+        );
         ptally.sort_unstable();
-        emit_all!(&ptally);
-        let mut btally: Vec<(u64, u64)> = self
-            .block_tally
-            .iter()
-            .map(|(b, (t, head))| {
-                (
-                    (re_b(*b) as u64) << 16 | (t.no_in as u64) << 8 | t.no_out as u64,
-                    match head {
-                        HeadState::Unknown => u64::MAX,
-                        HeadState::ConfirmedGone => u64::MAX - 1,
-                        HeadState::Alive(h) => tok(Some(*h)),
-                    },
-                )
-            })
-            .collect();
+        emit_all!(ptally);
+        btally.clear();
+        btally.extend(self.block_tally.iter().map(|(b, (t, head))| {
+            (
+                (re_b(b) as u64) << 16 | (t.no_in as u64) << 8 | t.no_out as u64,
+                match head {
+                    HeadState::Unknown => u64::MAX,
+                    HeadState::ConfirmedGone => u64::MAX - 1,
+                    HeadState::Alive(h) => tok(Some(*h)),
+                },
+            )
+        }));
         btally.sort_unstable();
-        for (t, head) in btally {
+        for &(t, head) in btally.iter() {
             emit!(t);
             emit!(head);
         }
-        let mut bots: Vec<(u64, u64)> = self
-            .last_bot
-            .iter()
-            .map(|(&(p, b), h)| ((re_p(p) as u64) << 8 | re_b(b) as u64, tok(Some(*h))))
-            .collect();
+        bots.clear();
+        bots.extend(
+            self.last_bot
+                .iter()
+                .map(|((p, b), h)| ((re_p(p) as u64) << 8 | re_b(b) as u64, tok(Some(*h)))),
+        );
         bots.sort_unstable();
-        for (k, t) in bots {
+        for &(k, t) in bots.iter() {
             emit!(k);
             emit!(t);
         }
@@ -908,11 +1031,9 @@ impl ScChecker {
     }
 
     fn on_node_created(&mut self, h: Handle, op: Op) {
-        self.proc_tally.entry(op.proc.0).or_default();
+        self.proc_tally.entry_or_default(op.proc.0);
         if op.is_store() {
-            self.block_tally
-                .entry(op.block.0)
-                .or_insert((OrderTally::default(), HeadState::Unknown));
+            self.block_tally.entry_or_default(op.block.0);
         }
         if op.is_load() && op.value.is_bottom() {
             // Supersede the previous ⊥ load of this (processor, block).
@@ -924,6 +1045,16 @@ impl ScChecker {
                 }
             }
         }
+    }
+
+    /// Handles of the retained records, in slot order.
+    fn live_handles(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.slots.iter().enumerate().filter_map(|(s, r)| {
+            r.as_ref().map(|r| Handle {
+                slot: s as u32,
+                gen: r.gen,
+            })
+        })
     }
 
     fn rec(&self, h: Handle) -> &NodeRec {
@@ -1011,7 +1142,7 @@ impl ScChecker {
 
         // Tally order bits (the "counted when removed from the active
         // graph" step of the paper's checker).
-        let t = self.proc_tally.entry(r.label.proc.0).or_default();
+        let t = self.proc_tally.entry_or_default(r.label.proc.0);
         if !r.po_in {
             t.bump_in();
         }
@@ -1021,10 +1152,7 @@ impl ScChecker {
         if r.is_store() {
             let mut confirm_head = false;
             {
-                let (t, head) = self
-                    .block_tally
-                    .entry(r.label.block.0)
-                    .or_insert((OrderTally::default(), HeadState::Unknown));
+                let (t, head) = self.block_tally.entry_or_default(r.label.block.0);
                 if !r.sto_in {
                     t.bump_in();
                     // No future in-edge can arrive: this is the confirmed

@@ -16,7 +16,6 @@
 
 use crate::symbol::IdNum;
 use scv_types::SymPerm;
-use std::collections::HashMap;
 
 /// A symmetry view threaded through a canonical-encoding traversal.
 ///
@@ -40,15 +39,45 @@ pub struct SymView<'a> {
 /// First-use canonical renaming for IDs above a fixed base, optionally
 /// composed with a location permutation on the fixed IDs.
 ///
+/// Auxiliary IDs are small bounded integers (an observer's ID space is
+/// `1..=k`), so the renaming is a dense table indexed by `id - base - 1`
+/// rather than a hash map, and a list of the IDs renamed since the last
+/// reset makes [`IdCanon::reset`] cost O(renamed) instead of O(table).
+///
 /// The location map is *borrowed*: one canonicalization per group element
 /// per sealed state runs on the model checker's hot path, and the maps are
 /// precomputed once per group element — cloning a `Vec<u32>` into every
 /// `IdCanon` was pure allocator traffic.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct IdCanon<'a> {
     base: IdNum,
-    map: HashMap<IdNum, u64>,
+    /// `slot[id - base - 1]` is 1 + the first-use index of auxiliary `id`,
+    /// or 0 while `id` is not renamed. Grows on demand, never shrinks.
+    slot: Vec<u32>,
+    /// Auxiliary IDs renamed since the last reset, in first-use order.
+    touched: Vec<IdNum>,
     locs: Option<&'a [u32]>,
+}
+
+// Manual `Clone` so `clone_from` reuses the target's tables: the orbit
+// enumeration restores a warmed-up renaming into its working copy once per
+// group element.
+impl Clone for IdCanon<'_> {
+    fn clone(&self) -> Self {
+        IdCanon {
+            base: self.base,
+            slot: self.slot.clone(),
+            touched: self.touched.clone(),
+            locs: self.locs,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.base = source.base;
+        self.slot.clone_from(&source.slot);
+        self.touched.clone_from(&source.touched);
+        self.locs = source.locs;
+    }
 }
 
 impl<'a> IdCanon<'a> {
@@ -56,7 +85,8 @@ impl<'a> IdCanon<'a> {
     pub fn new(base: IdNum) -> Self {
         IdCanon {
             base,
-            map: HashMap::new(),
+            slot: Vec::new(),
+            touched: Vec::new(),
             locs: None,
         }
     }
@@ -68,15 +98,15 @@ impl<'a> IdCanon<'a> {
     pub fn with_locs(base: IdNum, locs: &'a [u32]) -> Self {
         debug_assert!(locs.len() > base as usize, "locs must cover 1..=base");
         IdCanon {
-            base,
-            map: HashMap::new(),
             locs: Some(locs),
+            ..IdCanon::new(base)
         }
     }
 
     /// Canonical number for `id`: itself (or its location-map image) if
     /// `id <= base`, otherwise `base + 1 + k` where `k` is the 0-based
     /// first-use index.
+    #[inline]
     pub fn canon(&mut self, id: IdNum) -> u64 {
         if id <= self.base {
             return match self.locs {
@@ -84,30 +114,39 @@ impl<'a> IdCanon<'a> {
                 None => id as u64,
             };
         }
-        let next = self.base as u64 + 1 + self.map.len() as u64;
-        *self.map.entry(id).or_insert(next)
+        let i = (id - self.base - 1) as usize;
+        if i >= self.slot.len() {
+            self.slot.resize(i + 1, 0);
+        }
+        if self.slot[i] == 0 {
+            self.touched.push(id);
+            self.slot[i] = self.touched.len() as u32;
+        }
+        self.base as u64 + self.slot[i] as u64
     }
 
     /// Reset to a fresh renaming (same base, same borrowed location map),
-    /// keeping the map's allocation — scratch reuse for callers that seal
-    /// many states in a row.
+    /// keeping the tables' allocations — scratch reuse for callers that
+    /// seal many states in a row. Costs O(renamed).
     pub fn reset(&mut self) {
-        self.map.clear();
+        for id in self.touched.drain(..) {
+            self.slot[(id - self.base - 1) as usize] = 0;
+        }
     }
 
     /// Reset to a fresh renaming over plain (identity) locations with a
-    /// possibly different base, keeping the map's allocation. Lets one
+    /// possibly different base, keeping the tables' allocations. Lets one
     /// `IdCanon` stored in long-lived scratch serve every candidate of an
-    /// expansion without a per-candidate map allocation.
+    /// expansion without a per-candidate allocation.
     pub fn reset_with(&mut self, base: IdNum) {
+        self.reset();
         self.base = base;
         self.locs = None;
-        self.map.clear();
     }
 
-    /// Swap in a different borrowed location map (the renaming map is
-    /// *not* cleared — pair with [`IdCanon::reset`]). Used by the orbit
-    /// enumeration to reuse one renaming map across group elements.
+    /// Swap in a different borrowed location map (the renaming is *not*
+    /// cleared — pair with [`IdCanon::reset`]). Used by the orbit
+    /// enumeration to reuse one renaming across group elements.
     pub fn set_locs(&mut self, locs: &'a [u32]) {
         debug_assert!(locs.len() > self.base as usize, "locs must cover 1..=base");
         self.locs = Some(locs);
@@ -115,7 +154,7 @@ impl<'a> IdCanon<'a> {
 
     /// Number of auxiliary IDs renamed so far.
     pub fn renamed(&self) -> usize {
-        self.map.len()
+        self.touched.len()
     }
 }
 

@@ -50,8 +50,11 @@ use std::sync::Mutex;
 
 /// File magic: "SCVCKPT1".
 pub const MAGIC: [u8; 8] = *b"SCVCKPT1";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version. Version 2 changed the fingerprint function
+/// (one SipHash-1-3 pass in the 128-bit output mode instead of two 64-bit
+/// passes), so a version-1 seen set cannot be resumed into: its
+/// fingerprints were hashed differently, and decode rejects it.
+pub const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written, read, or applied.
 #[derive(Debug)]
@@ -228,7 +231,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.at + n > self.buf.len() {
+        if n > self.buf.len() - self.at {
             return Err(CheckpointError::Corrupt(format!(
                 "truncated: wanted {n} bytes at offset {}, file has {}",
                 self.at,
@@ -594,6 +597,23 @@ mod tests {
             CheckpointFile::decode(&bytes[..4]),
             Err(CheckpointError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn version_1_files_are_rejected() {
+        // A well-formed v1 file (valid integrity word) must not resume:
+        // its seen set was fingerprinted by the previous hash function.
+        let mut bytes = sample().encode();
+        bytes.truncate(bytes.len() - 8);
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        let sum = xxh64(&bytes, 0);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        match CheckpointFile::decode(&bytes) {
+            Err(CheckpointError::Corrupt(m)) => {
+                assert!(m.contains("unsupported version 1"), "message: {m}")
+            }
+            r => panic!("a v1 file must be rejected, got {r:?}"),
+        }
     }
 
     #[test]

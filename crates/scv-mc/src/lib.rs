@@ -41,11 +41,11 @@ pub mod ws;
 pub use checkpoint::{CheckpointError, CheckpointFile};
 pub use control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 pub use mc::{
-    bfs, bfs_controlled, BfsOptions, ControlledSearch, Counterexample, ExpandScratch,
-    Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
+    bfs, bfs_controlled, fp_collision_bound, BfsOptions, ControlledSearch, Counterexample,
+    ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
 pub use seen::StripedSeen;
-pub use sip::{Sip, SipBuild, SipHasher13};
+pub use sip::{FpBuild, Sip, SipBuild, SipHasher13};
 pub use verify::{
     verify_protocol, EncRef, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
     VerifySystem,

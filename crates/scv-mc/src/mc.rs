@@ -6,30 +6,34 @@ use std::hash::{BuildHasher, Hash, RandomState};
 use std::time::{Duration, Instant};
 
 use crate::control::{InterruptReason, RunControl};
-use crate::sip::SipBuild;
+use crate::sip::{FpBuild, SipBuild, SipHasher13};
 
 /// 128-bit state fingerprints for the seen-set.
 ///
 /// Storing full states for every visited state is the memory bottleneck of
-/// explicit-state search; both searchers instead record two independent
-/// 64-bit hashes per state (full states live only in the current
-/// frontier). A collision would silently merge two distinct states — with
-/// 128 bits the probability across even 10⁹ states is ~10⁻²⁰, far below
-/// any practical concern (the same trade Holzmann's bitstate hashing makes
-/// far more aggressively).
+/// explicit-state search; both searchers instead record a 128-bit hash
+/// per state (full states live only in the current frontier). A collision
+/// would silently merge two distinct states — across n states the
+/// probability is at most n²/2¹²⁹ ([`fp_collision_bound`]), ~10⁻²⁰ even
+/// at 10⁹ states (the same trade Holzmann's bitstate hashing makes far
+/// more aggressively).
 ///
-/// Hashing is keyed SipHash-1-3 ([`crate::sip`]) under four explicit
-/// 64-bit seeds. A fresh fingerprinter draws random seeds, so fingerprints
-/// are only comparable within one search — but the seeds can be extracted
-/// ([`Fingerprinter::seeds`]), serialized into a checkpoint, and restored
-/// ([`Fingerprinter::from_seeds`]), which is what lets a resumed search
-/// reuse the interrupted run's seen-set and parent logs verbatim.
+/// Hashing is keyed SipHash-1-3 ([`crate::sip`]) in its 128-bit output
+/// mode — one pass over the state yields the whole fingerprint — under
+/// explicit 64-bit seeds. A fresh fingerprinter draws random seeds, so
+/// fingerprints are only comparable within one search — but the seeds can
+/// be extracted ([`Fingerprinter::seeds`]), serialized into a checkpoint,
+/// and restored ([`Fingerprinter::from_seeds`]), which is what lets a
+/// resumed search reuse the interrupted run's seen-set and parent logs
+/// verbatim.
 ///
 /// Public so [`TransitionSystem::expand_admitted`] implementations can
 /// fingerprint successors *before* materializing them.
 pub struct Fingerprinter {
-    a: SipBuild,
-    b: SipBuild,
+    /// Key of the 128-bit state fingerprint ([`Fingerprinter::fp`]).
+    wide: (u64, u64),
+    /// Key of the half-width cache key ([`Fingerprinter::fp64`]).
+    narrow: SipBuild,
 }
 
 impl Fingerprinter {
@@ -49,34 +53,46 @@ impl Fingerprinter {
     /// exact fingerprints of the instance the seeds came from.
     pub fn from_seeds(seeds: [u64; 4]) -> Self {
         Fingerprinter {
-            a: SipBuild::new(seeds[0], seeds[1]),
-            b: SipBuild::new(seeds[2], seeds[3]),
+            wide: (seeds[0], seeds[1]),
+            narrow: SipBuild::new(seeds[2], seeds[3]),
         }
     }
 
     /// The four hash seeds, in [`Fingerprinter::from_seeds`] order.
     pub fn seeds(&self) -> [u64; 4] {
-        let (a0, a1) = self.a.keys();
-        let (b0, b1) = self.b.keys();
-        [a0, a1, b0, b1]
+        let (n0, n1) = self.narrow.keys();
+        [self.wide.0, self.wide.1, n0, n1]
     }
 
-    /// The 128-bit fingerprint of any hashable value. Implementations of
+    /// The 128-bit fingerprint of any hashable value: one SipHash-1-3
+    /// pass in the 128-bit output mode. Implementations of
     /// [`TransitionSystem::expand_admitted`] must ensure the value they
     /// hash here is hash-identical to the `State` they would materialize.
     pub fn fp<S: Hash>(&self, s: &S) -> u128 {
-        (self.a.hash_one(s) as u128) << 64 | self.b.hash_one(s) as u128
+        let mut h = SipHasher13::new_128(self.wide.0, self.wide.1);
+        s.hash(&mut h);
+        h.finish_128()
     }
 
-    /// A half-width fingerprint (one hasher pass instead of two) for
-    /// worker-local caching, where a collision costs a wrong cache answer
+    /// A half-width fingerprint (a 64-bit pass under its own key) for
+    /// orbit-seal caching, where a collision costs a wrong cache answer
     /// bounded by the cache's size, not the whole search. At ≤2^16 cached
     /// keys the collision probability is ~2^-33 per cache lifetime —
     /// negligible next to the 128-bit birthday bound the global seen-set
     /// already accepts.
     pub(crate) fn fp64<S: Hash>(&self, s: &S) -> u64 {
-        self.a.hash_one(s)
+        self.narrow.hash_one(s)
     }
+}
+
+/// The hash-compaction soundness bound of a search that admitted `states`
+/// distinct fingerprints: the probability that two of them collided (and
+/// so one state was silently never explored) is at most
+/// `states² / 2¹²⁹` — the birthday bound on 128-bit fingerprints, the
+/// figure TLC reports on completion.
+pub fn fp_collision_bound(states: usize) -> f64 {
+    let n = states as f64;
+    n * n / 2f64.powi(129)
 }
 
 /// Opaque per-worker scratch space for [`TransitionSystem::expand_admitted`].
@@ -404,6 +420,11 @@ pub(crate) fn publish_search_stats(stats: &McStats, counters_live: bool) {
     scv_telemetry::set_gauge("mc.elapsed_secs", stats.elapsed.as_secs_f64());
 }
 
+/// The sequential seen map: fingerprint → parent edge (`None` for the
+/// initial state and for fingerprints restored from a checkpoint's seen
+/// list).
+type SeenMap<L> = HashMap<u128, Option<(u128, L)>, FpBuild>;
+
 /// Sequential BFS with parent tracking for counterexample extraction.
 /// The seen-set stores 128-bit fingerprints, not states (see
 /// [`Fingerprinter`]); full states live only in the frontier.
@@ -448,8 +469,9 @@ pub fn bfs_controlled<T: TransitionSystem>(
         ..Default::default()
     };
     // Seen map: fingerprint -> parent edge; the label chain is all a
-    // counterexample needs.
-    let mut seen: HashMap<u128, Option<(u128, T::Label)>> = HashMap::new();
+    // counterexample needs. Fingerprints are already keyed hashes, so the
+    // map folds them instead of hashing them again.
+    let mut seen: SeenMap<T::Label> = HashMap::with_hasher(FpBuild);
     let mut frontier: VecDeque<(T::State, u128, usize)> = VecDeque::new();
     let init_fp;
 
@@ -487,7 +509,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
         }
     }
 
-    let rebuild = |seen: &HashMap<u128, Option<(u128, T::Label)>>, mut at: u128| -> Vec<T::Label> {
+    let rebuild = |seen: &SeenMap<T::Label>, mut at: u128| -> Vec<T::Label> {
         let mut path = Vec::new();
         while let Some(Some((p, l))) = seen.get(&at) {
             path.push(l.clone());

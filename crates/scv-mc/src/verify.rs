@@ -9,6 +9,7 @@ use crate::mc::{
     bfs_controlled, eager_expand, publish_search_stats, BfsOptions, ControlledSearch,
     ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
+use crate::sip::FpBuild;
 use crate::ws::ws_search_controlled;
 use scv_checker::{ScChecker, ScError};
 use scv_descriptor::Symbol;
@@ -302,8 +303,12 @@ const SEAL_L2_STRIPE_CAP: usize = 1 << 14;
 /// encoding once the owning state has been admitted and frozen.
 type SealEntry = (u128, Option<EncRef>);
 
+/// One L2 stripe. Keys are already keyed hashes, so the map folds them
+/// rather than hashing them again.
+type SealStripe = HashMap<u64, SealEntry, FpBuild>;
+
 struct SealCacheL2 {
-    stripes: Vec<Mutex<HashMap<u64, SealEntry>>>,
+    stripes: Vec<Mutex<SealStripe>>,
     seed_tag: AtomicU64,
 }
 
@@ -311,7 +316,7 @@ impl SealCacheL2 {
     fn new() -> SealCacheL2 {
         SealCacheL2 {
             stripes: (0..SEAL_L2_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::with_hasher(FpBuild)))
                 .collect(),
             seed_tag: AtomicU64::new(0),
         }
@@ -340,7 +345,7 @@ impl SealCacheL2 {
         }
     }
 
-    fn stripe(&self, key: u64) -> &Mutex<HashMap<u64, SealEntry>> {
+    fn stripe(&self, key: u64) -> &Mutex<SealStripe> {
         // High bits pick the stripe so it decorrelates from the L1 index
         // (low bits).
         &self.stripes[((key >> 32) as usize) & (SEAL_L2_STRIPES - 1)]

@@ -68,6 +68,7 @@ use crate::mc::{
     SearchCheckpoint, SearchResult, TransitionSystem,
 };
 use crate::seen::StripedSeen;
+use crate::sip::FpBuild;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -654,7 +655,7 @@ where
     // early".
     let found = shared.found.lock().unwrap().take();
     if let Some((bad_fp, reason)) = found {
-        let mut parents: HashMap<u128, (u128, T::Label)> = HashMap::new();
+        let mut parents: HashMap<u128, (u128, T::Label), FpBuild> = HashMap::with_hasher(FpBuild);
         for (child, parent, label) in base_parents {
             parents.insert(child, (parent, label));
         }

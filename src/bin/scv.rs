@@ -548,8 +548,12 @@ fn run(argv: &[String]) -> ExitCode {
             match out {
                 Outcome::Verified { .. } => {
                     println!(
-                        "VERIFIED: sequentially consistent ({} states, {} transitions, depth {}, {:?})",
-                        s.states, s.transitions, s.depth, s.elapsed
+                        "VERIFIED: sequentially consistent ({} states, {} transitions, depth {}, {:?}); {}",
+                        s.states,
+                        s.transitions,
+                        s.depth,
+                        s.elapsed,
+                        collision_bound_note(s.states)
                     );
                     ExitCode::SUCCESS
                 }

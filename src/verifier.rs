@@ -41,6 +41,18 @@ pub fn verdict_str(out: &Outcome) -> &'static str {
     }
 }
 
+/// What a `VERIFIED` verdict adds about its hash compaction: the seen set
+/// keeps 128-bit fingerprints, so a proof over `states` states holds
+/// unless two of them collided, with probability at most
+/// `states² / 2¹²⁹` ([`scv_mc::fp_collision_bound`]). The `scv verify`
+/// CLI appends this to its verdict line.
+pub fn collision_bound_note(states: usize) -> String {
+    format!(
+        "fingerprint collision bound n²/2¹²⁹ = {:.1e}",
+        scv_mc::fp_collision_bound(states)
+    )
+}
+
 /// Builder-style facade over the product construction and search.
 ///
 /// Construction is deferred: option setters only record the request, and
@@ -195,6 +207,9 @@ where
             if let Some(rss) = scv_telemetry::peak_rss_bytes() {
                 report = report.metric("peak_rss_bytes", rss as f64);
             }
+            if let Outcome::Verified { .. } = &out {
+                report = report.metric("fp_collision_bound", scv_mc::fp_collision_bound(s.states));
+            }
             if let Outcome::Inconclusive {
                 reason, coverage, ..
             } = &out
@@ -225,6 +240,42 @@ mod tests {
             .max_states(500_000)
             .run();
         assert_eq!(verdict_str(&verified), "verified");
+    }
+
+    #[test]
+    fn verified_runs_state_their_collision_bound() {
+        // 61 064 states is the serial-memory (2,1,1) proof under full
+        // symmetry: 61064² / 2¹²⁹ ≈ 5.48e-30.
+        assert_eq!(
+            collision_bound_note(61_064),
+            "fingerprint collision bound n²/2¹²⁹ = 5.5e-30"
+        );
+        let session = scv_telemetry::TestSession::start();
+        let verified = Verifier::new(MsiProtocol::new(Params::new(1, 1, 1)))
+            .max_states(500_000)
+            .run();
+        let events = session.events();
+        drop(session);
+        assert_eq!(verdict_str(&verified), "verified");
+        // Other tests may report into the same session: check every
+        // verified report, and that ours is among them.
+        let mut checked = 0;
+        for e in events {
+            let scv_telemetry::Event::Report(r) = e else {
+                continue;
+            };
+            if r.verdict != "verified" {
+                assert_eq!(r.get_metric("fp_collision_bound"), None);
+                continue;
+            }
+            let n = r.get_metric("states").expect("states metric");
+            assert_eq!(
+                r.get_metric("fp_collision_bound"),
+                Some(n * n / 2f64.powi(129))
+            );
+            checked += 1;
+        }
+        assert!(checked >= 1, "a verified run records its collision bound");
     }
 
     #[test]
