@@ -202,7 +202,6 @@ fn main() {
                     "mc.arena_alloc_bytes",
                     "symmetry.seal_cache_hits",
                     "symmetry.seal_cache_misses",
-                    "symmetry.seal_cache_l2_hits",
                     "symmetry.refine_exact",
                     "symmetry.residual_enum",
                 ] {

@@ -45,7 +45,7 @@ pub use mc::{
     ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
 pub use seen::StripedSeen;
-pub use sip::{FpBuild, Sip, SipBuild, SipHasher13};
+pub use sip::{FpBuild, Sip, SipHasher13};
 pub use verify::{
     verify_protocol, EncRef, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
     VerifySystem,

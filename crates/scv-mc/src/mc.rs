@@ -6,7 +6,7 @@ use std::hash::{BuildHasher, Hash, RandomState};
 use std::time::{Duration, Instant};
 
 use crate::control::{InterruptReason, RunControl};
-use crate::sip::{FpBuild, SipBuild, SipHasher13};
+use crate::sip::{FpBuild, SipHasher13};
 
 /// 128-bit state fingerprints for the seen-set.
 ///
@@ -32,8 +32,8 @@ use crate::sip::{FpBuild, SipBuild, SipHasher13};
 pub struct Fingerprinter {
     /// Key of the 128-bit state fingerprint ([`Fingerprinter::fp`]).
     wide: (u64, u64),
-    /// Key of the half-width cache key ([`Fingerprinter::fp64`]).
-    narrow: SipBuild,
+    /// Key of the orbit-seal cache key ([`Fingerprinter::seal_key`]).
+    seal: (u64, u64),
 }
 
 impl Fingerprinter {
@@ -54,14 +54,13 @@ impl Fingerprinter {
     pub fn from_seeds(seeds: [u64; 4]) -> Self {
         Fingerprinter {
             wide: (seeds[0], seeds[1]),
-            narrow: SipBuild::new(seeds[2], seeds[3]),
+            seal: (seeds[2], seeds[3]),
         }
     }
 
     /// The four hash seeds, in [`Fingerprinter::from_seeds`] order.
     pub fn seeds(&self) -> [u64; 4] {
-        let (n0, n1) = self.narrow.keys();
-        [self.wide.0, self.wide.1, n0, n1]
+        [self.wide.0, self.wide.1, self.seal.0, self.seal.1]
     }
 
     /// The 128-bit fingerprint of any hashable value: one SipHash-1-3
@@ -74,14 +73,15 @@ impl Fingerprinter {
         h.finish_128()
     }
 
-    /// A half-width fingerprint (a 64-bit pass under its own key) for
-    /// orbit-seal caching, where a collision costs a wrong cache answer
-    /// bounded by the cache's size, not the whole search. At ≤2^16 cached
-    /// keys the collision probability is ~2^-33 per cache lifetime —
-    /// negligible next to the 128-bit birthday bound the global seen-set
-    /// already accepts.
-    pub(crate) fn fp64<S: Hash>(&self, s: &S) -> u64 {
-        self.narrow.hash_one(s)
+    /// The orbit-seal cache key: the same 128-bit pass as
+    /// [`Fingerprinter::fp`] under the second seed pair. A key collision
+    /// hands a state a wrong orbit-minimum fingerprint, which drops it
+    /// just like a seen-set collision, so the key is as wide as the
+    /// fingerprint.
+    pub(crate) fn seal_key<S: Hash>(&self, s: &S) -> u128 {
+        let mut h = SipHasher13::new_128(self.seal.0, self.seal.1);
+        s.hash(&mut h);
+        h.finish_128()
     }
 }
 
@@ -90,6 +90,15 @@ impl Fingerprinter {
 /// so one state was silently never explored) is at most
 /// `states² / 2¹²⁹` — the birthday bound on 128-bit fingerprints, the
 /// figure TLC reports on completion.
+///
+/// Under symmetry reduction the per-worker orbit-seal cache adds a second,
+/// far smaller term: a probe false-hits only if its 128-bit
+/// [`Fingerprinter::seal_key`] equals one of at most 2²⁰ cached keys,
+/// probability ≤ 2²⁰·2⁻¹²⁸ = 2⁻¹⁰⁸, so a whole run adds at most
+/// `transitions · 2⁻¹⁰⁸` — under 10⁻²² below 10¹⁰ transitions. (The
+/// 64-bit keys this replaced false-hit with probability up to 2⁻⁴⁹ per
+/// probe in the direct-mapped L1 and about 2⁻⁴⁴ in the 2²⁰-entry L2.)
+/// The figure returned here is the seen-set term alone.
 pub fn fp_collision_bound(states: usize) -> f64 {
     let n = states as f64;
     n * n / 2f64.powi(129)
@@ -792,7 +801,7 @@ mod tests {
         let f2 = Fingerprinter::from_seeds(f1.seeds());
         for v in [0u64, 1, 42, u64::MAX] {
             assert_eq!(f1.fp(&v), f2.fp(&v));
-            assert_eq!(f1.fp64(&v), f2.fp64(&v));
+            assert_eq!(f1.seal_key(&v), f2.seal_key(&v));
         }
         let f3 = Fingerprinter::new();
         assert_ne!(

@@ -8,7 +8,7 @@
 //! the frontier are all keyed by fingerprint). This module provides the
 //! same algorithm family (SipHash-1-3, what `RandomState` uses) with
 //! explicit 128-bit keys that can be serialized into a checkpoint and fed
-//! back through [`SipBuild::new`].
+//! back through [`Sip::new`].
 //!
 //! The implementation is generic over the round counts so the test suite
 //! can validate the compression/finalization structure against the
@@ -23,35 +23,6 @@
 //! key instead of hashing it a second time.
 
 use std::hash::{BuildHasher, Hasher};
-
-/// A [`BuildHasher`] over [`SipHasher13`] with an explicit, extractable
-/// 128-bit key.
-#[derive(Clone, Copy, Debug)]
-pub struct SipBuild {
-    k0: u64,
-    k1: u64,
-}
-
-impl SipBuild {
-    /// Build from an explicit key pair.
-    pub fn new(k0: u64, k1: u64) -> Self {
-        SipBuild { k0, k1 }
-    }
-
-    /// The key pair this builder hashes under.
-    pub fn keys(&self) -> (u64, u64) {
-        (self.k0, self.k1)
-    }
-}
-
-impl BuildHasher for SipBuild {
-    type Hasher = SipHasher13;
-
-    #[inline]
-    fn build_hasher(&self) -> SipHasher13 {
-        Sip::new(self.k0, self.k1)
-    }
-}
 
 /// SipHash-1-3: one compression round per message word, three finalization
 /// rounds — the variant the standard library uses for hash tables.
@@ -472,17 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn build_hasher_is_deterministic_per_key() {
-        let a = SipBuild::new(1, 2);
-        let b = SipBuild::new(1, 2);
-        let c = SipBuild::new(1, 3);
-        let v = vec![1u64, 2, 3];
-        assert_eq!(a.hash_one(&v), b.hash_one(&v));
-        assert_ne!(a.hash_one(&v), c.hash_one(&v), "different keys differ");
-        assert_eq!(a.keys(), (1, 2));
-    }
-
-    #[test]
     fn tail_handling_across_split_writes() {
         // Hashing a byte string in arbitrary split points must agree with
         // hashing it whole.
@@ -500,7 +460,17 @@ mod tests {
     fn struct_hashing_differs_between_values() {
         #[derive(Hash)]
         struct S(u8, u64, Vec<u32>);
-        let b = SipBuild::new(7, 9);
-        assert_ne!(b.hash_one(S(1, 2, vec![3])), b.hash_one(S(1, 2, vec![4])));
+        let hash = |k1: u64, s: S| {
+            let mut h: SipHasher13 = Sip::new(7, k1);
+            s.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(9, S(1, 2, vec![3])), hash(9, S(1, 2, vec![3])));
+        assert_ne!(hash(9, S(1, 2, vec![3])), hash(9, S(1, 2, vec![4])));
+        assert_ne!(
+            hash(9, S(1, 2, vec![3])),
+            hash(8, S(1, 2, vec![3])),
+            "different keys differ"
+        );
     }
 }

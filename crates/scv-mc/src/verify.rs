@@ -20,8 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a product state was rejected — the typed replacement for the old
@@ -263,127 +262,17 @@ pub(crate) struct PermEntry {
     pub(crate) locs_inv: Vec<u32>,
 }
 
-/// Slot count of the per-worker L1 orbit-seal cache — a direct-mapped
-/// array (no probing, no wholesale clears), so a cold or adversarial
-/// workload costs one array read per candidate and nothing else. At 24
-/// bytes per slot the full array is under 1 MB per worker.
-const SEAL_L1_SLOTS: usize = 1 << 15;
-
-/// The L1/L2 hit-rate gate: after this many probes, a worker whose hit
-/// count stayed below [`SEAL_GATE_MIN_HITS`] turns its seal cache off for
-/// the rest of the run — on orbit-dense spaces where re-derivations are
-/// rare, the per-candidate key hash and probe are pure overhead.
-const SEAL_GATE_WINDOW: u32 = 8192;
-
-/// Minimum hits per [`SEAL_GATE_WINDOW`] probes (≈1.6%) to keep probing.
-const SEAL_GATE_MIN_HITS: u32 = 128;
-
-/// Stripe count of the shared L2 orbit-seal cache (power of two).
-const SEAL_L2_STRIPES: usize = 64;
-
-/// Per-stripe entry bound of the L2 cache; a stripe at capacity is
-/// cleared wholesale (≈1M entries total across stripes).
-const SEAL_L2_STRIPE_CAP: usize = 1 << 14;
-
-/// The shared second-level orbit-seal cache, living in the
-/// [`VerifySystem`] so every worker (and every slice of a stop-and-go
-/// run) sees it: identity-encoding key → orbit-minimum fingerprint, plus
-/// the interned canonical encoding once the state has been admitted and
-/// frozen. A hit with an encoding skips the *entire* seal — canonical
-/// words are copied straight out of the arena; a hit without one still
-/// skips the group enumeration (the encoding is recomputed only in the
-/// rare admitted case, exactly like an L1 hit).
-///
-/// Keys are [`Fingerprinter::fp64`] values and therefore seed-dependent;
-/// `seed_tag` folds the fingerprinter seeds, and a mismatch (a new search
-/// over the same system) clears the cache before first use. Runs never
-/// overlap on one system, so the raced clear is at worst a few wasted
-/// fresh inserts.
-/// One L2 entry: orbit-minimum fingerprint plus the interned canonical
-/// encoding once the owning state has been admitted and frozen.
-type SealEntry = (u128, Option<EncRef>);
-
-/// One L2 stripe. Keys are already keyed hashes, so the map folds them
-/// rather than hashing them again.
-type SealStripe = HashMap<u64, SealEntry, FpBuild>;
-
-struct SealCacheL2 {
-    stripes: Vec<Mutex<SealStripe>>,
-    seed_tag: AtomicU64,
-}
-
-impl SealCacheL2 {
-    fn new() -> SealCacheL2 {
-        SealCacheL2 {
-            stripes: (0..SEAL_L2_STRIPES)
-                .map(|_| Mutex::new(HashMap::with_hasher(FpBuild)))
-                .collect(),
-            seed_tag: AtomicU64::new(0),
-        }
-    }
-
-    /// Clear the cache if it was populated under different fingerprinter
-    /// seeds. Called once per expansion — one atomic load in steady state.
-    fn ensure_seeds(&self, seeds: [u64; 4]) {
-        let tag = (seeds[0]
-            ^ seeds[1].rotate_left(16)
-            ^ seeds[2].rotate_left(32)
-            ^ seeds[3].rotate_left(48))
-            | 1;
-        let old = self.seed_tag.load(Ordering::Acquire);
-        if old == tag {
-            return;
-        }
-        if self
-            .seed_tag
-            .compare_exchange(old, tag, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            for stripe in &self.stripes {
-                stripe.lock().expect("seal L2 poisoned").clear();
-            }
-        }
-    }
-
-    fn stripe(&self, key: u64) -> &Mutex<SealStripe> {
-        // High bits pick the stripe so it decorrelates from the L1 index
-        // (low bits).
-        &self.stripes[((key >> 32) as usize) & (SEAL_L2_STRIPES - 1)]
-    }
-
-    fn get(&self, key: u64) -> Option<(u128, Option<EncRef>)> {
-        self.stripe(key)
-            .lock()
-            .expect("seal L2 poisoned")
-            .get(&key)
-            .cloned()
-    }
-
-    /// Record a freshly canonicalized fingerprint (no encoding yet).
-    fn insert_fp(&self, key: u64, fp: u128) {
-        let mut m = self.stripe(key).lock().expect("seal L2 poisoned");
-        if m.len() >= SEAL_L2_STRIPE_CAP {
-            m.clear();
-        }
-        m.entry(key).or_insert((fp, None));
-    }
-
-    /// Attach the interned canonical encoding of an admitted state.
-    fn set_enc(&self, key: u64, fp: u128, enc: EncRef) {
-        let mut m = self.stripe(key).lock().expect("seal L2 poisoned");
-        if m.len() >= SEAL_L2_STRIPE_CAP {
-            m.clear();
-        }
-        m.insert(key, (fp, Some(enc)));
-    }
-}
+/// Entry bound of the per-worker orbit-seal cache, which is cleared
+/// wholesale when it fills. Below the bound the cache never forgets, so
+/// which states get canonicalized does not depend on the fingerprinter
+/// seeds.
+const SEAL_CACHE_CAP: usize = 1 << 20;
 
 /// Sentinel for [`CandSlot::enc_len`]: the candidate's canonical encoding
 /// was *not* written to the scratch arena (its fingerprint came from the
-/// orbit-seal cache). If such a candidate is admitted — rare: only probe
-/// races and within-expansion duplicates, since a cache hit normally means
-/// the state is already in the seen-set — the encoding is recomputed at
-/// freeze time.
+/// orbit-seal cache). If such a candidate is admitted — rare, since a
+/// cache hit normally means the state is already in the seen-set — the
+/// encoding is recomputed at freeze time.
 const ENC_UNSEALED: usize = usize::MAX;
 
 /// One replay slot of the lazy expansion scratch: the observer/checker
@@ -406,10 +295,6 @@ struct CandSlot<PS> {
     error: Option<RejectReason>,
     enc_start: usize,
     enc_len: usize,
-    /// The seal-cache key of this candidate's identity encoding, kept so
-    /// an admitted slot can upgrade the shared L2 entry with its interned
-    /// canonical encoding at freeze time.
-    key: Option<u64>,
 }
 
 /// Per-worker scratch for admission-gated lazy expansion, carried by the
@@ -435,23 +320,12 @@ pub(crate) struct SealScratch<PS> {
     /// Reusable aux-ID renaming for the per-candidate identity encodings
     /// (no location map — `'static` is the no-borrow case).
     ids: scv_descriptor::IdCanon<'static>,
-    /// L1 orbit-seal cache: a direct-mapped array keyed by the half-width
-    /// fingerprint of the *identity* encoding, holding the orbit-minimum
-    /// state fingerprint. The identity encoding starts with the injective
-    /// protocol encoding, so it determines the product state; re-deriving
-    /// the same state from another parent hits here and skips the whole
-    /// canonicalization. Key 0 marks an empty slot (a real key of 0 simply
-    /// never caches — the same 2⁻⁶⁴-class event as an fp64 collision). A
-    /// miss falls through to the shared [`SealCacheL2`].
-    l1_keys: Box<[u64]>,
-    l1_fps: Box<[u128]>,
-    /// Hit-rate gate over both levels (see [`SEAL_GATE_WINDOW`]): on
-    /// orbit-dense spaces with almost no re-derivations the cache turns
-    /// itself off, dropping the per-candidate key hash *and* the identity
-    /// encoding's observer/checker walk the key is hashed from.
-    probes: u32,
-    hits: u32,
-    cache_off: bool,
+    /// Orbit-seal cache: [`Fingerprinter::seal_key`] of the *identity*
+    /// encoding → orbit-minimum state fingerprint. The identity encoding
+    /// starts with the injective protocol encoding, so it determines the
+    /// product state; re-deriving the same state from another parent hits
+    /// here and skips the whole canonicalization.
+    seal_cache: HashMap<u128, u128, FpBuild>,
     /// Sort-based canonicalization work buffers.
     canon: CanonScratch,
 }
@@ -469,11 +343,7 @@ impl<PS> SealScratch<PS> {
             keep: Vec::new(),
             frozen: Vec::with_capacity(1024),
             ids: scv_descriptor::IdCanon::new(0),
-            l1_keys: vec![0u64; SEAL_L1_SLOTS].into_boxed_slice(),
-            l1_fps: vec![0u128; SEAL_L1_SLOTS].into_boxed_slice(),
-            probes: 0,
-            hits: 0,
-            cache_off: false,
+            seal_cache: HashMap::with_hasher(FpBuild),
             canon: CanonScratch::new(),
         }
     }
@@ -494,8 +364,6 @@ pub struct VerifySystem<P: Symmetry> {
     /// full-enumeration reference path ([`SymmetryMode::FullEnum`], or a
     /// protocol with no sortable dimension).
     fast: Option<FastPlan>,
-    /// Shared second-level orbit-seal cache (see [`SealCacheL2`]).
-    l2: SealCacheL2,
     /// The mode the system was built with (recorded in checkpoint files so
     /// a resume under a different quotient is rejected up front).
     mode: SymmetryMode,
@@ -549,7 +417,6 @@ impl<P: Symmetry> VerifySystem<P> {
             protocol,
             perms,
             fast,
-            l2: SealCacheL2::new(),
             mode,
         }
     }
@@ -609,24 +476,11 @@ impl<P: Symmetry> VerifySystem<P> {
         }
 
         let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
-        // Identity candidate: protocol encoding (injective, required
-        // because `proto` no longer participates in the hash) followed by
-        // the plain canonical encodings.
         let mut best = Vec::with_capacity(160);
-        self.protocol.encode_state(&proto, &mut best);
-        let proto_len = best.len();
-        let obs_end;
-        {
-            let mut ids = scv_descriptor::IdCanon::new(base);
-            obs.canonical_encoding(&mut best, &mut ids);
-            obs_end = best.len();
-            chk.canonical_encoding(&mut best, &mut ids);
-        }
-        let mut cand = Vec::with_capacity(best.len());
+        let mut cand = Vec::with_capacity(160);
+        let mut ids = scv_descriptor::IdCanon::new(base);
         canon::with_thread_scratch(|cs| {
-            self.canon_min(
-                &proto, &obs, &chk, base, proto_len, &mut best, &mut cand, cs, true, obs_end,
-            )
+            self.orbit_min_encoding(&proto, &obs, &chk, &mut ids, &mut best, &mut cand, cs)
         });
         VerifyState {
             proto,
@@ -647,6 +501,54 @@ impl<P: Symmetry> VerifySystem<P> {
     pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
         let resealed = self.seal(s.proto.clone(), s.obs.clone(), s.chk.clone(), None);
         resealed.enc.as_slice().to_vec()
+    }
+
+    /// Write a state's identity candidate into `best`: the protocol
+    /// encoding (injective, required because `proto` no longer
+    /// participates in the hash), then — if `full` — the aux-ID-canonical
+    /// observer and checker encodings. Returns the protocol prefix length
+    /// and where the observer section ends (0 unless `full`), the layout
+    /// [`VerifySystem::canon_min`] expects on entry.
+    fn identity_encoding(
+        &self,
+        proto: &P::State,
+        obs: &Observer,
+        chk: &ScChecker,
+        ids: &mut scv_descriptor::IdCanon<'_>,
+        best: &mut Vec<u64>,
+        full: bool,
+    ) -> (usize, usize) {
+        best.clear();
+        self.protocol.encode_state(proto, best);
+        let proto_len = best.len();
+        if !full {
+            return (proto_len, 0);
+        }
+        ids.reset_with(obs.location_count());
+        obs.canonical_encoding(best, ids);
+        let obs_end = best.len();
+        chk.canonical_encoding(best, ids);
+        (proto_len, obs_end)
+    }
+
+    /// The orbit-minimum encoding of a state, computed from scratch into
+    /// `best`: the identity candidate, then one orbit-minimization.
+    #[allow(clippy::too_many_arguments)]
+    fn orbit_min_encoding(
+        &self,
+        proto: &P::State,
+        obs: &Observer,
+        chk: &ScChecker,
+        ids: &mut scv_descriptor::IdCanon<'_>,
+        best: &mut Vec<u64>,
+        cand: &mut Vec<u64>,
+        cs: &mut CanonScratch,
+    ) {
+        let (proto_len, obs_end) = self.identity_encoding(proto, obs, chk, ids, best, true);
+        let base = obs.location_count();
+        self.canon_min(
+            proto, obs, chk, base, proto_len, best, cand, cs, true, obs_end,
+        );
     }
 
     /// Dispatch one orbit-minimization: the sort-based fast path when a
@@ -769,9 +671,9 @@ where
         out
     }
 
-    // The work-stealing engine expands through this with a reused
-    // per-worker buffer, so steady-state product exploration does not
-    // allocate a successor vector per state.
+    // Checkpoint replay and the materialize-first reference path
+    // (`eager_expand`) expand through this; the search engines use
+    // `expand_admitted`.
     fn successors_into(&self, s: &Self::State, out: &mut Vec<(Action, Self::State)>) {
         if s.error.is_some() {
             return; // rejection is absorbing
@@ -833,12 +735,6 @@ where
         let _t = scv_telemetry::timer(scv_telemetry::Phase::Expand);
         let base = s.obs.location_count();
         let sym = !self.perms.is_empty();
-        if sym {
-            // The shared L2 is keyed by identity-encoding fp64, which
-            // depends on the fingerprinter seeds: (re)seed it, clearing
-            // stale entries when the seeds changed since the last run.
-            self.l2.ensure_seeds(fper.seeds());
-        }
         // Taken out of the scratch so the loop can mutate `sc` while
         // draining it; the allocation is handed back at the end.
         let mut trans = std::mem::take(&mut sc.trans);
@@ -867,7 +763,6 @@ where
                     error: None,
                     enc_start: 0,
                     enc_len: 0,
-                    key: None,
                 });
             }
             let slot = &mut sc.slots[i];
@@ -930,97 +825,49 @@ where
             } else {
                 let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
                 let proto_next = slot.proto.as_ref().expect("slot.proto filled above");
-                // Identity protocol prefix first — injective, so together
-                // with the identity observer/checker encodings it
-                // determines the product state and keys the seal caches.
-                sc.best.clear();
-                self.protocol.encode_state(proto_next, &mut sc.best);
-                let proto_len = sc.best.len();
                 // Keying the cache costs a hash pass over the identity
                 // encoding, while a hit saves the whole canonicalization —
                 // worthwhile only when the group is big enough to amortize
-                // the key, and only until the hit-rate gate trips.
-                let use_cache = self.perms.len() >= 4 && !sc.cache_off;
+                // the key.
+                let use_cache = self.perms.len() >= 4;
                 // The fast path seeds its incumbent from the first
                 // enumerated candidate, so when no cache key is needed the
                 // identity's observer/checker walk is skipped entirely.
                 let have_identity = use_cache || self.fast.is_none();
-                let mut obs_end = 0usize;
-                if have_identity {
-                    sc.ids.reset_with(base);
-                    obs.canonical_encoding(&mut sc.best, &mut sc.ids);
-                    obs_end = sc.best.len();
-                    chk.canonical_encoding(&mut sc.best, &mut sc.ids);
-                }
-                slot.key = None;
+                let (proto_len, obs_end) = self.identity_encoding(
+                    proto_next,
+                    obs,
+                    chk,
+                    &mut sc.ids,
+                    &mut sc.best,
+                    have_identity,
+                );
                 let mut key = None;
                 if use_cache {
-                    let k = fper.fp64(&FpParts::<P::State> {
+                    let k = fper.seal_key(&FpParts::<P::State> {
                         proto: None,
                         enc: &sc.best,
                     });
-                    sc.probes += 1;
-                    let l1 = (k as usize) & (SEAL_L1_SLOTS - 1);
-                    let mut hit = None;
-                    if k != 0 && sc.l1_keys[l1] == k {
-                        hit = Some((sc.l1_fps[l1], None));
-                    } else {
-                        // Every miss is an L2 miss: `SealCacheMisses`
-                        // below counts it.
-                        if let Some(entry) = self.l2.get(k) {
-                            scv_telemetry::add(scv_telemetry::Metric::SealCacheL2Hits, 1);
-                            if k != 0 {
-                                sc.l1_keys[l1] = k;
-                                sc.l1_fps[l1] = entry.0;
-                            }
-                            hit = Some(entry);
+                    if let Some(&cached_fp) = sc.seal_cache.get(&k) {
+                        scv_telemetry::add(scv_telemetry::Metric::SealCacheHits, 1);
+                        if scv_telemetry::recorder_enabled() {
+                            scv_telemetry::recorder::instant(
+                                scv_telemetry::recorder::InstantKind::SealCacheHit,
+                                0,
+                            );
                         }
+                        slot.enc_len = ENC_UNSEALED;
+                        sc.fps.push(cached_fp);
+                        continue;
                     }
-                    if sc.probes >= SEAL_GATE_WINDOW {
-                        if sc.hits < SEAL_GATE_MIN_HITS {
-                            sc.cache_off = true;
-                        }
-                        sc.probes = 0;
-                        sc.hits = 0;
+                    scv_telemetry::add(scv_telemetry::Metric::SealCacheMisses, 1);
+                    if scv_telemetry::recorder_enabled() {
+                        scv_telemetry::recorder::instant(
+                            scv_telemetry::recorder::InstantKind::SealCacheMiss,
+                            0,
+                        );
                     }
-                    match hit {
-                        Some((cached_fp, cached_enc)) => {
-                            sc.hits += 1;
-                            scv_telemetry::add(scv_telemetry::Metric::SealCacheHits, 1);
-                            if scv_telemetry::recorder_enabled() {
-                                scv_telemetry::recorder::instant(
-                                    scv_telemetry::recorder::InstantKind::SealCacheHit,
-                                    0,
-                                );
-                            }
-                            slot.enc_start = start;
-                            match cached_enc {
-                                Some(enc) => {
-                                    // The canonical encoding is already
-                                    // interned: copy it into the arena and
-                                    // seal the slot outright.
-                                    sc.enc.extend_from_slice(enc.as_slice());
-                                    slot.enc_len = sc.enc.len() - start;
-                                }
-                                None => {
-                                    slot.enc_len = ENC_UNSEALED;
-                                    slot.key = Some(k);
-                                }
-                            }
-                            sc.fps.push(cached_fp);
-                            continue;
-                        }
-                        None => {
-                            scv_telemetry::add(scv_telemetry::Metric::SealCacheMisses, 1);
-                            if scv_telemetry::recorder_enabled() {
-                                scv_telemetry::recorder::instant(
-                                    scv_telemetry::recorder::InstantKind::SealCacheMiss,
-                                    0,
-                                );
-                            }
-                            key = Some(k);
-                        }
-                    }
+                    key = Some(k);
                 }
                 self.canon_min(
                     proto_next,
@@ -1039,13 +886,10 @@ where
                     enc: &sc.best,
                 });
                 if let Some(k) = key {
-                    if k != 0 {
-                        let l1 = (k as usize) & (SEAL_L1_SLOTS - 1);
-                        sc.l1_keys[l1] = k;
-                        sc.l1_fps[l1] = fp;
+                    if sc.seal_cache.len() >= SEAL_CACHE_CAP {
+                        sc.seal_cache.clear();
                     }
-                    self.l2.insert_fp(k, fp);
-                    slot.key = Some(k);
+                    sc.seal_cache.insert(k, fp);
                 }
                 sc.enc.extend_from_slice(&sc.best);
                 fp
@@ -1076,55 +920,35 @@ where
             if !sc.keep[i] {
                 continue;
             }
-            if sc.slots[i].enc_len == ENC_UNSEALED {
-                // Admitted on a cache hit (probe race or within-expansion
-                // duplicate): the fingerprint was cached but the canonical
-                // encoding was never written — recompute it now.
-                let new_len = {
-                    let slot = &sc.slots[i];
-                    let proto_next = slot.proto.as_ref().expect("slot.proto filled above");
-                    let obs = slot.obs.as_ref().expect("slot.obs filled above");
-                    let chk = if slot.chk_is_parent {
-                        &s.chk
-                    } else {
-                        slot.chk.as_ref().expect("slot.chk filled above")
-                    };
-                    sc.best.clear();
-                    self.protocol.encode_state(proto_next, &mut sc.best);
-                    let proto_len = sc.best.len();
-                    let obs_end;
-                    {
-                        let mut ids = scv_descriptor::IdCanon::new(base);
-                        obs.canonical_encoding(&mut sc.best, &mut ids);
-                        obs_end = sc.best.len();
-                        chk.canonical_encoding(&mut sc.best, &mut ids);
-                    }
-                    self.canon_min(
-                        proto_next,
-                        obs,
-                        chk,
-                        base,
-                        proto_len,
-                        &mut sc.best,
-                        &mut sc.cand,
-                        &mut sc.canon,
-                        true,
-                        obs_end,
-                    );
-                    debug_assert_eq!(
-                        fper.fp(&FpParts::<P::State> {
-                            proto: None,
-                            enc: &sc.best,
-                        }),
-                        sc.fps[i],
-                        "recomputed orbit minimum disagrees with the cached fingerprint"
-                    );
-                    sc.frozen.extend_from_slice(&sc.best);
-                    sc.best.len()
+            let slot = &sc.slots[i];
+            if slot.enc_len == ENC_UNSEALED {
+                // Admitted on a cache hit: the fingerprint was cached but
+                // the canonical encoding was never written — recompute it.
+                let chk = if slot.chk_is_parent {
+                    &s.chk
+                } else {
+                    slot.chk.as_ref().expect("slot.chk filled above")
                 };
-                sc.slots[i].enc_len = new_len;
+                self.orbit_min_encoding(
+                    slot.proto.as_ref().expect("slot.proto filled above"),
+                    slot.obs.as_ref().expect("slot.obs filled above"),
+                    chk,
+                    &mut sc.ids,
+                    &mut sc.best,
+                    &mut sc.cand,
+                    &mut sc.canon,
+                );
+                debug_assert_eq!(
+                    fper.fp(&FpParts::<P::State> {
+                        proto: None,
+                        enc: &sc.best,
+                    }),
+                    sc.fps[i],
+                    "recomputed orbit minimum disagrees with the cached fingerprint"
+                );
+                sc.frozen.extend_from_slice(&sc.best);
+                sc.slots[i].enc_len = sc.best.len();
             } else {
-                let slot = &sc.slots[i];
                 sc.frozen
                     .extend_from_slice(&sc.enc[slot.enc_start..slot.enc_start + slot.enc_len]);
             }
@@ -1143,11 +967,6 @@ where
             }
             let slot = &mut sc.slots[i];
             let enc = EncRef::view(&chunk, off, slot.enc_len);
-            if let Some(k) = slot.key.take() {
-                // Upgrade the fingerprint-only cache entry with the interned
-                // canonical encoding so future hits seal without recomputing.
-                self.l2.set_enc(k, sc.fps[i], enc.clone());
-            }
             off += slot.enc_len;
             out.push((
                 slot.action,

@@ -86,8 +86,10 @@ pub enum Metric {
     /// Canonicalizations that had to enumerate a non-trivial residual
     /// subgroup (tied refinement cells) after the sort-based fast path.
     SymResidualEnum,
-    /// Shared striped seal-cache (L2) hits: canonicalizations answered
-    /// from a peer worker's earlier seal.
+    /// Always reads 0: the seal cache has a single level, so every hit is
+    /// a [`Metric::SealCacheHits`]. Kept only because the time-to-verdict
+    /// benchmark still reads it; it will be deleted, together with that
+    /// benchmark's `symmetry.seal_l2_share`, in the next benchmark change.
     SealCacheL2Hits,
 }
 

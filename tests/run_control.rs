@@ -290,6 +290,50 @@ fn checkpoint_is_engine_neutral() {
     }
 }
 
+/// A bounded run with the orbit-seal cache engaged (msi (2,1,2) under
+/// full symmetry has group order 4) resumes to the clean run's totals,
+/// on the system that wrote the checkpoint and on a fresh one — each
+/// slice starts with an empty cache.
+#[test]
+fn resume_with_the_seal_cache_engaged_matches_clean_run() {
+    let system =
+        || VerifySystem::with_symmetry(MsiProtocol::new(Params::new(2, 1, 2)), SymmetryMode::Full);
+    let opts = || VerifyOptions::new().max_states(30_000);
+    let clean = system().search(&opts());
+    assert!(
+        matches!(clean, Outcome::Bounded { .. }),
+        "{:?}",
+        clean.stats()
+    );
+
+    let path = ckpt_path("seal-cache", 0);
+    let _ = std::fs::remove_file(&path);
+    let sys = system();
+    assert_eq!(sys.symmetry_group_order(), 4);
+    let killed = sys
+        .try_search(
+            &opts()
+                .budget(Budget::unlimited().states(2_000))
+                .checkpoint_to(&path),
+        )
+        .unwrap();
+    assert!(killed.is_inconclusive(), "2 000-state budget must trip");
+
+    // Both runs stop at the cap, so `states` agrees trivially; a wrong
+    // cached orbit fingerprint would move the transition total.
+    for resumed_on in [&sys, &system()] {
+        let resumed = resumed_on.try_search(&opts().resume_from(&path)).unwrap();
+        assert!(
+            matches!(resumed, Outcome::Bounded { .. }),
+            "{:?}",
+            resumed.stats()
+        );
+        assert_eq!(resumed.stats().states, clean.stats().states);
+        assert_eq!(resumed.stats().transitions, clean.stats().transitions);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A cancel token trips mid-search from another thread and the drained
 /// checkpoint resumes to the full proof.
 #[test]
