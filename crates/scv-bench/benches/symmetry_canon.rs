@@ -8,8 +8,8 @@
 //! Both paths produce byte-identical encodings — asserted here on every
 //! state, so the bench doubles as a parity smoke test. The interesting
 //! number is the ratio: it isolates the refinement, residual-enumeration,
-//! and key-extension win from the cache effects the end-to-end `perf`
-//! binary folds in.
+//! and key-extension win from the seal-cache effects that end-to-end
+//! timings (verdictbench's `sweep`) fold in.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scv_mc::{SymmetryMode, TransitionSystem, VerifySystem};

@@ -11,8 +11,7 @@
 //! With `--report <path>`, one schema-versioned [`scv_telemetry::RunReport`]
 //! JSONL record is appended per experiment: wall-clock time, peak RSS, and
 //! the pipeline counter deltas (states admitted, observer/checker symbols,
-//! …) attributable to that experiment. `report_diff` compares two such
-//! files for regressions.
+//! …) attributable to that experiment.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

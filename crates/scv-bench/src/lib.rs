@@ -3,7 +3,9 @@
 //! Every table and figure of the reproduction (see `EXPERIMENTS.md`) is
 //! regenerated either by a Criterion bench in `benches/` or by the
 //! `experiments` binary in `src/bin/`, both of which build their inputs
-//! here so that measurements and tables use identical workloads.
+//! here so that measurements and tables use identical workloads. Time to
+//! verdict — the repository's one performance yardstick — is measured by
+//! the separate `verdictbench` package, not here.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -95,9 +95,7 @@ impl Fingerprinter {
 /// far smaller term: a probe false-hits only if its 128-bit
 /// [`Fingerprinter::seal_key`] equals one of at most 2²⁰ cached keys,
 /// probability ≤ 2²⁰·2⁻¹²⁸ = 2⁻¹⁰⁸, so a whole run adds at most
-/// `transitions · 2⁻¹⁰⁸` — under 10⁻²² below 10¹⁰ transitions. (The
-/// 64-bit keys this replaced false-hit with probability up to 2⁻⁴⁹ per
-/// probe in the direct-mapped L1 and about 2⁻⁴⁴ in the 2²⁰-entry L2.)
+/// `transitions · 2⁻¹⁰⁸` — under 10⁻²² below 10¹⁰ transitions.
 /// The figure returned here is the seen-set term alone.
 pub fn fp_collision_bound(states: usize) -> f64 {
     let n = states as f64;
@@ -404,22 +402,15 @@ impl<S, L, V> ControlledSearch<S, L, V> {
     }
 }
 
-/// Mirror a finished search's aggregates into the telemetry registry.
+/// Mirror a finished search's aggregates into the telemetry gauges.
 ///
-/// Engines that already stream counters during the run (the work-stealing
-/// searcher) pass `counters_live = true` so only gauges are written;
-/// the sequential engine publishes everything here. Gauges
-/// describe the *most recent* search — counters accumulate across runs.
-pub(crate) fn publish_search_stats(stats: &McStats, counters_live: bool) {
+/// Both engines stream their counters (`McStatesAdmitted`,
+/// `McTransitions`, `McStatesExpanded`, …) as they run, so this writes
+/// gauges only. Gauges describe the *most recent* search — counters
+/// accumulate across runs.
+pub(crate) fn publish_search_stats(stats: &McStats) {
     if !scv_telemetry::enabled() {
         return;
-    }
-    use scv_telemetry::Metric;
-    if !counters_live {
-        scv_telemetry::add(Metric::McStatesAdmitted, stats.states as u64);
-        scv_telemetry::add(Metric::McTransitions, stats.transitions as u64);
-        scv_telemetry::add(Metric::McSteals, stats.steals as u64);
-        scv_telemetry::add(Metric::McSeenBatches, stats.seen_batches as u64);
     }
     scv_telemetry::set_gauge("mc.states", stats.states as f64);
     scv_telemetry::set_gauge("mc.depth", stats.depth as f64);
@@ -445,7 +436,7 @@ pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::La
             unreachable!("an unlimited RunControl never interrupts")
         }
     };
-    publish_search_stats(&r.stats(), false);
+    publish_search_stats(&r.stats());
     r
 }
 
@@ -504,6 +495,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
             init_fp = fper.fp(&init);
             seen.insert(init_fp, None);
             stats.states = 1;
+            scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
             if let Some(reason) = sys.violation(&init) {
                 stats.elapsed = start.elapsed();
                 return ControlledSearch::Finished(SearchResult::Unsafe(
@@ -568,10 +560,6 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 frontier.len() as f64 + 1.0,
             );
             recorder::counter(recorder::CounterTrack::SeenStates, stats.states as f64);
-            recorder::set_live(
-                recorder::LiveGauge::FrontierDepth,
-                frontier.len() as u64 + 1,
-            );
         }
         // Admission gate: probe the seen-set with fingerprints so
         // duplicate successors are rejected before materialization.
@@ -581,10 +569,20 @@ pub fn bfs_controlled<T: TransitionSystem>(
             let transitions = &mut stats.transitions;
             let mut admit = |fps: &[u128], keep: &mut Vec<bool>| {
                 *transitions += fps.len();
+                scv_telemetry::add(scv_telemetry::Metric::McTransitions, fps.len() as u64);
                 keep.clear();
                 keep.extend(fps.iter().map(|fp| !seen.contains_key(fp)));
             };
             sys.expand_admitted(&s, &mut scratch, &fper, &mut admit, &mut admitted);
+        }
+        // The counters stream as the run goes (admitted states below, one
+        // at a time), so `--progress` and the registry follow a t=1 run.
+        if scv_telemetry::enabled() {
+            scv_telemetry::add(scv_telemetry::Metric::McStatesExpanded, 1);
+            recorder::set_live(
+                recorder::LiveGauge::FrontierDepth,
+                frontier.len() as u64 + 1,
+            );
         }
         for (label, t, fp) in admitted.drain(..) {
             // Authoritative insert: within-expansion duplicates both
@@ -594,6 +592,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 std::collections::hash_map::Entry::Vacant(v) => v.insert(Some((sfp, label))),
             };
             stats.states += 1;
+            scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
             stats.depth = stats.depth.max(d + 1);
             if let Some(reason) = sys.violation(&t) {
                 stats.elapsed = start.elapsed();

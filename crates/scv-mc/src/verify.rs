@@ -1340,7 +1340,7 @@ where
                     let mut stats = r.stats();
                     stats.elapsed = run_start.elapsed();
                     if !is_ws {
-                        publish_search_stats(&stats, false);
+                        publish_search_stats(&stats);
                     }
                     return Ok(match r {
                         SearchResult::Safe(_) => Outcome::Verified { stats },
@@ -1387,7 +1387,7 @@ where
                     };
                     stats.elapsed = run_start.elapsed();
                     if !is_ws {
-                        publish_search_stats(&stats, false);
+                        publish_search_stats(&stats);
                     }
                     return Ok(Outcome::Inconclusive {
                         reason,

@@ -48,7 +48,7 @@
 //! schedule (same `states` count), and a violation reachable within the
 //! limits is found by *some* worker before quiescence. Only searches
 //! truncated by `max_states`/`max_depth` may differ in which frontier
-//! they saw.
+//! they saw; a state-capped run still ends at exactly `max_states`.
 //! `tests/parallel_mc.rs` pins this battery down across the protocol zoo.
 //!
 //! **Interrupts** ([`ws_search_controlled`]): budgets and cancellation are
@@ -405,7 +405,6 @@ fn flush_stripe<T: TransitionSystem>(
     stats.seen_batches += 1;
     if scv_telemetry::enabled() {
         scv_telemetry::add(scv_telemetry::Metric::McSeenBatches, 1);
-        scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, batch_new as u64);
         scv_telemetry::record(scv_telemetry::Hist::SeenBatchYield, batch_new as u64);
     }
     if scv_telemetry::recorder_enabled() {
@@ -418,12 +417,26 @@ fn flush_stripe<T: TransitionSystem>(
     }
 
     let mut max_depth_seen = 0usize;
+    let admitted_before = stats.admitted;
     for (i, pending) in scratch.stripes[stripe].drain(..).enumerate() {
         if !scratch.flag_scratch[i] {
             continue;
         }
+        // Reserve a slot below the cap first: a state past it is neither
+        // counted, logged nor checked, so a capped run ends at exactly
+        // `max_states`, as sequential BFS does.
+        let Ok(prev) = shared
+            .states
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                ((n as usize) < shared.opts.max_states).then_some(n + 1)
+            })
+        else {
+            shared.state_limited.store(true, Ordering::Relaxed);
+            shared.stop.store(true, Ordering::Relaxed);
+            break;
+        };
+        let total = prev + 1;
         stats.admitted += 1;
-        let total = shared.states.fetch_add(1, Ordering::Relaxed) + 1;
         max_depth_seen = max_depth_seen.max(pending.depth);
         scratch
             .parent_log
@@ -463,6 +476,10 @@ fn flush_stripe<T: TransitionSystem>(
     shared
         .depth_max
         .fetch_max(max_depth_seen, Ordering::Relaxed);
+    scv_telemetry::add(
+        scv_telemetry::Metric::McStatesAdmitted,
+        (stats.admitted - admitted_before) as u64,
+    );
 }
 
 /// Work-stealing search; same contract as [`crate::mc::bfs`]. Returns
@@ -565,6 +582,8 @@ where
         }
         None => {
             let init = sys.initial();
+            // Counted as sequential BFS counts it: admitted before checked.
+            scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
             if let Some(reason) = sys.violation(&init) {
                 let stats = McStats {
                     states: 1,
@@ -638,7 +657,7 @@ where
         worker_stats.push(*ws);
     }
     stats.elapsed = start.elapsed();
-    crate::mc::publish_search_stats(&stats, true);
+    crate::mc::publish_search_stats(&stats);
     if scv_telemetry::enabled() {
         let loads = shared.seen.stripe_loads();
         let max = loads.iter().copied().max().unwrap_or(0);

@@ -2,8 +2,8 @@
 //!
 //! The build environment is offline (no `serde`), and the telemetry layer
 //! needs exactly two things: emit one JSON object per line (JSONL sinks,
-//! run reports) and read them back (schema tests, the `report_diff`
-//! tool). This module implements that subset: objects, arrays, strings
+//! run reports) and read them back (schema tests, [`crate::parse_reports`]).
+//! This module implements that subset: objects, arrays, strings
 //! with standard escapes, f64 numbers, booleans, and null. Numbers are
 //! always parsed as `f64` — every metric the pipeline emits fits.
 

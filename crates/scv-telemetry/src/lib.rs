@@ -15,7 +15,7 @@
 //! * **Pluggable sinks** ([`install`]) — a no-op sink, a human
 //!   `--telemetry=summary` table, and a `--telemetry=jsonl` stream of
 //!   schema-versioned events; [`RunReport`]s give each run a durable,
-//!   diffable record (see the `report_diff` tool in `scv-bench`).
+//!   machine-readable record.
 //!
 //! ## The overhead contract
 //!
@@ -47,7 +47,7 @@ pub use metrics::{
 pub use perfetto::{chrome_trace_json, validate_chrome_trace, write_chrome_trace, TraceStats};
 pub use progress::{start_progress, ProgressHandle, ProgressOptions};
 pub use recorder::{recorder_enabled, WorkerTimeline, DEFAULT_RING_CAPACITY};
-pub use report::{diff_reports, parse_reports, Direction, MetricDelta, RunReport, SCHEMA_VERSION};
+pub use report::{parse_reports, RunReport, SCHEMA_VERSION};
 pub use sink::{Event, JsonlSink, MemorySink, NoopSink, Sink, SummarySink};
 pub use span::{current_depth, Phase, PhaseTable, SpanGuard, ALL_PHASES, SAMPLE_PERIOD};
 

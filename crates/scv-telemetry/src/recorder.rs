@@ -451,13 +451,11 @@ pub fn timeline_events(t: &WorkerTimeline) -> Vec<crate::sink::Event> {
 #[derive(Clone, Copy, Debug)]
 #[repr(usize)]
 pub enum LiveGauge {
-    /// Items queued across worker deques right now.
+    /// States queued for expansion right now.
     FrontierDepth,
-    /// States admitted into the seen set so far.
-    SeenStates,
 }
 
-static LIVE: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+static LIVE: [AtomicU64; 1] = [AtomicU64::new(0)];
 
 /// Publish a live gauge (one relaxed store). Callers guard with
 /// [`crate::enabled`] or [`recorder_enabled`] as appropriate.

@@ -1,24 +1,22 @@
-//! Schema-versioned run reports and the regression-diff logic.
+//! Schema-versioned run reports.
 //!
 //! A [`RunReport`] is the machine-readable record of one pipeline run
 //! (one `scv verify`, one bench-harness experiment): a name, static
 //! parameters, a verdict, and a flat metric map. Reports are emitted as
-//! JSONL (`{"type":"run_report","schema":1,...}` — one per line), so a
-//! file of successive runs is an append-only perf trajectory that
-//! [`diff_reports`] (and the `report_diff` binary in `scv-bench`) can
-//! compare across commits.
+//! JSONL (`{"type":"run_report","schema":1,...}` — one per line) and read
+//! back with [`parse_reports`].
 
 use crate::json::{Json, JsonError};
 
 /// Version of every JSONL record this crate emits. Bump on any
-/// backwards-incompatible field change; `report_diff` refuses to compare
-/// across versions.
+/// backwards-incompatible field change; [`parse_reports`] rejects records
+/// of any other version.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// The machine-readable record of one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
-    /// Report name (protocol, experiment id, …) — the diff join key.
+    /// Report name (protocol, experiment id, …).
     pub name: String,
     /// Static parameters (`threads`, `strategy`, protocol sizes, …).
     pub params: Vec<(String, String)>,
@@ -147,83 +145,6 @@ pub fn parse_reports(jsonl: &str) -> Result<Vec<RunReport>, String> {
     Ok(out)
 }
 
-/// How a metric's change should be judged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Growth beyond the threshold is a regression (times, probe
-    /// lengths, idle spins).
-    LowerIsBetter,
-    /// Shrinkage beyond the threshold is a regression (throughput).
-    HigherIsBetter,
-    /// Informational only — never flags (state counts, depths).
-    Neutral,
-}
-
-/// The judging direction for a metric name. Times (`*_ns`, `*_secs`,
-/// `*.elapsed*`) and waste counters regress when they grow; `*per_sec*`
-/// throughput regresses when it shrinks; everything else is
-/// informational.
-pub fn direction_of(name: &str) -> Direction {
-    if name.contains("per_sec") {
-        return Direction::HigherIsBetter;
-    }
-    if name.ends_with("_ns")
-        || name.ends_with("_secs")
-        || name.contains("elapsed")
-        || name.ends_with("probe_len")
-        || name.ends_with("idle_spins")
-        || name.ends_with("peak_rss_bytes")
-    {
-        return Direction::LowerIsBetter;
-    }
-    Direction::Neutral
-}
-
-/// One metric compared across two reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricDelta {
-    /// Metric name.
-    pub name: String,
-    /// Value in the old report.
-    pub old: f64,
-    /// Value in the new report.
-    pub new: f64,
-    /// Percent change relative to old (`None` when old == 0).
-    pub pct: Option<f64>,
-    /// Judging direction applied.
-    pub direction: Direction,
-    /// Did this metric regress beyond the threshold?
-    pub regression: bool,
-}
-
-/// Compare two same-named reports metric by metric. `threshold_pct` is
-/// the tolerated adverse change (e.g. `10.0` = 10%); only metrics present
-/// in both reports are compared.
-pub fn diff_reports(old: &RunReport, new: &RunReport, threshold_pct: f64) -> Vec<MetricDelta> {
-    let mut out = Vec::new();
-    for (name, old_v) in &old.metrics {
-        let Some(new_v) = new.get_metric(name) else {
-            continue;
-        };
-        let pct = (*old_v != 0.0).then(|| (new_v - old_v) / old_v.abs() * 100.0);
-        let direction = direction_of(name);
-        let regression = match (direction, pct) {
-            (Direction::LowerIsBetter, Some(p)) => p > threshold_pct,
-            (Direction::HigherIsBetter, Some(p)) => p < -threshold_pct,
-            _ => false,
-        };
-        out.push(MetricDelta {
-            name: name.clone(),
-            old: *old_v,
-            new: new_v,
-            pct,
-            direction,
-            regression,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,33 +191,5 @@ mod tests {
         let future = "{\"type\":\"run_report\",\"schema\":999,\"name\":\"x\"}";
         assert!(parse_reports(future).is_err());
         assert!(parse_reports("not json").is_err());
-    }
-
-    #[test]
-    fn diff_flags_only_adverse_moves_beyond_threshold() {
-        let old = sample();
-        let new = RunReport::new("msi")
-            .metric("mc.states_admitted", 90_000.0) // neutral: no flag
-            .metric("search.total_ns", 1.5e9) // +20% time: regression at 10%
-            .metric("mc.states_per_sec", 50_000.0); // improved: no flag
-        let deltas = diff_reports(&old, &new, 10.0);
-        let by_name = |n: &str| deltas.iter().find(|d| d.name == n).unwrap();
-        assert!(!by_name("mc.states_admitted").regression);
-        assert!(by_name("search.total_ns").regression);
-        assert!(!by_name("mc.states_per_sec").regression);
-        // Same threshold, smaller growth: tolerated.
-        let ok = RunReport::new("msi").metric("search.total_ns", 1.3e9); // +4%
-        assert!(diff_reports(&old, &ok, 10.0).iter().all(|d| !d.regression));
-        // Throughput collapse is flagged.
-        let slow = RunReport::new("msi").metric("mc.states_per_sec", 10_000.0);
-        assert!(diff_reports(&old, &slow, 10.0).iter().any(|d| d.regression));
-    }
-
-    #[test]
-    fn directions_follow_naming_convention() {
-        assert_eq!(direction_of("search.total_ns"), Direction::LowerIsBetter);
-        assert_eq!(direction_of("mc.states_per_sec"), Direction::HigherIsBetter);
-        assert_eq!(direction_of("mc.states_admitted"), Direction::Neutral);
-        assert_eq!(direction_of("seen.probe_len"), Direction::LowerIsBetter);
     }
 }

@@ -193,6 +193,19 @@ fn fig4_rejected_on_all_engines() {
 // ---- tolerance of the sequential reachable-class count (see the module
 // ---- docs for why exact equality is not the right spec).
 
+/// A state cap is exact on every engine: work-stealing workers reserve a
+/// slot below the cap before they count, log or check a state, so a capped
+/// run ends at `max_states`, as sequential BFS does.
+#[test]
+fn capped_runs_end_at_exactly_max_states() {
+    let cap = 3_000;
+    for threads in [1usize, 2, 4] {
+        let out = verify_protocol(MsiProtocol::new(Params::new(2, 1, 2)), opts(cap, threads));
+        assert_eq!(verdict(&out), "Bounded", "threads={threads}");
+        assert_eq!(out.stats().states, cap, "threads={threads}");
+    }
+}
+
 /// Maximum relative drift allowed between an asynchronous engine's
 /// reachable-class count and sequential BFS's. Measured drift on the
 /// SerialMemory(2,1,1) product is ~1–3%; 5% gives headroom without

@@ -28,17 +28,18 @@ fn opts(threads: usize) -> VerifyOptions {
 
 #[test]
 fn same_verdict_and_state_count_with_telemetry_on_and_off() {
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         let off = {
             let _session = telemetry::TestSession::start_disabled();
             verify_protocol(small_serial(), opts(threads))
         };
-        let (on, admitted) = {
+        let (on, admitted, transitions) = {
             let session = telemetry::TestSession::start();
             let out = verify_protocol(small_serial(), opts(threads));
             let admitted = telemetry::registry().get(telemetry::Metric::McStatesAdmitted);
+            let transitions = telemetry::registry().get(telemetry::Metric::McTransitions);
             drop(session);
-            (out, admitted)
+            (out, admitted, transitions)
         };
         assert!(off.is_verified(), "threads={threads}: baseline must verify");
         assert!(
@@ -50,15 +51,71 @@ fn same_verdict_and_state_count_with_telemetry_on_and_off() {
             on.stats().states,
             "threads={threads}: exhaustive state count must not depend on telemetry"
         );
-        // The registry counter mirrors the search (the work-stealing
-        // engine live-counts admissions excluding the initial state; the
-        // sequential engine publishes the full total at the end).
-        let states = on.stats().states as u64;
-        assert!(
-            admitted == states || admitted == states - 1,
-            "threads={threads}: mc.states_admitted={admitted} vs states={states}"
+        // Both engines stream their counters, the initial state included,
+        // so on an exhaustive run the registry totals are the search's.
+        assert_eq!(
+            admitted,
+            on.stats().states as u64,
+            "threads={threads}: mc.states_admitted"
+        );
+        assert_eq!(
+            transitions,
+            on.stats().transitions as u64,
+            "threads={threads}: mc.transitions"
         );
     }
+}
+
+/// A counter modulo `n` whose safety hook samples the registry's
+/// admitted-state counter each time a state is admitted.
+struct SampledCounter {
+    n: u32,
+    samples: std::cell::RefCell<Vec<u64>>,
+}
+
+impl sc_verify::mc::TransitionSystem for SampledCounter {
+    type State = u32;
+    type Label = ();
+    type Violation = String;
+
+    fn initial(&self) -> u32 {
+        0
+    }
+    fn successors(&self, s: &u32) -> Vec<((), u32)> {
+        vec![((), (s + 1) % self.n), ((), (s * 2) % self.n)]
+    }
+    fn violation(&self, _: &u32) -> Option<String> {
+        let admitted = telemetry::registry().get(telemetry::Metric::McStatesAdmitted);
+        self.samples.borrow_mut().push(admitted);
+        None
+    }
+}
+
+/// `--progress` reads the registry while the search runs, so sequential
+/// BFS (t=1) must stream its counters rather than publish them at the end.
+#[test]
+fn sequential_search_streams_admitted_states() {
+    let _session = telemetry::TestSession::start();
+    let sys = SampledCounter {
+        n: 500,
+        samples: Default::default(),
+    };
+    let r = sc_verify::mc::bfs(&sys, BfsOptions::default());
+    assert!(r.is_safe());
+    let samples = sys.samples.into_inner();
+    assert_eq!(samples.len(), 500, "one sample per admitted state");
+    // The k-th admitted state sees itself and every state before it.
+    for (k, &seen) in samples.iter().enumerate() {
+        assert_eq!(seen, k as u64 + 1, "mc.states_admitted at state {k}");
+    }
+    assert_eq!(
+        telemetry::registry().get(telemetry::Metric::McStatesAdmitted),
+        r.stats().states as u64
+    );
+    assert_eq!(
+        telemetry::registry().get(telemetry::Metric::McTransitions),
+        r.stats().transitions as u64
+    );
 }
 
 #[test]
