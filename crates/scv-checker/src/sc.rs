@@ -97,19 +97,29 @@ impl std::error::Error for ScError {}
 pub type ScVerdict = Result<(), ScError>;
 
 /// A growable bitset over slot indices (the reachability closure rows).
+/// Word 0 (slots 0..64) lives inline, and only slots ≥ 64 spill into
+/// `rest` (`rest[i]` is word `i + 1`). Retained nodes rarely reach slot
+/// 64, so a row usually costs no allocation at all.
 #[derive(PartialEq, Eq, Debug, Default)]
-struct SlotSet(Vec<u64>);
+struct SlotSet {
+    w0: u64,
+    rest: Vec<u64>,
+}
 
-// Manual `Clone` so `clone_from` reuses the word buffer: closure rows are
+// Manual `Clone` so `clone_from` reuses the spill buffer: closure rows are
 // copied once per replayed candidate on the lazy expansion path, and the
-// derived impl would reallocate each row.
+// derived impl would reallocate each spilled row.
 impl Clone for SlotSet {
     fn clone(&self) -> Self {
-        SlotSet(self.0.clone())
+        SlotSet {
+            w0: self.w0,
+            rest: self.rest.clone(),
+        }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.0.clone_from(&source.0);
+        self.w0 = source.w0;
+        self.rest.clone_from(&source.rest);
     }
 }
 
@@ -117,48 +127,63 @@ impl SlotSet {
     #[inline]
     fn get(&self, slot: u32) -> bool {
         let (w, b) = ((slot / 64) as usize, slot % 64);
-        self.0.get(w).is_some_and(|x| x & (1 << b) != 0)
+        let word = if w == 0 {
+            self.w0
+        } else {
+            self.rest.get(w - 1).copied().unwrap_or(0)
+        };
+        word & (1 << b) != 0
     }
 
     #[inline]
     fn set(&mut self, slot: u32) {
         let (w, b) = ((slot / 64) as usize, slot % 64);
-        if self.0.len() <= w {
-            self.0.resize(w + 1, 0);
+        if w == 0 {
+            self.w0 |= 1 << b;
+            return;
         }
-        self.0[w] |= 1 << b;
+        if self.rest.len() < w {
+            self.rest.resize(w, 0);
+        }
+        self.rest[w - 1] |= 1 << b;
     }
 
     #[inline]
     fn clear(&mut self, slot: u32) {
         let (w, b) = ((slot / 64) as usize, slot % 64);
-        if let Some(x) = self.0.get_mut(w) {
+        if w == 0 {
+            self.w0 &= !(1 << b);
+        } else if let Some(x) = self.rest.get_mut(w - 1) {
             *x &= !(1 << b);
         }
     }
 
     #[inline]
     fn or_with(&mut self, other: &SlotSet) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
+        self.w0 |= other.w0;
+        if self.rest.len() < other.rest.len() {
+            self.rest.resize(other.rest.len(), 0);
         }
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        for (a, b) in self.rest.iter_mut().zip(&other.rest) {
             *a |= b;
         }
     }
 
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &x)| {
-            let mut bits = x;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some(w as u32 * 64 + b)
+        std::iter::once(self.w0)
+            .chain(self.rest.iter().copied())
+            .enumerate()
+            .flat_map(|(w, x)| {
+                let mut bits = x;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    Some(w as u32 * 64 + b)
+                })
             })
-        })
     }
 }
 
@@ -315,11 +340,12 @@ impl OrderTally {
 }
 
 /// A small map kept as a key-sorted `Vec<(K, V)>`. The checker's tallies
-/// hold at most one entry per processor, block or (processor, block), so
-/// a binary search beats a tree, iteration runs in key order exactly like
-/// the `BTreeMap` it replaced (the canonical encoding depends on that
-/// order), and `clone_from` — once per replayed candidate on the lazy
-/// expansion path — copies into the existing allocation.
+/// hold at most one entry per processor, block or (processor, block), and
+/// its owner table one per live descriptor ID, so a binary search beats a
+/// tree, iteration runs in key order exactly like the `BTreeMap` it
+/// replaced (the canonical encoding depends on that order), and
+/// `clone_from` — once per replayed candidate on the lazy expansion path —
+/// copies into the existing allocation.
 #[derive(PartialEq, Eq, Debug)]
 struct SortedMap<K, V>(Vec<(K, V)>);
 
@@ -372,6 +398,11 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
                 None
             }
         }
+    }
+
+    /// Remove `k`, returning its value.
+    fn remove(&mut self, k: K) -> Option<V> {
+        self.find(k).ok().map(|i| self.0.remove(i).1)
     }
 
     /// Entries in ascending key order.
@@ -459,7 +490,10 @@ pub struct ScStats {
 #[derive(PartialEq, Eq, Debug)]
 pub struct ScChecker {
     k: u32,
-    owner: Vec<Option<Handle>>,
+    /// The node each live descriptor ID names. Sized by the live IDs, not
+    /// by `k`: most of `1..=k+1` is unowned at any time, and every product
+    /// state carries this table.
+    owner: SortedMap<IdNum, Handle>,
     slots: Vec<Option<NodeRec>>,
     free_slots: Vec<u32>,
     next_gen: u32,
@@ -518,7 +552,7 @@ impl ScChecker {
     pub fn new(k: u32) -> Self {
         ScChecker {
             k,
-            owner: vec![None; (k + 1) as usize],
+            owner: SortedMap::default(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             next_gen: 1,
@@ -544,7 +578,11 @@ impl ScChecker {
 
     /// Number of currently retained (active + deferred) nodes.
     pub fn retained_count(&self) -> usize {
-        self.slots.iter().flatten().count()
+        // Finalization is the only place a slot empties, and it frees the
+        // slot, so the empty slots are exactly the free ones.
+        let n = self.slots.len() - self.free_slots.len();
+        debug_assert_eq!(n, self.slots.iter().flatten().count());
+        n
     }
 
     /// Has the checker already rejected?
@@ -597,6 +635,8 @@ impl ScChecker {
                 kind,
             })
         };
+        // The owner table is keyed, not indexed, by ID, so this is the
+        // only guard against IDs outside `1..=k+1`.
         let in_range = |id: IdNum| id >= 1 && id <= self.k + 1;
         if !in_range(sym.min_id()) || !in_range(sym.max_id()) {
             return reject(ScErrorKind::IdOutOfRange);
@@ -608,7 +648,7 @@ impl ScChecker {
                 };
                 self.retire_id(id)?;
                 let h = self.alloc_node(op, pos)?;
-                self.owner[(id - 1) as usize] = Some(h);
+                self.owner.insert(id, h);
                 self.rec_mut(h).id_count = 1;
                 self.on_node_created(h, op);
                 Ok(())
@@ -618,17 +658,14 @@ impl ScChecker {
                     return Ok(());
                 }
                 self.retire_id(add)?;
-                if let Some(h) = self.owner[(of - 1) as usize] {
-                    self.owner[(add - 1) as usize] = Some(h);
+                if let Some(&h) = self.owner.get(of) {
+                    self.owner.insert(add, h);
                     self.rec_mut(h).id_count += 1;
                 }
                 Ok(())
             }
             Symbol::Edge { from, to, label } => {
-                let (Some(u), Some(v)) = (
-                    self.owner[(from - 1) as usize],
-                    self.owner[(to - 1) as usize],
-                ) else {
+                let (Some(&u), Some(&v)) = (self.owner.get(from), self.owner.get(to)) else {
                     return reject(ScErrorKind::DanglingEdge);
                 };
                 let Some(ann) = label.filter(|a| !a.is_empty()) else {
@@ -864,9 +901,7 @@ impl ScChecker {
         owners.extend(
             self.owner
                 .iter()
-                .enumerate()
-                .filter_map(|(i, o)| o.map(|h| (i as u32 + 1, h)))
-                .map(|(id, h)| (ids.canon(id), tok(Some(h)))),
+                .map(|(id, &h)| (ids.canon(id), tok(Some(h)))),
         );
         owners.sort_unstable();
         emit!(owners.len() as u64);
@@ -1079,7 +1114,7 @@ impl ScChecker {
     /// Drop ID `id`; if its owner lost its last ID, run the deactivation
     /// checks and possibly finalize it.
     fn retire_id(&mut self, id: IdNum) -> ScVerdict {
-        let Some(h) = self.owner[(id - 1) as usize].take() else {
+        let Some(h) = self.owner.remove(id) else {
             return Ok(());
         };
         let r = self.rec_mut(h);
@@ -1963,6 +1998,54 @@ mod closure_tests {
         b.canonical_encoding(&mut eb, &mut IdCanon::new(2));
         // The store's value still distinguishes the states.
         assert_ne!(ea, eb);
+    }
+
+    #[test]
+    fn id_boundaries() {
+        let k = 3;
+        let encoding = |c: &ScChecker| {
+            let mut e = Vec::new();
+            c.canonical_encoding(&mut e, &mut IdCanon::new(2));
+            e
+        };
+        // IDs range over 1..=k+1: 0 and k+2 are rejected, not indexed.
+        for bad in [
+            Symbol::node(0, st(1, 1, 1)),
+            Symbol::node(k + 2, st(1, 1, 1)),
+            Symbol::AddId { of: 1, add: k + 2 },
+            Symbol::edge(1, k + 2, EdgeSet::PO),
+        ] {
+            let mut c = ScChecker::new(k);
+            c.step(&Symbol::node(1, st(1, 1, 1))).unwrap();
+            let err = c.step(&bad).unwrap_err();
+            assert_eq!(err.kind, ScErrorKind::IdOutOfRange, "{bad:?}");
+        }
+        // The null ID k+1 is legal: it can name a node, and copying it
+        // (never owned in observer output) orphans the target ID.
+        let mut c = ScChecker::new(k);
+        c.step(&Symbol::node(k + 1, st(1, 1, 1))).unwrap();
+        c.step(&Symbol::node(1, st(2, 1, 2))).unwrap();
+        c.step(&Symbol::edge(k + 1, 1, EdgeSet::STO)).unwrap();
+        let mut c = ScChecker::new(k);
+        c.step(&Symbol::node(1, st(1, 1, 1))).unwrap();
+        c.step(&Symbol::AddId { of: k + 1, add: 1 }).unwrap();
+        c.step(&Symbol::node(2, st(1, 1, 2))).unwrap();
+        let err = c.step(&Symbol::edge(1, 2, EdgeSet::PO)).unwrap_err();
+        assert_eq!(err.kind, ScErrorKind::DanglingEdge);
+        // An edge on an in-range ID that names no node dangles.
+        let mut c = ScChecker::new(k);
+        c.step(&Symbol::node(1, st(1, 1, 1))).unwrap();
+        let err = c.step(&Symbol::edge(1, 2, EdgeSet::PO)).unwrap_err();
+        assert_eq!(err.kind, ScErrorKind::DanglingEdge);
+        // Copying an unowned ID onto an unowned ID changes nothing.
+        let mut c = ScChecker::new(k);
+        c.step(&Symbol::node(1, st(1, 1, 1))).unwrap();
+        let before = encoding(&c);
+        c.step(&Symbol::AddId { of: 2, add: 3 }).unwrap();
+        assert_eq!(encoding(&c), before);
+        assert_eq!(c.retained_count(), 1);
+        let err = c.step(&Symbol::edge(1, 3, EdgeSet::PO)).unwrap_err();
+        assert_eq!(err.kind, ScErrorKind::DanglingEdge);
     }
 
     #[test]

@@ -186,8 +186,11 @@ pub struct Observer {
     cfg: ObserverConfig,
     /// Owner (node key) per location ID `1..=L`.
     loc_owner: Vec<Option<Key>>,
-    /// Free auxiliary IDs (`L+1 ..= L+A`).
-    aux_free: Vec<IdNum>,
+    /// The auxiliary pool `L+1 ..= L+A` is handed out lowest-first: IDs
+    /// below `aux_next` have been used, those at or above it never were.
+    aux_next: IdNum,
+    /// Used auxiliary IDs released since, reissued last-released first.
+    aux_released: Vec<IdNum>,
     aux_total: usize,
     /// Live node records.
     nodes: NodeMap,
@@ -219,7 +222,8 @@ impl Clone for Observer {
         Observer {
             cfg: self.cfg.clone(),
             loc_owner: self.loc_owner.clone(),
-            aux_free: self.aux_free.clone(),
+            aux_next: self.aux_next,
+            aux_released: self.aux_released.clone(),
             aux_total: self.aux_total,
             nodes: self.nodes.clone(),
             next_key: self.next_key,
@@ -237,7 +241,8 @@ impl Clone for Observer {
     fn clone_from(&mut self, source: &Self) {
         self.cfg = source.cfg.clone();
         self.loc_owner.clone_from(&source.loc_owner);
-        self.aux_free.clone_from(&source.aux_free);
+        self.aux_next = source.aux_next;
+        self.aux_released.clone_from(&source.aux_released);
         self.aux_total = source.aux_total;
         self.nodes.clone_from(&source.nodes);
         self.next_key = source.next_key;
@@ -262,7 +267,6 @@ impl Observer {
         // Theorem 4.1 (program-order anchors + ST tails + heirs + ⊥
         // anchors + first/forced-target stores), with slack.
         let aux_total = p + b + p * (b + l) + p * b + 2 * b + l + 8;
-        let aux_free: Vec<IdNum> = ((l as u32 + 1)..=(l + aux_total) as u32).rev().collect();
         let serialization_of = match &cfg.policy {
             StOrderPolicy::RealTime => HashMap::new(),
             StOrderPolicy::Serialization { locs } => locs
@@ -273,7 +277,8 @@ impl Observer {
         };
         Observer {
             loc_owner: vec![None; l],
-            aux_free,
+            aux_next: l as IdNum + 1,
+            aux_released: Vec::new(),
             aux_total,
             nodes: NodeMap::default(),
             next_key: 0,
@@ -329,10 +334,7 @@ impl Observer {
         }
         self.stats.symbols += out.len() - before;
         self.stats.max_live_nodes = self.stats.max_live_nodes.max(self.nodes.len());
-        self.stats.max_aux_in_use = self
-            .stats
-            .max_aux_in_use
-            .max(self.aux_total - self.aux_free.len());
+        self.stats.max_aux_in_use = self.stats.max_aux_in_use.max(self.aux_in_use());
     }
 
     /// Are there stores still awaiting serialization (so that
@@ -641,10 +643,22 @@ impl Observer {
         self.gc(key);
     }
 
+    /// An auxiliary ID: the last released one, else the lowest never used.
     fn grab_aux(&mut self) -> IdNum {
-        self.aux_free
-            .pop()
-            .expect("auxiliary ID pool exhausted (pin-analysis bound violated)")
+        if let Some(aux) = self.aux_released.pop() {
+            return aux;
+        }
+        assert!(
+            self.aux_next <= self.k(),
+            "auxiliary ID pool exhausted (pin-analysis bound violated)"
+        );
+        self.aux_next += 1;
+        self.aux_next - 1
+    }
+
+    /// Auxiliary IDs currently held by nodes.
+    fn aux_in_use(&self) -> usize {
+        (self.aux_next - self.cfg.locations - 1) as usize - self.aux_released.len()
     }
 
     /// Queue an edge for emission at the next flush, merging annotations.
@@ -937,7 +951,7 @@ impl Observer {
         if let Some(aux) = n.aux {
             // The ID simply becomes reusable; the checker treats the next
             // use of `aux` as the removal of this node.
-            self.aux_free.push(aux);
+            self.aux_released.push(aux);
         }
         self.nodes.remove(&key);
     }
@@ -1186,6 +1200,75 @@ mod tests {
         let cg = dg.to_constraint_graph().unwrap();
         // Node numbering: 0 = ST(P1), 1 = ST(P2); STo edge 1 -> 0.
         assert!(cg.edge(1, 0).unwrap().contains(EdgeSet::STO));
+    }
+
+    /// The aux pool issues IDs in the order of a full free stack: the
+    /// last released ID first, else the lowest never used, and panics
+    /// once every ID up to `k` is held.
+    #[test]
+    #[should_panic(expected = "auxiliary ID pool exhausted")]
+    fn aux_pool_order_and_exhaustion() {
+        let mut obs = Observer::new(ObserverConfig::from_protocol(&MsiProtocol::new(
+            Params::new(2, 1, 1),
+        )));
+        let l = obs.location_count();
+        assert_eq!(
+            [obs.grab_aux(), obs.grab_aux(), obs.grab_aux()],
+            [l + 1, l + 2, l + 3]
+        );
+        obs.aux_released.extend([l + 1, l + 3]);
+        assert_eq!(obs.aux_in_use(), 1);
+        assert_eq!(
+            [obs.grab_aux(), obs.grab_aux(), obs.grab_aux()],
+            [l + 3, l + 1, l + 4]
+        );
+        while obs.aux_in_use() < obs.aux_total {
+            obs.grab_aux();
+        }
+        assert_eq!(obs.aux_next, obs.k() + 1);
+        obs.grab_aux();
+    }
+
+    /// The size statistics of seeded runs: `(max_aux_in_use,
+    /// max_live_nodes, max_retained)` for seeds 1..=4, 300 steps each.
+    fn size_stats<P: Protocol + Clone>(p: &P) -> Vec<(usize, usize, usize)> {
+        (1..=4)
+            .map(|seed| {
+                let run = random_run(p, 300, seed);
+                let mut obs = Observer::new(ObserverConfig::from_protocol(p));
+                let mut chk = ScChecker::new(obs.k());
+                let mut syms = Vec::new();
+                for s in &run.steps {
+                    obs.step(s, &mut syms);
+                }
+                obs.finish(&mut syms);
+                for s in &syms {
+                    chk.step(s).expect("SC protocol run accepted");
+                }
+                let (o, c) = (obs.stats(), chk.stats());
+                (o.max_aux_in_use, o.max_live_nodes, c.max_retained)
+            })
+            .collect()
+    }
+
+    /// Pinned before the checker's owner table and the observer's aux pool
+    /// were resized by live IDs: the per-state layout changed, the
+    /// high-water marks of what is live must not.
+    #[test]
+    fn size_statistics_are_pinned() {
+        let params = Params::new(2, 2, 2);
+        assert_eq!(
+            size_stats(&MsiProtocol::new(params)),
+            [(7, 10, 13), (7, 10, 14), (7, 10, 12), (6, 9, 12)]
+        );
+        assert_eq!(
+            size_stats(&DirectoryProtocol::new(params)),
+            [(6, 9, 12), (6, 9, 14), (6, 9, 14), (6, 10, 12)]
+        );
+        assert_eq!(
+            size_stats(&LazyCaching::new(params, 1, 1)),
+            [(4, 8, 9), (3, 7, 8), (4, 9, 9), (3, 8, 8)]
+        );
     }
 
     #[test]
