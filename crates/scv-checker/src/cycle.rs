@@ -101,12 +101,6 @@ impl CycleChecker {
     pub fn step(&mut self, sym: &Symbol) -> Result<(), CycleError> {
         let pos = self.position;
         self.position += 1;
-        if scv_telemetry::enabled() {
-            scv_telemetry::add(scv_telemetry::Metric::CycleSymbols, 1);
-            if matches!(sym, Symbol::Edge { .. }) {
-                scv_telemetry::add(scv_telemetry::Metric::CycleEdges, 1);
-            }
-        }
         let in_range = |id: IdNum| id >= 1 && id <= self.k + 1;
         if !in_range(sym.min_id()) || !in_range(sym.max_id()) {
             return Err(CycleError::IdOutOfRange { position: pos });

@@ -118,10 +118,6 @@ impl std::error::Error for DecodeError {}
 /// decoding statistics.
 pub fn decode(d: &Descriptor) -> Result<(DecodedGraph, DecodeStats), DecodeError> {
     let _t = scv_telemetry::timer(scv_telemetry::Phase::DescriptorDecode);
-    scv_telemetry::add(
-        scv_telemetry::Metric::DescriptorSymbolsDecoded,
-        d.symbols.len() as u64,
-    );
     let mut table = IdTable::new(d.k);
     let mut g = DecodedGraph::default();
     let mut stats = DecodeStats::default();

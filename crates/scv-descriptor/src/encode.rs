@@ -126,10 +126,6 @@ pub fn encode(g: &ConstraintGraph, k: u32) -> Result<Descriptor, EncodeError> {
         free.sort_unstable_by(|a, b| b.cmp(a));
     }
     debug_assert!(d.ids_in_range());
-    scv_telemetry::add(
-        scv_telemetry::Metric::DescriptorSymbolsEncoded,
-        d.symbols.len() as u64,
-    );
     Ok(d)
 }
 

@@ -901,7 +901,6 @@ pub(crate) fn fast_min<P: Symmetry>(
         if residual_total <= plan.outer_base.len() as u64 {
             scv_telemetry::add(Metric::SymRefineExact, 1);
         } else {
-            scv_telemetry::add(Metric::SymResidualEnum, 1);
             scv_telemetry::record(Hist::SymResidualGroupSize, residual_total);
         }
     }

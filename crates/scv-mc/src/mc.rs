@@ -402,24 +402,6 @@ impl<S, L, V> ControlledSearch<S, L, V> {
     }
 }
 
-/// Mirror a finished search's aggregates into the telemetry gauges.
-///
-/// Both engines stream their counters (`McStatesAdmitted`,
-/// `McTransitions`, `McStatesExpanded`, …) as they run, so this writes
-/// gauges only. Gauges describe the *most recent* search — counters
-/// accumulate across runs.
-pub(crate) fn publish_search_stats(stats: &McStats) {
-    if !scv_telemetry::enabled() {
-        return;
-    }
-    scv_telemetry::set_gauge("mc.states", stats.states as f64);
-    scv_telemetry::set_gauge("mc.depth", stats.depth as f64);
-    scv_telemetry::set_gauge("mc.workers", stats.workers as f64);
-    scv_telemetry::set_gauge("mc.peak_frontier", stats.peak_frontier as f64);
-    scv_telemetry::set_gauge("mc.states_per_sec", stats.states_per_sec());
-    scv_telemetry::set_gauge("mc.elapsed_secs", stats.elapsed.as_secs_f64());
-}
-
 /// The sequential seen map: fingerprint → parent edge (`None` for the
 /// initial state and for fingerprints restored from a checkpoint's seen
 /// list).
@@ -430,14 +412,12 @@ type SeenMap<L> = HashMap<u128, Option<(u128, L)>, FpBuild>;
 /// [`Fingerprinter`]); full states live only in the frontier.
 pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::Label, T::Violation> {
     let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-    let r = match bfs_controlled(sys, opts, &RunControl::unlimited(), None) {
+    match bfs_controlled(sys, opts, &RunControl::unlimited(), None) {
         ControlledSearch::Finished(r) => r,
         ControlledSearch::Interrupted { .. } => {
             unreachable!("an unlimited RunControl never interrupts")
         }
-    };
-    publish_search_stats(&r.stats());
-    r
+    }
 }
 
 /// Sequential BFS under a [`RunControl`], optionally resuming a prior
@@ -578,7 +558,6 @@ pub fn bfs_controlled<T: TransitionSystem>(
         // The counters stream as the run goes (admitted states below, one
         // at a time), so `--progress` and the registry follow a t=1 run.
         if scv_telemetry::enabled() {
-            scv_telemetry::add(scv_telemetry::Metric::McStatesExpanded, 1);
             recorder::set_live(
                 recorder::LiveGauge::FrontierDepth,
                 frontier.len() as u64 + 1,

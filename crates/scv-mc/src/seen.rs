@@ -49,27 +49,19 @@ impl Shard {
 
     /// Insert without growth check; returns true if newly inserted.
     fn insert_raw(&mut self, fp: u128) -> bool {
-        self.insert_raw_probed(fp).0
-    }
-
-    /// [`Shard::insert_raw`], also reporting the number of slots probed
-    /// (1 = direct hit) for the telemetry probe-length histogram.
-    fn insert_raw_probed(&mut self, fp: u128) -> (bool, u64) {
         let mask = self.slots.len() - 1;
         let mut i = (fp as usize) & mask;
-        let mut probes = 1u64;
         loop {
             let slot = self.slots[i];
             if slot == 0 {
                 self.slots[i] = fp;
                 self.len += 1;
-                return (true, probes);
+                return true;
             }
             if slot == fp {
-                return (false, probes);
+                return false;
             }
             i = (i + 1) & mask;
-            probes += 1;
         }
     }
 
@@ -176,16 +168,13 @@ impl StripedSeen {
     /// `true`). Returns the number of new fingerprints.
     pub fn insert_batch(&self, shard: usize, fps: &[u128], is_new: &mut Vec<bool>) -> usize {
         debug_assert!(fps.iter().all(|&fp| self.shard_of(fp) == shard));
-        let telemetry = scv_telemetry::enabled();
-        let mut probes_total = 0u64;
         let mut guard = self.shards[shard].lock().unwrap();
         guard.reserve(fps.len());
         let mut new = 0usize;
         for &fp in fps {
-            let (inserted, probes) = guard.insert_raw_probed(desentinel(fp));
+            let inserted = guard.insert_raw(desentinel(fp));
             new += inserted as usize;
             is_new.push(inserted);
-            probes_total += probes;
         }
         drop(guard);
         if scv_telemetry::recorder_enabled() {
@@ -195,19 +184,6 @@ impl StripedSeen {
                 scv_telemetry::recorder::InstantKind::AdmissionBatch,
                 new as u64,
             );
-        }
-        if telemetry {
-            // Probe lengths at batch granularity: the total probe count
-            // feeds the average; the histogram gets one batch-mean sample
-            // per lock acquisition so hot inserts stay cheap.
-            scv_telemetry::add(scv_telemetry::Metric::SeenInserts, fps.len() as u64);
-            scv_telemetry::add(scv_telemetry::Metric::SeenProbes, probes_total);
-            if !fps.is_empty() {
-                scv_telemetry::record(
-                    scv_telemetry::Hist::SeenProbeLen,
-                    probes_total / fps.len() as u64,
-                );
-            }
         }
         new
     }
@@ -270,11 +246,6 @@ impl StripedSeen {
             out.extend(guard.slots.iter().copied().filter(|&fp| fp != 0));
         }
         out
-    }
-
-    /// Occupancy of every stripe, for end-of-run load-balance gauges.
-    pub fn stripe_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().unwrap().len).collect()
     }
 
     /// Total fingerprints stored. Exact when no concurrent inserts are in

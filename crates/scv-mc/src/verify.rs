@@ -6,8 +6,8 @@ use crate::canon::{self, CanonScratch, FastPlan};
 use crate::checkpoint::{CheckpointError, CheckpointFile};
 use crate::control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 use crate::mc::{
-    bfs_controlled, eager_expand, publish_search_stats, BfsOptions, ControlledSearch,
-    ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
+    bfs_controlled, eager_expand, BfsOptions, ControlledSearch, ExpandScratch, Fingerprinter,
+    McStats, SearchCheckpoint, SearchResult, TransitionSystem,
 };
 use crate::sip::FpBuild;
 use crate::ws::ws_search_controlled;
@@ -15,7 +15,7 @@ use scv_checker::{ScChecker, ScError};
 use scv_descriptor::Symbol;
 use scv_observer::{Observer, ObserverConfig};
 use scv_protocol::{location_maps, Action, Step, Symmetry, Transition};
-use scv_types::{Op, SymDims, SymPerm, Trace};
+use scv_types::{Op, Params, SymDims, SymPerm, Trace};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -93,6 +93,17 @@ impl SymmetryMode {
             SymmetryMode::Proc => SymDims::PROCS,
             SymmetryMode::Full | SymmetryMode::FullEnum => SymDims::FULL,
         }
+    }
+
+    /// The dimensions this mode quotients a protocol by, and the ones
+    /// [`GROUP_CAP`] dropped: the requested dimensions the protocol
+    /// declares sound (`declared`), shrunk by [`SymPerm::capped_dims`]
+    /// until the group fits the cap. The group order is
+    /// [`SymPerm::group_order`] of the first.
+    pub fn effective_dims(self, params: Params, declared: SymDims) -> (SymDims, SymDims) {
+        let dims = self.requested_dims().intersect(declared);
+        let kept = SymPerm::capped_dims(params, dims, GROUP_CAP);
+        (kept, dims.difference(kept))
     }
 
     /// The single-byte encoding used by the checkpoint file format.
@@ -378,20 +389,11 @@ impl<P: Symmetry> VerifySystem<P> {
     /// Build the product system, quotienting by the protocol's symmetry
     /// group as far as `mode` requests and the protocol declares sound.
     pub fn with_symmetry(protocol: P, mode: SymmetryMode) -> Self {
-        let dims = mode.requested_dims().intersect(protocol.symmetry_dims());
+        let (dims, _) = mode.effective_dims(protocol.params(), protocol.symmetry_dims());
         let mut perms = Vec::new();
         let mut fast = None;
         if dims.any() {
-            let capped = SymPerm::capped_dims(protocol.params(), dims, GROUP_CAP);
-            if capped != dims && scv_telemetry::enabled() {
-                // The cap degraded the quotient: record by how much (the
-                // ratio of the requested group order to the enumerated
-                // one — an upper bound on the forfeited state reduction).
-                let requested = SymPerm::group_order(protocol.params(), dims) as f64;
-                let kept = SymPerm::group_order(protocol.params(), capped) as f64;
-                scv_telemetry::set_gauge("symmetry.cap_degradation", requested / kept);
-            }
-            let group = SymPerm::group(protocol.params(), capped, GROUP_CAP);
+            let group = SymPerm::group(protocol.params(), dims, GROUP_CAP);
             if group.len() > 1 {
                 debug_assert!(group[0].is_identity(), "group must lead with identity");
                 perms = group
@@ -406,12 +408,9 @@ impl<P: Symmetry> VerifySystem<P> {
                     })
                     .collect();
                 if mode != SymmetryMode::FullEnum {
-                    fast = FastPlan::build(&protocol, capped, &perms);
+                    fast = FastPlan::build(&protocol, dims, &perms);
                 }
             }
-        }
-        if scv_telemetry::enabled() {
-            scv_telemetry::set_gauge("symmetry.group_size", perms.len().max(1) as f64);
         }
         VerifySystem {
             protocol,
@@ -1330,8 +1329,8 @@ where
             let result = if is_ws {
                 ws_search_controlled(self, opts.bfs, opts.threads, opts.batch_size, &ctrl, taken).0
             } else {
-                // The work-stealing engine times and publishes internally;
-                // sequential BFS does neither, so `try_search` does both.
+                // The work-stealing engine times its search span
+                // internally; sequential BFS does not, so `try_search` does.
                 let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
                 bfs_controlled(self, opts.bfs, &ctrl, taken)
             };
@@ -1339,9 +1338,6 @@ where
                 ControlledSearch::Finished(r) => {
                     let mut stats = r.stats();
                     stats.elapsed = run_start.elapsed();
-                    if !is_ws {
-                        publish_search_stats(&stats);
-                    }
                     return Ok(match r {
                         SearchResult::Safe(_) => Outcome::Verified { stats },
                         SearchResult::Bounded(_) => Outcome::Bounded { stats },
@@ -1379,16 +1375,12 @@ where
                         resume = Some(checkpoint);
                         continue;
                     }
-                    scv_telemetry::add(scv_telemetry::Metric::McBudgetTrips, 1);
                     let coverage = Coverage {
                         explored: stats.states,
                         frontier: checkpoint.frontier.len(),
                         depth: stats.depth,
                     };
                     stats.elapsed = run_start.elapsed();
-                    if !is_ws {
-                        publish_search_stats(&stats);
-                    }
                     return Ok(Outcome::Inconclusive {
                         reason,
                         coverage,
@@ -1430,7 +1422,6 @@ where
         ck: &SearchCheckpoint<VerifyState<P::State>, Action>,
     ) -> Result<(), CheckpointError> {
         let bytes = self.checkpoint_file(ck).save(path)?;
-        scv_telemetry::add(scv_telemetry::Metric::McCheckpointBytes, bytes);
         if scv_telemetry::recorder_enabled() {
             scv_telemetry::recorder::instant(
                 scv_telemetry::recorder::InstantKind::Checkpoint,

@@ -135,7 +135,6 @@ impl<T: TransitionSystem> Shared<'_, T> {
         let q = self.queued_items.fetch_add(items, Ordering::Relaxed) + items;
         self.peak_frontier.fetch_max(q, Ordering::Relaxed);
         if scv_telemetry::enabled() {
-            scv_telemetry::record(scv_telemetry::Hist::McQueueDepth, q as u64);
             scv_telemetry::recorder::set_live(
                 scv_telemetry::recorder::LiveGauge::FrontierDepth,
                 q as u64,
@@ -164,7 +163,6 @@ impl<T: TransitionSystem> Shared<'_, T> {
             if let Some(chunk) = self.queues[victim].lock().unwrap().pop_front() {
                 self.queued_items.fetch_sub(chunk.len(), Ordering::Relaxed);
                 stats.steals += 1;
-                scv_telemetry::add(scv_telemetry::Metric::McSteals, 1);
                 if scv_telemetry::recorder_enabled() {
                     scv_telemetry::recorder::instant(
                         scv_telemetry::recorder::InstantKind::Steal,
@@ -334,10 +332,7 @@ fn worker_loop<T: TransitionSystem>(
                 );
             }
             stats.transitions += n_cand;
-            if scv_telemetry::enabled() {
-                scv_telemetry::add(scv_telemetry::Metric::McStatesExpanded, 1);
-                scv_telemetry::add(scv_telemetry::Metric::McTransitions, n_cand as u64);
-            }
+            scv_telemetry::add(scv_telemetry::Metric::McTransitions, n_cand as u64);
             for (label, succ, sfp) in admitted.drain(..) {
                 let stripe = shared.seen.shard_of(sfp);
                 scratch.stripes[stripe].push(PendingSucc {
@@ -403,10 +398,6 @@ fn flush_stripe<T: TransitionSystem>(
             .seen
             .insert_batch(stripe, &scratch.fp_scratch, &mut scratch.flag_scratch);
     stats.seen_batches += 1;
-    if scv_telemetry::enabled() {
-        scv_telemetry::add(scv_telemetry::Metric::McSeenBatches, 1);
-        scv_telemetry::record(scv_telemetry::Hist::SeenBatchYield, batch_new as u64);
-    }
     if scv_telemetry::recorder_enabled() {
         // `insert_batch` records the batch instant; the running total
         // (which only this engine knows) becomes the seen-load counter.
@@ -657,17 +648,6 @@ where
         worker_stats.push(*ws);
     }
     stats.elapsed = start.elapsed();
-    crate::mc::publish_search_stats(&stats);
-    if scv_telemetry::enabled() {
-        let loads = shared.seen.stripe_loads();
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let mean = loads.iter().sum::<usize>() as f64 / loads.len().max(1) as f64;
-        scv_telemetry::set_gauge("seen.stripes", loads.len() as f64);
-        scv_telemetry::set_gauge("seen.stripe_load_max", max as f64);
-        scv_telemetry::set_gauge("seen.stripe_load_mean", mean);
-        let idle: usize = worker_stats.iter().map(|w| w.idle_spins).sum();
-        scv_telemetry::set_gauge("mc.idle_spins", idle as f64);
-    }
 
     // Priority: a found violation or an exceeded scope limit outranks an
     // interrupt — those are real verdicts, the interrupt is only "stopped

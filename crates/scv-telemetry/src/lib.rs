@@ -8,10 +8,9 @@
 //!   each pipeline phase (search, successor expansion, observer step,
 //!   descriptor encode/decode, cycle/SC check, replay), recorded into
 //!   per-phase log₂ histograms with nesting-depth tracking.
-//! * **Metrics registry** ([`add`], [`record`], [`set_gauge`]) — a closed
-//!   set of atomic counters and histograms indexed by enum (no name
-//!   lookup on hot paths) plus dynamic named gauges for cold end-of-run
-//!   values (stripe loads, peak RSS, states/sec).
+//! * **Metrics registry** ([`add`], [`record`]) — a closed set of atomic
+//!   counters and histograms indexed by enum (no name lookup on hot
+//!   paths), each with a reader beyond the flush-time dump.
 //! * **Pluggable sinks** ([`install`]) — a no-op sink, a human
 //!   `--telemetry=summary` table, and a `--telemetry=jsonl` stream of
 //!   schema-versioned events; [`RunReport`]s give each run a durable,
@@ -143,13 +142,6 @@ pub fn record(metric: Hist, value: u64) {
     }
 }
 
-/// Set a named gauge (no-op when disabled; cold path — takes a lock).
-pub fn set_gauge(name: &str, value: f64) {
-    if enabled() {
-        registry().set_gauge(name, value);
-    }
-}
-
 /// Send one event to the installed sink (no-op when disabled).
 pub fn event(e: Event) {
     if !enabled() {
@@ -168,9 +160,8 @@ pub fn emit_report(report: RunReport) {
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). **Linux-only**: on every other platform this is
 /// a documented `None` — there is no portable equivalent without a
-/// dependency, so callers and sinks must *omit* the value rather than
-/// report a fake zero (see [`flush`], which only sets the
-/// `process.peak_rss_bytes` gauge when a reading exists).
+/// dependency, so run reports *omit* the value rather than report a fake
+/// zero.
 #[cfg(target_os = "linux")]
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -179,23 +170,20 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Peak resident set size: always `None` off Linux (no `/proc`). Sinks
-/// and reports omit the gauge entirely rather than emitting zero.
+/// Peak resident set size: always `None` off Linux (no `/proc`). Run
+/// reports omit the metric entirely rather than emitting zero.
 #[cfg(not(target_os = "linux"))]
 pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
 /// Aggregate everything recorded so far into events (phase summaries,
-/// counter/gauge snapshots, histogram summaries), push them to the sink,
+/// the counter snapshot, histogram summaries), push them to the sink,
 /// and flush it. Safe to call repeatedly; each call snapshots the current
 /// totals.
 pub fn flush() {
     if !enabled() {
         return;
-    }
-    if let Some(rss) = peak_rss_bytes() {
-        registry().set_gauge("process.peak_rss_bytes", rss as f64);
     }
     let mut slot = sink_slot();
     let Some(sink) = slot.as_mut() else {
@@ -227,10 +215,6 @@ pub fn flush() {
             p99: snap.quantile(0.99),
             max: snap.max,
         });
-    }
-    let gauges = registry().gauges();
-    if !gauges.is_empty() {
-        sink.record(&Event::Gauges { items: gauges });
     }
     sink.flush();
 }
@@ -320,11 +304,10 @@ mod tests {
         let _s = TestSession::start_disabled();
         assert!(!enabled());
         add(Metric::McTransitions, 10);
-        record(Hist::SeenProbeLen, 3);
-        set_gauge("x", 1.0);
+        record(Hist::SymOrbitSize, 3);
         assert!(timer(Phase::Search).is_none());
         assert_eq!(registry().get(Metric::McTransitions), 0);
-        assert_eq!(registry().hist(Hist::SeenProbeLen).count, 0);
+        assert_eq!(registry().hist(Hist::SymOrbitSize).count, 0);
     }
 
     #[test]
@@ -332,8 +315,7 @@ mod tests {
         let s = TestSession::start();
         assert!(enabled());
         add(Metric::ObserverSymbols, 3);
-        record(Hist::SeenProbeLen, 2);
-        set_gauge("mc.peak_frontier", 17.0);
+        record(Hist::SymOrbitSize, 2);
         {
             let _t = timer(Phase::Search);
         }
@@ -346,13 +328,9 @@ mod tests {
             e,
             Event::Counters { items } if items.contains(&("observer.symbols", 3))
         )));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::HistSummary { name, .. } if *name == "seen.probe_len")));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            Event::Gauges { items } if items.iter().any(|(k, v)| k == "mc.peak_frontier" && *v == 17.0)
-        )));
+        assert!(events.iter().any(
+            |e| matches!(e, Event::HistSummary { name, .. } if *name == "symmetry.orbit_size")
+        ));
     }
 
     #[test]
@@ -388,28 +366,5 @@ mod tests {
     #[cfg(not(target_os = "linux"))]
     fn peak_rss_is_none_off_linux() {
         assert_eq!(peak_rss_bytes(), None);
-    }
-
-    #[test]
-    fn flush_omits_rss_gauge_when_unavailable() {
-        // On any platform: the gauge is present iff a reading exists —
-        // never a fake zero.
-        let s = TestSession::start();
-        flush();
-        let has_reading = peak_rss_bytes().is_some();
-        let gauge = s.events().iter().find_map(|e| match e {
-            Event::Gauges { items } => items
-                .iter()
-                .find(|(k, _)| k == "process.peak_rss_bytes")
-                .map(|(_, v)| *v),
-            _ => None,
-        });
-        match gauge {
-            Some(v) => {
-                assert!(has_reading, "gauge emitted without a reading");
-                assert!(v > 0.0, "gauge must never be a fake zero");
-            }
-            None => assert!(!has_reading, "reading available but gauge omitted"),
-        }
     }
 }

@@ -1,6 +1,8 @@
 //! The metrics registry: a fixed set of atomic counters and histograms
-//! for hot paths (array-indexed by enum — no name lookup, no allocation)
-//! plus dynamic named gauges for cold end-of-run values.
+//! for hot paths (array-indexed by enum — no name lookup, no allocation).
+//! Each entry has a reader beyond the `flush()` dump (DESIGN.md §7,
+//! "Metric consumers"); search totals such as states, depth and peak RSS
+//! live in `McStats` and the verify run report, not here.
 //!
 //! Hot-path discipline: every recording site first checks
 //! [`crate::enabled`] (one relaxed atomic load); when telemetry is off the
@@ -9,7 +11,6 @@
 //! records are one relaxed `fetch_add` into a log₂ bucket.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Pipeline counters. The set is closed on purpose: hot paths index a
 /// static array with `Metric as usize`, which the optimizer folds to a
@@ -21,18 +22,8 @@ pub enum Metric {
     McStatesAdmitted,
     /// Transitions explored (successor edges generated).
     McTransitions,
-    /// States expanded (successor generation calls).
-    McStatesExpanded,
-    /// Successful chunk steals (work-stealing engine).
-    McSteals,
-    /// Seen-set lock acquisitions, i.e. batch inserts.
-    McSeenBatches,
     /// Idle sweeps that found no local or stealable work.
     McIdleSpins,
-    /// Fingerprints inserted into the seen-set (new or duplicate).
-    SeenInserts,
-    /// Linear-probing slots inspected across all seen-set inserts.
-    SeenProbes,
     /// Observer steps consumed.
     ObserverSteps,
     /// Descriptor symbols emitted by observers.
@@ -41,16 +32,6 @@ pub enum Metric {
     CheckerSymbols,
     /// Edge symbols applied by the SC checker.
     CheckerEdges,
-    /// Symbols consumed by the streaming cycle checker.
-    CycleSymbols,
-    /// Edge symbols applied by the streaming cycle checker.
-    CycleEdges,
-    /// Symbols written by the descriptor encoder.
-    DescriptorSymbolsEncoded,
-    /// Symbols consumed by the descriptor decoder.
-    DescriptorSymbolsDecoded,
-    /// Monitor/replay divergences observed (see `Event::MonitorDivergence`).
-    MonitorDivergences,
     /// Product states canonicalized under a non-trivial symmetry group.
     SymCanonicalized,
     /// Canonicalizations where a non-identity renaming strictly beat the
@@ -71,21 +52,10 @@ pub enum Metric {
     /// Bytes frozen into per-worker encoding arenas (admitted states'
     /// interned canonical encodings).
     McArenaAllocBytes,
-    /// Bytes written to on-disk search checkpoints (cumulative across
-    /// snapshots).
-    McCheckpointBytes,
-    /// Runs interrupted by a tripped [`Budget`] or cancel token — each one
-    /// ended in an `Inconclusive` outcome instead of a verdict.
-    ///
-    /// [`Budget`]: https://docs.rs/scv-mc (run-control module)
-    McBudgetTrips,
     /// Canonicalizations fully resolved by the sort-based refinement fast
     /// path: the per-element signature sort was discriminating enough
     /// that exactly one orbit candidate survived per outer coset.
     SymRefineExact,
-    /// Canonicalizations that had to enumerate a non-trivial residual
-    /// subgroup (tied refinement cells) after the sort-based fast path.
-    SymResidualEnum,
     /// Always reads 0: the seal cache has a single level, so every hit is
     /// a [`Metric::SealCacheHits`]. Kept only because the time-to-verdict
     /// benchmark still reads it; it will be deleted, together with that
@@ -94,34 +64,21 @@ pub enum Metric {
 }
 
 /// All metrics, in declaration order (keep in sync with [`Metric`]).
-pub const ALL_METRICS: [Metric; 28] = [
+pub const ALL_METRICS: [Metric; 15] = [
     Metric::McStatesAdmitted,
     Metric::McTransitions,
-    Metric::McStatesExpanded,
-    Metric::McSteals,
-    Metric::McSeenBatches,
     Metric::McIdleSpins,
-    Metric::SeenInserts,
-    Metric::SeenProbes,
     Metric::ObserverSteps,
     Metric::ObserverSymbols,
     Metric::CheckerSymbols,
     Metric::CheckerEdges,
-    Metric::CycleSymbols,
-    Metric::CycleEdges,
-    Metric::DescriptorSymbolsEncoded,
-    Metric::DescriptorSymbolsDecoded,
-    Metric::MonitorDivergences,
     Metric::SymCanonicalized,
     Metric::SymCanonHits,
     Metric::McClonesAvoided,
     Metric::SealCacheHits,
     Metric::SealCacheMisses,
     Metric::McArenaAllocBytes,
-    Metric::McCheckpointBytes,
-    Metric::McBudgetTrips,
     Metric::SymRefineExact,
-    Metric::SymResidualEnum,
     Metric::SealCacheL2Hits,
 ];
 
@@ -131,31 +88,18 @@ impl Metric {
         match self {
             Metric::McStatesAdmitted => "mc.states_admitted",
             Metric::McTransitions => "mc.transitions",
-            Metric::McStatesExpanded => "mc.states_expanded",
-            Metric::McSteals => "mc.steals",
-            Metric::McSeenBatches => "mc.seen_batches",
             Metric::McIdleSpins => "mc.idle_spins",
-            Metric::SeenInserts => "seen.inserts",
-            Metric::SeenProbes => "seen.probes",
             Metric::ObserverSteps => "observer.steps",
             Metric::ObserverSymbols => "observer.symbols",
             Metric::CheckerSymbols => "checker.symbols",
             Metric::CheckerEdges => "checker.edges",
-            Metric::CycleSymbols => "checker.cycle_symbols",
-            Metric::CycleEdges => "checker.cycle_edges",
-            Metric::DescriptorSymbolsEncoded => "descriptor.symbols_encoded",
-            Metric::DescriptorSymbolsDecoded => "descriptor.symbols_decoded",
-            Metric::MonitorDivergences => "monitor.divergences",
             Metric::SymCanonicalized => "symmetry.canonicalized",
             Metric::SymCanonHits => "symmetry.canon_hits",
             Metric::McClonesAvoided => "mc.clones_avoided",
             Metric::SealCacheHits => "symmetry.seal_cache_hits",
             Metric::SealCacheMisses => "symmetry.seal_cache_misses",
             Metric::McArenaAllocBytes => "mc.arena_alloc_bytes",
-            Metric::McCheckpointBytes => "mc.checkpoint_bytes",
-            Metric::McBudgetTrips => "mc.budget_trips",
             Metric::SymRefineExact => "symmetry.refine_exact",
-            Metric::SymResidualEnum => "symmetry.residual_enum",
             Metric::SealCacheL2Hits => "symmetry.seal_cache_l2_hits",
         }
     }
@@ -166,12 +110,6 @@ impl Metric {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Linear-probe chain length per seen-set insert (slots inspected).
-    SeenProbeLen,
-    /// New states admitted per seen-set batch insert.
-    SeenBatchYield,
-    /// Queued states at each work-stealing chunk enqueue (queue depth).
-    McQueueDepth,
     /// Orbit size (group order / stabilizer order) per canonicalized
     /// product state — how much each state's orbit collapses.
     SymOrbitSize,
@@ -181,21 +119,12 @@ pub enum Hist {
 }
 
 /// All histograms, in declaration order (keep in sync with [`Hist`]).
-pub const ALL_HISTS: [Hist; 5] = [
-    Hist::SeenProbeLen,
-    Hist::SeenBatchYield,
-    Hist::McQueueDepth,
-    Hist::SymOrbitSize,
-    Hist::SymResidualGroupSize,
-];
+pub const ALL_HISTS: [Hist; 2] = [Hist::SymOrbitSize, Hist::SymResidualGroupSize];
 
 impl Hist {
     /// Stable dotted name used in reports and JSONL output.
     pub fn name(self) -> &'static str {
         match self {
-            Hist::SeenProbeLen => "seen.probe_len",
-            Hist::SeenBatchYield => "seen.batch_yield",
-            Hist::McQueueDepth => "mc.queue_depth",
             Hist::SymOrbitSize => "symmetry.orbit_size",
             Hist::SymResidualGroupSize => "symmetry.residual_group_size",
         }
@@ -334,14 +263,11 @@ impl HistSnapshot {
     }
 }
 
-/// The process-wide registry backing every [`Metric`] and [`Hist`], plus
-/// dynamic named gauges for cold, end-of-run values (stripe loads, peak
-/// RSS, states/sec) that don't warrant a hot-path slot.
+/// The process-wide registry backing every [`Metric`] and [`Hist`].
 #[derive(Default)]
 pub struct Registry {
     counters: [AtomicU64; ALL_METRICS.len()],
     hists: [Histogram; ALL_HISTS.len()],
-    gauges: Mutex<Vec<(String, f64)>>,
 }
 
 impl Registry {
@@ -367,22 +293,7 @@ impl Registry {
         self.hists[h as usize].snapshot()
     }
 
-    /// Set (or overwrite) a named gauge. Cold path only: takes a lock.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut gauges = self.gauges.lock().unwrap();
-        if let Some(slot) = gauges.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = value;
-        } else {
-            gauges.push((name.to_string(), value));
-        }
-    }
-
-    /// All gauges, in insertion order.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        self.gauges.lock().unwrap().clone()
-    }
-
-    /// Zero every counter, histogram, and gauge (a fresh run).
+    /// Zero every counter and histogram (a fresh run).
     pub fn reset(&self) {
         for c in &self.counters {
             c.store(0, Ordering::Relaxed);
@@ -390,7 +301,6 @@ impl Registry {
         for h in &self.hists {
             h.reset();
         }
-        self.gauges.lock().unwrap().clear();
     }
 
     /// Every non-zero counter as `(name, value)`, in declaration order.
@@ -483,21 +393,75 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_gauges() {
+    fn registry_counters() {
         let r = Registry::default();
         r.add(Metric::McTransitions, 5);
         r.add(Metric::McTransitions, 2);
         assert_eq!(r.get(Metric::McTransitions), 7);
-        r.set_gauge("x", 1.0);
-        r.set_gauge("x", 2.0);
-        r.set_gauge("y", 3.0);
-        assert_eq!(
-            r.gauges(),
-            vec![("x".to_string(), 2.0), ("y".to_string(), 3.0)]
-        );
         assert_eq!(r.counter_snapshot(), vec![("mc.transitions", 7)]);
         r.reset();
         assert_eq!(r.get(Metric::McTransitions), 0);
-        assert!(r.gauges().is_empty());
+    }
+
+    /// The rows of DESIGN.md §7's "Metric consumers" table as
+    /// `(names, reader)`; a row may name several entries.
+    fn consumer_rows() -> Vec<(Vec<String>, String)> {
+        let design = include_str!("../../../DESIGN.md");
+        let table = design
+            .split("### Metric consumers")
+            .nth(1)
+            .expect("DESIGN.md has a Metric consumers section");
+        table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2)
+            .map(|row| {
+                let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+                let names = cells[0]
+                    .split('`')
+                    .skip(1)
+                    .step_by(2)
+                    .map(str::to_string)
+                    .collect();
+                (names, cells[cells.len() - 1].to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn registry_lists_every_entry_once_and_design_names_its_reader() {
+        let mut names = Vec::new();
+        for (i, &m) in ALL_METRICS.iter().enumerate() {
+            assert_eq!(m as usize, i, "ALL_METRICS out of order at {m:?}");
+            names.push(m.name());
+        }
+        for (i, &h) in ALL_HISTS.iter().enumerate() {
+            assert_eq!(h as usize, i, "ALL_HISTS out of order at {h:?}");
+            names.push(h.name());
+        }
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate metric name");
+
+        let rows = consumer_rows();
+        for name in names {
+            let readers: Vec<&String> = rows
+                .iter()
+                .filter(|(row, _)| row.iter().any(|n| n == name))
+                .map(|(_, reader)| reader)
+                .collect();
+            assert!(
+                !readers.is_empty(),
+                "`{name}` has no row in DESIGN.md's consumers table"
+            );
+            for reader in readers {
+                assert!(
+                    !reader.contains("summary/JSONL only"),
+                    "`{name}` has no reader beyond the summary/JSONL dump"
+                );
+            }
+        }
     }
 }

@@ -416,36 +416,6 @@ pub fn drain() -> Vec<WorkerTimeline> {
     out
 }
 
-/// Render one drained timeline as schema-versioned JSONL sink events
-/// (`type: "trace"`, one per record) for `--telemetry=jsonl` runs.
-pub fn timeline_events(t: &WorkerTimeline) -> Vec<crate::sink::Event> {
-    t.events
-        .iter()
-        .map(|s| {
-            let (ts_ns, kind, name, value) = match s.event {
-                TraceEvent::SpanBegin { ts_ns, phase } => (ts_ns, "begin", phase.name(), 0.0),
-                TraceEvent::SpanEnd { ts_ns, phase } => (ts_ns, "end", phase.name(), 0.0),
-                TraceEvent::Instant { ts_ns, kind, arg } => {
-                    (ts_ns, "instant", kind.name(), arg as f64)
-                }
-                TraceEvent::Counter {
-                    ts_ns,
-                    track,
-                    value,
-                } => (ts_ns, "counter", track.name(), value),
-            };
-            crate::sink::Event::Trace {
-                worker: t.label.clone(),
-                seq: s.seq,
-                ts_ns,
-                kind: kind.to_string(),
-                name: name.to_string(),
-                value,
-            }
-        })
-        .collect()
-}
-
 /// Live values shared between the engine hot paths and the progress
 /// sampler (plain relaxed atomics; no registry lock).
 #[derive(Clone, Copy, Debug)]

@@ -1,10 +1,10 @@
 //! Pluggable telemetry sinks.
 //!
-//! A sink consumes [`Event`]s — aggregated phase summaries, counter and
-//! gauge snapshots, run reports, monitor divergences. Hot paths never
-//! construct events; they record into the atomic registry and the
-//! aggregates are turned into events once, at [`crate::flush`] time. The
-//! three sinks:
+//! A sink consumes [`Event`]s — aggregated phase summaries, counter
+//! snapshots, histogram summaries, run reports, monitor divergences. Hot
+//! paths never construct events; they record into the atomic registry and
+//! the aggregates are turned into events once, at [`crate::flush`] time.
+//! The three sinks:
 //!
 //! * [`NoopSink`] — discards everything. Combined with the per-callsite
 //!   [`crate::enabled`] guard this is the "compiled to nothing" default:
@@ -53,11 +53,6 @@ pub enum Event {
         /// `(name, value)` pairs, declaration order, zeros omitted.
         items: Vec<(&'static str, u64)>,
     },
-    /// A gauge snapshot (name → value).
-    Gauges {
-        /// `(name, value)` pairs in insertion order.
-        items: Vec<(String, f64)>,
-    },
     /// Aggregated view of one value histogram. Quantiles are linearly
     /// interpolated within their log₂ bucket
     /// (see [`crate::HistSnapshot::quantile`]).
@@ -76,30 +71,6 @@ pub enum Event {
         p99: f64,
         /// Largest recorded value.
         max: u64,
-    },
-    /// One flight-recorder record (see [`crate::recorder`]) — a span
-    /// begin/end, an instant, or a counter sample — exported when a
-    /// drained timeline is streamed through the JSONL sink.
-    Trace {
-        /// Worker track label (e.g. `ws-3`, `main`, `sampler`).
-        worker: String,
-        /// Per-worker monotone sequence number.
-        seq: u64,
-        /// Nanoseconds since the recording session started.
-        ts_ns: u64,
-        /// `begin`, `end`, `instant`, or `counter`.
-        kind: String,
-        /// Phase / instant-kind / counter-track dotted name.
-        name: String,
-        /// Instant argument or counter value (0 for span records).
-        value: f64,
-    },
-    /// Free-form scoped key/value numbers (ad-hoc diagnostics).
-    Kv {
-        /// Dotted scope, e.g. `diag.depth.3`.
-        scope: String,
-        /// `(name, value)` pairs.
-        items: Vec<(String, f64)>,
     },
     /// The online monitor diverged from / rejected the fed run.
     MonitorDivergence {
@@ -163,13 +134,6 @@ impl Event {
                     ),
                 ));
             }
-            Event::Gauges { items } => {
-                pairs.push(typ("gauges"));
-                pairs.push((
-                    "gauges".to_string(),
-                    Json::obj(items.iter().map(|(k, v)| (k.clone(), Json::Num(*v)))),
-                ));
-            }
             Event::HistSummary {
                 name,
                 count,
@@ -187,30 +151,6 @@ impl Event {
                 pairs.push(("p95".to_string(), Json::Num(*p95)));
                 pairs.push(("p99".to_string(), Json::Num(*p99)));
                 pairs.push(("max".to_string(), Json::Num(*max as f64)));
-            }
-            Event::Trace {
-                worker,
-                seq,
-                ts_ns,
-                kind,
-                name,
-                value,
-            } => {
-                pairs.push(typ("trace"));
-                pairs.push(("worker".to_string(), Json::Str(worker.clone())));
-                pairs.push(("seq".to_string(), Json::Num(*seq as f64)));
-                pairs.push(("ts_ns".to_string(), Json::Num(*ts_ns as f64)));
-                pairs.push(("kind".to_string(), Json::Str(kind.clone())));
-                pairs.push(("name".to_string(), Json::Str(name.clone())));
-                pairs.push(("value".to_string(), Json::Num(*value)));
-            }
-            Event::Kv { scope, items } => {
-                pairs.push(typ("kv"));
-                pairs.push(("scope".to_string(), Json::Str(scope.clone())));
-                pairs.push((
-                    "values".to_string(),
-                    Json::obj(items.iter().map(|(k, v)| (k.clone(), Json::Num(*v)))),
-                ));
             }
             Event::MonitorDivergence {
                 step_index,
@@ -333,16 +273,6 @@ impl SummarySink {
                         writeln!(out, "{k:<32} {v:>16}")?;
                     }
                 }
-                Event::Gauges { items } if !items.is_empty() => {
-                    writeln!(out, "{:<32} {:>16}", "gauge", "value")?;
-                    for (k, v) in items {
-                        if *v == v.trunc() && v.abs() < 9e15 {
-                            writeln!(out, "{:<32} {:>16}", k, *v as i64)?;
-                        } else {
-                            writeln!(out, "{k:<32} {v:>16.2}")?;
-                        }
-                    }
-                }
                 Event::HistSummary {
                     name,
                     count,
@@ -356,19 +286,6 @@ impl SummarySink {
                         out,
                         "{name:<32} n={count} mean={mean:.2} p50={p50:.1} p95={p95:.1} p99={p99:.1} max={max}"
                     )?;
-                }
-                Event::Kv { scope, items } => {
-                    let vs: Vec<String> = items
-                        .iter()
-                        .map(|(k, v)| {
-                            if *v == v.trunc() && v.abs() < 9e15 {
-                                format!("{k}={}", *v as i64)
-                            } else {
-                                format!("{k}={v:.3}")
-                            }
-                        })
-                        .collect();
-                    writeln!(out, "{scope}: {}", vs.join("  "))?;
                 }
                 Event::MonitorDivergence {
                     step_index,
@@ -493,74 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_round_trip_through_jsonl() {
-        // One record per flight-recorder kind: begin/end/instant/counter.
-        let records = vec![
-            Event::Trace {
-                worker: "ws-0".to_string(),
-                seq: 0,
-                ts_ns: 1_000,
-                kind: "begin".to_string(),
-                name: "search.expand".to_string(),
-                value: 0.0,
-            },
-            Event::Trace {
-                worker: "ws-0".to_string(),
-                seq: 1,
-                ts_ns: 2_000,
-                kind: "end".to_string(),
-                name: "search.expand".to_string(),
-                value: 0.0,
-            },
-            Event::Trace {
-                worker: "ws-1".to_string(),
-                seq: 0,
-                ts_ns: 1_500,
-                kind: "instant".to_string(),
-                name: "mc.steal".to_string(),
-                value: 7.0,
-            },
-            Event::Trace {
-                worker: "sampler".to_string(),
-                seq: 0,
-                ts_ns: 3_000,
-                kind: "counter".to_string(),
-                name: "mc.states_per_sec".to_string(),
-                value: 1234.5,
-            },
-        ];
-        for e in &records {
-            let line = e.to_json().to_string_compact();
-            let j = Json::parse(&line).expect("each trace line parses");
-            assert_eq!(j.get("schema").and_then(Json::as_num), Some(1.0));
-            assert_eq!(j.get("type").and_then(Json::as_str), Some("trace"));
-            let Event::Trace {
-                worker,
-                seq,
-                ts_ns,
-                kind,
-                name,
-                value,
-            } = e
-            else {
-                unreachable!()
-            };
-            assert_eq!(
-                j.get("worker").and_then(Json::as_str),
-                Some(worker.as_str())
-            );
-            assert_eq!(j.get("seq").and_then(Json::as_num), Some(*seq as f64));
-            assert_eq!(j.get("ts_ns").and_then(Json::as_num), Some(*ts_ns as f64));
-            assert_eq!(j.get("kind").and_then(Json::as_str), Some(kind.as_str()));
-            assert_eq!(j.get("name").and_then(Json::as_str), Some(name.as_str()));
-            assert_eq!(j.get("value").and_then(Json::as_num), Some(*value));
-        }
-    }
-
-    #[test]
     fn hist_summary_serializes_interpolated_quantiles() {
         let e = Event::HistSummary {
-            name: "seen.probe_len",
+            name: "symmetry.orbit_size",
             count: 100,
             mean: 50.5,
             p50: 50.40625,
@@ -590,12 +442,12 @@ mod tests {
         }
         let buf = Arc::new(Mutex::new(Vec::new()));
         let mut sink = JsonlSink::new(Box::new(Shared(buf.clone())));
-        sink.record(&Event::Kv {
-            scope: "a".to_string(),
-            items: vec![("x".to_string(), 1.0)],
+        sink.record(&Event::Counters {
+            items: vec![("mc.transitions", 1)],
         });
-        sink.record(&Event::Gauges {
-            items: vec![("g".to_string(), 2.5)],
+        sink.record(&Event::RunStart {
+            name: "a".to_string(),
+            params: vec![("x".to_string(), "1".to_string())],
         });
         Sink::flush(&mut sink);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();

@@ -145,6 +145,15 @@ impl SymDims {
         }
     }
 
+    /// Dimensions enabled in `self` but not in `other`.
+    pub fn difference(self, other: SymDims) -> SymDims {
+        SymDims {
+            procs: self.procs && !other.procs,
+            blocks: self.blocks && !other.blocks,
+            values: self.values && !other.values,
+        }
+    }
+
     /// Is any dimension enabled?
     pub fn any(self) -> bool {
         self.procs || self.blocks || self.values
@@ -168,6 +177,26 @@ impl SymDims {
             SymDim::Values => d.values = on,
         }
         d
+    }
+}
+
+/// The enabled dimensions joined by `+` (`procs+blocks+values`), or
+/// `none`.
+impl std::fmt::Display for SymDims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<&str> = [
+            (self.procs, "procs"),
+            (self.blocks, "blocks"),
+            (self.values, "values"),
+        ]
+        .into_iter()
+        .filter_map(|(on, name)| on.then_some(name))
+        .collect();
+        if names.is_empty() {
+            f.write_str("none")
+        } else {
+            f.write_str(&names.join("+"))
+        }
     }
 }
 

@@ -201,14 +201,8 @@ impl Args {
     }
 }
 
-/// Dispatch over the protocol zoo, monomorphizing `f` per protocol type.
-fn with_protocol<R>(name: &str, params: Params, f: &mut dyn FnMut(&str) -> R) -> Result<R, String> {
-    // The closure captures the protocol through thread-locals would be
-    // overkill; just dispatch explicitly below in each command instead.
-    let _ = (params, f);
-    Err(format!("unknown protocol {name}"))
-}
-
+/// Dispatch over the protocol zoo, monomorphizing the body per protocol
+/// type.
 macro_rules! dispatch {
     ($name:expr, $params:expr, |$p:ident| $body:expr) => {{
         let params = $params;
@@ -498,7 +492,6 @@ fn run(argv: &[String]) -> ExitCode {
     if args.checkpoint_every.is_some() && args.checkpoint.is_none() {
         eprintln!("warning: --checkpoint-every has no effect without --checkpoint PATH");
     }
-    let _ = with_protocol::<()>; // keep the helper referenced
 
     match cmd.as_str() {
         "verify" => dispatch!(proto_name, args.params(), |p| {
@@ -512,6 +505,7 @@ fn run(argv: &[String]) -> ExitCode {
                 args.threads,
                 args.max_states
             );
+            println!("{}", symmetry_note(&p, args.symmetry));
             if telemetry::enabled() {
                 telemetry::event(telemetry::Event::RunStart {
                     name: format!("verify/{}", p.name()),
@@ -611,6 +605,7 @@ fn run(argv: &[String]) -> ExitCode {
                 args.threads,
                 args.max_states
             );
+            println!("{}", symmetry_note(&p, args.symmetry));
             telemetry::recorder::recorder_start(telemetry::DEFAULT_RING_CAPACITY);
             let ticker = args.progress.then(|| {
                 telemetry::start_progress(telemetry::ProgressOptions {

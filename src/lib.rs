@@ -77,7 +77,7 @@ pub use scv_types as types;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use crate::explain::{explain_descriptor, explain_violation, ExplainError, Explanation};
-    pub use crate::verifier::{collision_bound_note, verdict_str, Verifier};
+    pub use crate::verifier::{collision_bound_note, symmetry_note, verdict_str, Verifier};
     pub use scv_checker::{CycleChecker, ScChecker};
     pub use scv_descriptor::{decode, encode, naive_descriptor, Descriptor, Symbol};
     pub use scv_fuzz::{run_fuzz, FuzzOptions, FuzzReport, GenConfig, GenProtocol, Mutation};

@@ -106,7 +106,6 @@ impl RunMonitor {
         if !scv_telemetry::enabled() {
             return;
         }
-        scv_telemetry::add(scv_telemetry::Metric::MonitorDivergences, 1);
         scv_telemetry::event(scv_telemetry::Event::MonitorDivergence {
             step_index: steps.saturating_sub(1) as u64,
             symbol,

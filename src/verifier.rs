@@ -24,6 +24,7 @@ use scv_mc::{
     Budget, CancelToken, CheckpointError, Outcome, SymmetryMode, VerifyOptions, VerifySystem,
 };
 use scv_protocol::Symmetry;
+use scv_types::SymPerm;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -51,6 +52,22 @@ pub fn collision_bound_note(states: usize) -> String {
         "fingerprint collision bound n²/2¹²⁹ = {:.1e}",
         scv_mc::fp_collision_bound(states)
     )
+}
+
+/// The symmetry quotient a run under `mode` uses: the dimensions it
+/// quotients by, the group order |G|, and any dimension the group cap
+/// dropped. The `scv verify` and `scv trace` CLIs print this line before
+/// searching; the run report carries the dropped dimensions as its
+/// `symmetry_dropped` param.
+pub fn symmetry_note<P: Symmetry>(protocol: &P, mode: SymmetryMode) -> String {
+    let params = protocol.params();
+    let (kept, dropped) = mode.effective_dims(params, protocol.symmetry_dims());
+    let order = SymPerm::group_order(params, kept);
+    let mut note = format!("symmetry {mode:?}: quotient by {kept}, |G| = {order}");
+    if dropped.any() {
+        note += &format!("; group cap dropped {dropped}");
+    }
+    note
 }
 
 /// Builder-style facade over the product construction and search.
@@ -184,6 +201,10 @@ where
         if scv_telemetry::enabled() {
             let s = out.stats();
             let verdict = verdict_str(&out);
+            let (_, dropped) = self
+                .options
+                .symmetry
+                .effective_dims(params, system.protocol().symmetry_dims());
             let mut report = scv_telemetry::RunReport::new(format!("verify/{name}"))
                 .param("protocol", &name)
                 .param("p", params.p.to_string())
@@ -194,6 +215,7 @@ where
                 .param("max_states", self.options.bfs.max_states.to_string())
                 .param("symmetry", format!("{:?}", self.options.symmetry))
                 .param("symmetry_group", system.symmetry_group_order().to_string())
+                .param("symmetry_dropped", dropped.to_string())
                 .with_verdict(verdict)
                 .metric("states", s.states as f64)
                 .metric("transitions", s.transitions as f64)
@@ -276,6 +298,80 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 1, "a verified run records its collision bound");
+    }
+
+    fn param<'a>(r: &'a scv_telemetry::RunReport, key: &str) -> Option<&'a str> {
+        r.params
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The `verify/msi` reports a session collected for `p` processors.
+    fn msi_reports(events: &[scv_telemetry::Event], p: u8) -> Vec<&scv_telemetry::RunReport> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                scv_telemetry::Event::Report(r) if r.name == "verify/msi" => Some(r),
+                _ => None,
+            })
+            .filter(|r| param(r, "p") == Some(p.to_string().as_str()))
+            .collect()
+    }
+
+    #[test]
+    fn verdicts_name_the_dimensions_the_group_cap_dropped() {
+        // msi (6,2,2) under full symmetry: 6!·2!·2! = 2880 > 1024, so the
+        // cap drops values, then blocks, and quotients by processors alone.
+        let big = MsiProtocol::new(Params::new(6, 2, 2));
+        assert_eq!(
+            symmetry_note(&big, SymmetryMode::Full),
+            "symmetry Full: quotient by procs, |G| = 720; group cap dropped blocks+values"
+        );
+        let small = MsiProtocol::new(Params::new(2, 1, 2));
+        assert_eq!(
+            symmetry_note(&small, SymmetryMode::Full),
+            "symmetry Full: quotient by procs+blocks+values, |G| = 4"
+        );
+
+        let session = scv_telemetry::TestSession::start();
+        for p in [big, small] {
+            Verifier::new(p)
+                .max_states(50)
+                .symmetry(SymmetryMode::Full)
+                .run();
+        }
+        let events = session.events();
+        drop(session);
+        for (p, group, dropped) in [(6, "720", "blocks+values"), (2, "4", "none")] {
+            let full: Vec<_> = msi_reports(&events, p)
+                .into_iter()
+                .filter(|r| param(r, "symmetry") == Some("Full"))
+                .collect();
+            assert!(!full.is_empty(), "msi p={p} emitted a report");
+            for r in full {
+                assert_eq!(param(r, "symmetry_group"), Some(group), "p={p}");
+                assert_eq!(param(r, "symmetry_dropped"), Some(dropped), "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_report_omits_peak_rss_rather_than_reporting_zero() {
+        let session = scv_telemetry::TestSession::start();
+        Verifier::new(MsiProtocol::new(Params::new(3, 1, 1)))
+            .max_states(50)
+            .run();
+        let reading = scv_telemetry::peak_rss_bytes();
+        let events = session.events();
+        drop(session);
+        let reports = msi_reports(&events, 3);
+        assert!(!reports.is_empty(), "the run emitted a report");
+        for r in reports {
+            let rss = r.get_metric("peak_rss_bytes");
+            assert_eq!(rss.is_some(), reading.is_some(), "present iff readable");
+            assert_ne!(rss, Some(0.0), "never a fake zero");
+        }
     }
 
     #[test]

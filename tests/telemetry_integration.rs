@@ -264,8 +264,4 @@ fn monitor_divergence_emits_structured_event() {
     assert!(*step_index < 6, "divergence within the 6-step litmus");
     assert!(!symbol.is_empty(), "offending symbol is named");
     assert!(!detail.is_empty(), "diagnosis is present");
-    assert_eq!(
-        telemetry::registry().get(telemetry::Metric::MonitorDivergences),
-        1
-    );
 }
