@@ -506,7 +506,9 @@ pub struct ScChecker {
     /// Most recent `⊥` load per (processor, block).
     last_bot: SortedMap<(u8, u8), Handle>,
     stats: ScStats,
-    rejected: Option<ScError>,
+    /// The rejection, once raised (boxed: rare, and absorbing, so it costs
+    /// an accepting checker one pointer).
+    rejected: Option<Box<ScError>>,
 }
 
 // Manual `Clone` so `clone_from` reuses the target's allocations
@@ -603,7 +605,7 @@ impl ScChecker {
     /// rejected (subsequent calls return the same error).
     pub fn step(&mut self, sym: &Symbol) -> ScVerdict {
         if let Some(e) = &self.rejected {
-            return Err(e.clone());
+            return Err(ScError::clone(e));
         }
         let pos = self.position;
         self.position += 1;
@@ -616,7 +618,7 @@ impl ScChecker {
         }
         let result = self.step_inner(sym, pos);
         if let Err(e) = &result {
-            self.rejected = Some(e.clone());
+            self.rejected = Some(Box::new(e.clone()));
             if scv_telemetry::recorder_enabled() {
                 scv_telemetry::recorder::instant(
                     scv_telemetry::recorder::InstantKind::CheckerReject,
@@ -691,7 +693,7 @@ impl ScChecker {
     /// run end?" at any point and keep streaming afterwards.
     pub fn check_end(&self) -> ScVerdict {
         if let Some(e) = &self.rejected {
-            return Err(e.clone());
+            return Err(ScError::clone(e));
         }
         let reject = |kind: ScErrorKind| {
             Err(ScError {

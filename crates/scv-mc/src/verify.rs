@@ -16,6 +16,7 @@ use scv_descriptor::Symbol;
 use scv_observer::{Observer, ObserverConfig};
 use scv_protocol::{location_maps, Action, Step, Symmetry, Transition};
 use scv_types::{Op, Params, SymDims, SymPerm, Trace};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -207,8 +208,9 @@ pub struct VerifyState<PS> {
     pub obs: Observer,
     /// The checker component.
     pub chk: ScChecker,
-    /// Rejection raised while reaching this state, if any.
-    pub error: Option<RejectReason>,
+    /// Rejection raised while reaching this state, if any (boxed: rare,
+    /// and absorbing, so it costs an accepted state one pointer).
+    pub error: Option<Box<RejectReason>>,
     enc: EncRef,
     /// True when `enc` is an orbit-canonical encoding that already covers
     /// the protocol component (hash/eq then ignore `proto`).
@@ -303,7 +305,7 @@ struct CandSlot<PS> {
     /// *is* the parent's: the slot's `chk` copy was skipped (encoding read
     /// the parent directly) and materialization clones the parent instead.
     chk_is_parent: bool,
-    error: Option<RejectReason>,
+    error: Option<Box<RejectReason>>,
     enc_start: usize,
     enc_len: usize,
 }
@@ -451,7 +453,7 @@ impl<P: Symmetry> VerifySystem<P> {
         proto: P::State,
         obs: Observer,
         chk: ScChecker,
-        error: Option<RejectReason>,
+        error: Option<Box<RejectReason>>,
     ) -> VerifyState<P::State> {
         let base = obs.location_count();
         if self.perms.is_empty() {
@@ -694,7 +696,7 @@ where
                 let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::CheckerStep);
                 for sym in &syms {
                     if let Err(e) = chk.step(sym) {
-                        error = Some(RejectReason::Stream(e));
+                        error = Some(Box::new(RejectReason::Stream(e)));
                         break;
                     }
                 }
@@ -773,15 +775,8 @@ where
             // components were moved into an admitted state) pays a fresh
             // clone — which the materialize-first path (`successors`) pays
             // for *every* candidate.
-            match &mut slot.obs {
-                Some(o) => o.clone_from(&s.obs),
-                None => slot.obs = Some(s.obs.clone()),
-            }
             sc.syms.clear();
-            slot.obs
-                .as_mut()
-                .expect("slot.obs filled above")
-                .step(&Step { action, tracking }, &mut sc.syms);
+            copy_into(&mut slot.obs, &s.obs).step(&Step { action, tracking }, &mut sc.syms);
             // A transition with no symbols (an internal protocol action)
             // leaves the checker untouched: skip the checker copy and
             // encode through the parent's checker directly. Materializing
@@ -790,15 +785,11 @@ where
             // clones it for every one.
             slot.chk_is_parent = sc.syms.is_empty();
             if !slot.chk_is_parent {
-                match &mut slot.chk {
-                    Some(c) => c.clone_from(&s.chk),
-                    None => slot.chk = Some(s.chk.clone()),
-                }
+                let chk = copy_into(&mut slot.chk, &s.chk);
                 let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::CheckerStep);
-                let chk = slot.chk.as_mut().expect("slot.chk filled above");
                 for symbol in &sc.syms {
                     if let Err(e) = chk.step(symbol) {
-                        slot.error = Some(RejectReason::Stream(e));
+                        slot.error = Some(Box::new(RejectReason::Stream(e)));
                         break;
                     }
                 }
@@ -988,7 +979,7 @@ where
 
     fn violation(&self, s: &Self::State) -> Option<RejectReason> {
         if let Some(e) = &s.error {
-            return Some(e.clone());
+            return Some(RejectReason::clone(e));
         }
         let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::CheckerEnd);
         // Traces are prefix-closed: every reachable state is a possible
@@ -999,18 +990,44 @@ where
             return s.chk.check_end().err().map(RejectReason::RunEnd);
         }
         // Pending serializations: replay the observer's trailing symbols
-        // on copies.
-        let mut obs = s.obs.clone();
-        let mut chk = s.chk.clone();
-        let mut syms = Vec::new();
-        obs.finish(&mut syms);
-        for sym in &syms {
-            if let Err(e) = chk.step(sym) {
-                return Some(RejectReason::RunEnd(e));
+        // on this thread's copies.
+        END_PROBE.with_borrow_mut(|p| {
+            p.syms.clear();
+            copy_into(&mut p.obs, &s.obs).finish(&mut p.syms);
+            let chk = copy_into(&mut p.chk, &s.chk);
+            for sym in &p.syms {
+                if let Err(e) = chk.step(sym) {
+                    return Some(RejectReason::RunEnd(e));
+                }
             }
-        }
-        chk.check_end().err().map(RejectReason::RunEnd)
+            chk.check_end().err().map(RejectReason::RunEnd)
+        })
     }
+}
+
+/// `src` copied into `slot`: through allocation-reusing `clone_from` when
+/// the slot is full, a fresh clone when it is empty.
+fn copy_into<'a, T: Clone>(slot: &'a mut Option<T>, src: &T) -> &'a mut T {
+    match slot {
+        Some(x) => {
+            x.clone_from(src);
+            x
+        }
+        None => slot.insert(src.clone()),
+    }
+}
+
+/// Replay copies for [`VerifySystem::violation`]'s pending-serialization
+/// probe, reused across calls on one thread.
+#[derive(Default)]
+struct EndProbe {
+    obs: Option<Observer>,
+    chk: Option<ScChecker>,
+    syms: Vec<Symbol>,
+}
+
+thread_local! {
+    static END_PROBE: RefCell<EndProbe> = RefCell::new(EndProbe::default());
 }
 
 /// Limits and parallelism for [`verify_protocol`].

@@ -10,32 +10,42 @@
 //! * a fresh checker, and a fresh observer, cost the same at `k ≈ 30` and
 //!   at `k ≈ 10 000` (the observer's location-owner table grows with `L`,
 //!   which the comparison subtracts; nothing grows with the aux pool);
+//! * a fresh observer's clone makes at most two allocations under either
+//!   ST-order policy (its immutable configuration is shared, not copied);
+//! * a product state's inline record stays under a fixed size;
 //! * after a 5 000-state BFS of msi (6,2,2) with symmetry off, a frontier
-//!   state's clone averages under 2 KB of heap.
+//!   state's clone averages under 640 B of heap.
 //!
-//! With `SCV_STRESS=1` the second check also runs msi, directory and lazy
-//! caching at (6,2,2) to a 30 000-state cap.
+//! With `SCV_STRESS=1` the frontier check also runs msi, directory and
+//! lazy caching at (6,2,2) to a 30 000-state cap, each under 1 KB.
 
 use scv_checker::ScChecker;
 use scv_mc::{SymmetryMode, TransitionSystem, VerifyState, VerifySystem};
 use scv_observer::{Observer, ObserverConfig};
-use scv_protocol::{DirectoryProtocol, LazyCaching, MsiProtocol, StOrderPolicy, Symmetry};
+use scv_protocol::{
+    DirectoryProtocol, LazyCaching, MsiProtocol, Protocol, StOrderPolicy, Symmetry,
+};
 use scv_types::Params;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
-/// Counts the bytes each thread allocates (tests run on parallel threads,
-/// so a process-wide counter would mix their measurements).
+/// Counts the bytes and the allocations each thread makes (tests run on
+/// parallel threads, so a process-wide counter would mix their
+/// measurements).
 struct Counting;
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counters are thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.with(|a| a.set(a.get() + layout.size()));
+        ALLOCATIONS.with(|a| a.set(a.get() + 1));
         System.alloc(layout)
     }
 
@@ -55,6 +65,27 @@ fn clone_bytes<T: Clone>(x: &T) -> usize {
     let used = ALLOCATED.with(Cell::get) - before;
     drop(copy);
     used
+}
+
+/// Bound on `size_of::<VerifyState<_>>()` for msi, directory and lazy
+/// caching (432, 480 and 480 B with 32-bit observer node keys).
+const INLINE_BOUND: usize = 512;
+
+/// Bound on the mean heap bytes of an msi (6,2,2) frontier state's clone
+/// at the 5 000-state cap (449 B with 32-bit observer node keys).
+const FRONTIER_BOUND: f64 = 640.0;
+
+/// The same bound for every row of the 30 000-state stress run (lazy
+/// caching, the largest, measures 930 B).
+const FRONTIER_STRESS_BOUND: f64 = 1024.0;
+
+/// Heap allocations made by one clone of `x`.
+fn clone_allocations<T: Clone>(x: &T) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    let copy = x.clone();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    drop(copy);
+    made
 }
 
 /// An observer for `locations` locations at (2,2,2): `k = 4L + 24`.
@@ -80,14 +111,61 @@ fn fresh_tables_do_not_scale_with_k() {
     assert_eq!(chk(small.k()), chk(large.k()), "checker clone grows with k");
 
     // The one table a fresh observer sizes by a parameter of `k` is its
-    // location-owner table (one `Option<u64>` per location).
-    let owner_table =
-        |o: &Observer| o.location_count() as usize * std::mem::size_of::<Option<u64>>();
+    // location-owner section (one 32-bit node reference per location).
+    let owner_table = |o: &Observer| {
+        o.location_count() as usize * std::mem::size_of::<Option<std::num::NonZeroU32>>()
+    };
     assert_eq!(
         clone_bytes(&small) - owner_table(&small),
         clone_bytes(&large) - owner_table(&large),
         "observer clone grows with the aux pool"
     );
+}
+
+#[test]
+fn fresh_observer_clone_allocates_at_most_twice() {
+    let params = Params::new(6, 2, 2);
+    let real_time = Observer::new(ObserverConfig::from_protocol(&MsiProtocol::new(params)));
+    let lazy = LazyCaching::new(params, 1, 1);
+    assert!(matches!(
+        lazy.st_order_policy(),
+        StOrderPolicy::Serialization { .. }
+    ));
+    let serialization = Observer::new(ObserverConfig::from_protocol(&lazy));
+    for (name, obs) in [("real time", real_time), ("serialization", serialization)] {
+        let made = clone_allocations(&obs);
+        assert!(
+            made <= 2,
+            "{name}: a fresh observer clone made {made} allocations"
+        );
+    }
+}
+
+/// A product state's inline size: the frontier holds one per state, so
+/// every inline byte is paid per state before any heap block.
+#[test]
+fn product_state_inline_size_is_bounded() {
+    use std::mem::size_of;
+    let rows = [
+        (
+            "msi",
+            size_of::<VerifyState<<MsiProtocol as Protocol>::State>>(),
+        ),
+        (
+            "directory",
+            size_of::<VerifyState<<DirectoryProtocol as Protocol>::State>>(),
+        ),
+        (
+            "lazy",
+            size_of::<VerifyState<<LazyCaching as Protocol>::State>>(),
+        ),
+    ];
+    for (name, bytes) in rows {
+        assert!(
+            bytes <= INLINE_BOUND,
+            "{name}: VerifyState is {bytes} B inline"
+        );
+    }
 }
 
 /// Mean heap bytes of cloning a frontier state after a BFS over `cap`
@@ -123,7 +201,7 @@ where
 fn frontier_states_stay_small() {
     let per_state = frontier_heap_per_state(MsiProtocol::new(Params::new(6, 2, 2)), 5_000);
     assert!(
-        per_state < 2048.0,
+        per_state < FRONTIER_BOUND,
         "msi (6,2,2): {per_state:.0} heap bytes per frontier state"
     );
 }
@@ -151,7 +229,7 @@ fn frontier_states_stay_small_stress() {
     for (name, per_state) in rows {
         eprintln!("{name} (6,2,2): {per_state:.0} heap bytes per frontier state");
         assert!(
-            per_state < 2048.0,
+            per_state < FRONTIER_STRESS_BOUND,
             "{name} (6,2,2): {per_state:.0} heap bytes per frontier state"
         );
     }

@@ -4,10 +4,15 @@ use scv_descriptor::{Descriptor, IdNum, Symbol};
 use scv_graph::EdgeSet;
 use scv_protocol::{Action, CopySrc, LocId, Protocol, Run, StOrderPolicy, Step};
 use scv_types::{Op, Params};
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::num::NonZeroU32;
+use std::sync::Arc;
 
-/// Internal node key (monotone counter; never reused).
-type Key = u64;
+/// Internal node key: a creation counter starting at 1, never reused. The
+/// canonical encoding ranks keys and never emits their values, so 32 bits
+/// only bound the nodes one run can create; a reference to a node
+/// (`Option<Key>` included) costs 4 bytes.
+type Key = NonZeroU32;
 
 /// Static configuration extracted from a protocol.
 #[derive(Clone, Debug)]
@@ -40,6 +45,64 @@ pub struct ObserverStats {
     pub max_live_nodes: usize,
     /// Total symbols emitted.
     pub symbols: usize,
+}
+
+/// The immutable part of an observer: its configuration and what is
+/// derived from it. Every observer cloned from one [`Observer::new`] —
+/// every state of a search — shares it through one `Arc`.
+struct Shared {
+    cfg: ObserverConfig,
+    /// Size `A` of the auxiliary ID pool `L+1 ..= L+A`.
+    aux_total: usize,
+    /// The block whose serialization location each location is, indexed
+    /// by `loc - 1` (serialization policy only).
+    serialization_of: Box<[Option<u8>]>,
+}
+
+/// Offsets into [`Observer::refs`], laid out as
+/// `[loc_owner: L | last_op: p | sto_tail: b | first_st: b | bot_anchor: p·b]`.
+impl Shared {
+    fn p(&self) -> usize {
+        self.cfg.params.p as usize
+    }
+
+    fn b(&self) -> usize {
+        self.cfg.params.b as usize
+    }
+
+    /// Owner of location `loc` (IDs `1..=L`).
+    fn owner(&self, loc: LocId) -> usize {
+        assert!(
+            (1..=self.cfg.locations).contains(&loc),
+            "location {loc} outside 1..={}",
+            self.cfg.locations
+        );
+        (loc - 1) as usize
+    }
+
+    /// Latest operation node of processor index `pi`.
+    fn last_op(&self, pi: usize) -> usize {
+        self.cfg.locations as usize + pi
+    }
+
+    /// ST-order tail of block index `b`.
+    fn sto_tail(&self, b: usize) -> usize {
+        self.last_op(self.p()) + b
+    }
+
+    /// First store in ST order of block index `b`.
+    fn first_st(&self, b: usize) -> usize {
+        self.sto_tail(self.b()) + b
+    }
+
+    /// Latest pinned `⊥` load of (processor index `pi`, block index `b`).
+    fn bot_anchor(&self, pi: usize, b: usize) -> usize {
+        self.first_st(self.b()) + pi * self.b() + b
+    }
+
+    fn table_len(&self) -> usize {
+        self.bot_anchor(self.p(), 0)
+    }
 }
 
 /// Why a node must remain addressable (hold an ID) even after its value
@@ -76,11 +139,8 @@ impl Pins {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ObsNode {
-    /// The operation labeling this node (kept for diagnostics).
-    #[allow(dead_code)]
-    op: Op,
     /// Number of storage locations currently holding this node's value
     /// (only STs ever have a positive count).
     loc_count: u32,
@@ -99,7 +159,6 @@ struct ObsNode {
 impl Clone for ObsNode {
     fn clone(&self) -> Self {
         ObsNode {
-            op: self.op,
             loc_count: self.loc_count,
             aux: self.aux,
             pins: self.pins.clone(),
@@ -109,7 +168,6 @@ impl Clone for ObsNode {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.op = source.op;
         self.loc_count = source.loc_count;
         self.aux = source.aux;
         self.pins = source.pins.clone();
@@ -181,79 +239,85 @@ impl NodeMap {
     }
 }
 
+/// Work buffers of a step's edge queue and of the canonical encoding,
+/// reused across calls and observers through a thread-local slot: neither
+/// allocates in steady state, and no observer state carries their spare
+/// capacity.
+#[derive(Default)]
+struct Scratch {
+    edges: Vec<((Key, Key), EdgeSet)>,
+    dead: Vec<(Key, u64)>,
+    heirs: Vec<(u8, u64)>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// Run `f` with this thread's [`Scratch`] (fresh buffers if they are
+/// already out — a nested call — or not yet made).
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
+    let r = f(&mut scratch);
+    SCRATCH.with(|c| c.set(Some(scratch)));
+    r
+}
+
 /// The automatically generated witness observer.
 pub struct Observer {
-    cfg: ObserverConfig,
-    /// Owner (node key) per location ID `1..=L`.
-    loc_owner: Vec<Option<Key>>,
+    sh: Arc<Shared>,
+    /// Every fixed-size node reference in one allocation; see the offset
+    /// helpers on [`Shared`] for the layout.
+    refs: Box<[Option<Key>]>,
     /// The auxiliary pool `L+1 ..= L+A` is handed out lowest-first: IDs
     /// below `aux_next` have been used, those at or above it never were.
     aux_next: IdNum,
     /// Used auxiliary IDs released since, reissued last-released first.
     aux_released: Vec<IdNum>,
-    aux_total: usize,
     /// Live node records.
     nodes: NodeMap,
     next_key: Key,
-    /// Latest operation node per processor.
-    last_op: Vec<Option<Key>>,
-    /// ST-order tail per block.
-    sto_tail: Vec<Option<Key>>,
-    /// First store in ST order per block.
-    first_st: Vec<Option<Key>>,
-    /// Latest pinned `⊥` load per (processor, block).
-    bot_anchor: Vec<Option<Key>>,
-    /// Issued but unserialized stores per block, in trace order
-    /// (serialization policy only).
-    pending: Vec<Vec<Key>>,
-    /// Reverse map: location -> block it serializes (serialization policy).
-    serialization_of: HashMap<LocId, u8>,
+    /// Issued but unserialized stores with their block index, in trace
+    /// order (serialization policy only).
+    pending: Vec<(u8, Key)>,
     stats: ObserverStats,
-    /// Per-step edge accumulation (merged annotations).
+    /// Per-step edge accumulation (merged annotations): the thread's
+    /// [`Scratch::edges`] while a step runs, empty between steps.
     edges: Vec<((Key, Key), EdgeSet)>,
 }
 
 // Manual `Clone` so `clone_from` reuses the target's allocations
 // field-by-field. The lazy expansion path replays every candidate
 // transition into a scratch observer via `clone_from`; the derived impl
-// would drop and reallocate all the maps and vectors on each replay.
+// would drop and reallocate every vector on each replay.
 impl Clone for Observer {
     fn clone(&self) -> Self {
         Observer {
-            cfg: self.cfg.clone(),
-            loc_owner: self.loc_owner.clone(),
+            sh: Arc::clone(&self.sh),
+            refs: self.refs.clone(),
             aux_next: self.aux_next,
             aux_released: self.aux_released.clone(),
-            aux_total: self.aux_total,
             nodes: self.nodes.clone(),
             next_key: self.next_key,
-            last_op: self.last_op.clone(),
-            sto_tail: self.sto_tail.clone(),
-            first_st: self.first_st.clone(),
-            bot_anchor: self.bot_anchor.clone(),
             pending: self.pending.clone(),
-            serialization_of: self.serialization_of.clone(),
             stats: self.stats,
-            edges: self.edges.clone(),
+            edges: Vec::new(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.cfg = source.cfg.clone();
-        self.loc_owner.clone_from(&source.loc_owner);
+        // Replays within one search share the config: skip the refcount
+        // traffic on its cache line.
+        if !Arc::ptr_eq(&self.sh, &source.sh) {
+            self.sh = Arc::clone(&source.sh);
+        }
+        self.refs.clone_from(&source.refs);
         self.aux_next = source.aux_next;
         self.aux_released.clone_from(&source.aux_released);
-        self.aux_total = source.aux_total;
         self.nodes.clone_from(&source.nodes);
         self.next_key = source.next_key;
-        self.last_op.clone_from(&source.last_op);
-        self.sto_tail.clone_from(&source.sto_tail);
-        self.first_st.clone_from(&source.first_st);
-        self.bot_anchor.clone_from(&source.bot_anchor);
         self.pending.clone_from(&source.pending);
-        self.serialization_of.clone_from(&source.serialization_of);
         self.stats = source.stats;
-        self.edges.clone_from(&source.edges);
     }
 }
 
@@ -267,30 +331,27 @@ impl Observer {
         // Theorem 4.1 (program-order anchors + ST tails + heirs + ⊥
         // anchors + first/forced-target stores), with slack.
         let aux_total = p + b + p * (b + l) + p * b + 2 * b + l + 8;
-        let serialization_of = match &cfg.policy {
-            StOrderPolicy::RealTime => HashMap::new(),
-            StOrderPolicy::Serialization { locs } => locs
-                .iter()
-                .enumerate()
-                .map(|(bi, &loc)| (loc, bi as u8))
-                .collect(),
+        let mut serialization_of = vec![None; l].into_boxed_slice();
+        if let StOrderPolicy::Serialization { locs } = &cfg.policy {
+            for (bi, &loc) in locs.iter().enumerate() {
+                serialization_of[(loc - 1) as usize] = Some(bi as u8);
+            }
+        }
+        let sh = Shared {
+            cfg,
+            aux_total,
+            serialization_of,
         };
         Observer {
-            loc_owner: vec![None; l],
+            refs: vec![None; sh.table_len()].into_boxed_slice(),
             aux_next: l as IdNum + 1,
             aux_released: Vec::new(),
-            aux_total,
             nodes: NodeMap::default(),
-            next_key: 0,
-            last_op: vec![None; p],
-            sto_tail: vec![None; b],
-            first_st: vec![None; b],
-            bot_anchor: vec![None; p * b],
-            pending: vec![Vec::new(); b],
-            serialization_of,
+            next_key: Key::MIN,
+            pending: Vec::new(),
             stats: ObserverStats::default(),
             edges: Vec::new(),
-            cfg,
+            sh: Arc::new(sh),
         }
     }
 
@@ -298,7 +359,7 @@ impl Observer {
     /// `1..=k+1`, with `1..=L` the locations, then the auxiliary pool,
     /// then one reserved never-owned "null" ID used to orphan IDs.
     pub fn k(&self) -> u32 {
-        self.cfg.locations + self.aux_total as u32
+        self.sh.cfg.locations + self.sh.aux_total as u32
     }
 
     /// The reserved never-owned ID (`k+1`).
@@ -308,7 +369,7 @@ impl Observer {
 
     /// The number of storage locations `L` (IDs `1..=L` are locations).
     pub fn location_count(&self) -> u32 {
-        self.cfg.locations
+        self.sh.cfg.locations
     }
 
     /// Streaming statistics.
@@ -316,15 +377,31 @@ impl Observer {
         self.stats
     }
 
+    /// The location-owner section of [`Observer::refs`].
+    fn loc_owner(&self) -> &[Option<Key>] {
+        &self.refs[..self.sh.cfg.locations as usize]
+    }
+
+    /// Run `f` with the thread's edge queue installed as `self.edges`;
+    /// every handler flushes it, so it goes back empty.
+    fn with_edge_queue(&mut self, f: impl FnOnce(&mut Self)) {
+        with_scratch(|s| {
+            std::mem::swap(&mut self.edges, &mut s.edges);
+            f(self);
+            debug_assert!(self.edges.is_empty(), "unflushed edges");
+            std::mem::swap(&mut self.edges, &mut s.edges);
+        });
+    }
+
     /// Observe one protocol step, appending descriptor symbols to `out`.
     pub fn step(&mut self, step: &Step, out: &mut Vec<Symbol>) {
         let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::ObserverStep);
         let before = out.len();
-        match step.action {
-            Action::Mem(op) if op.is_store() => self.on_store(op, step, out),
-            Action::Mem(op) => self.on_load(op, step, out),
-            Action::Internal(..) => self.on_internal(step, out),
-        }
+        self.with_edge_queue(|obs| match step.action {
+            Action::Mem(op) if op.is_store() => obs.on_store(op, step, out),
+            Action::Mem(op) => obs.on_load(op, step, out),
+            Action::Internal(..) => obs.on_internal(step, out),
+        });
         if scv_telemetry::enabled() {
             scv_telemetry::add(scv_telemetry::Metric::ObserverSteps, 1);
             scv_telemetry::add(
@@ -340,27 +417,31 @@ impl Observer {
     /// Are there stores still awaiting serialization (so that
     /// [`Observer::finish`] would emit trailing symbols)?
     pub fn has_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
+        !self.pending.is_empty()
     }
 
     /// End of run: serialize any still-pending stores (emitting their ST
     /// order edges and the forced edges of their waiting heirs).
     pub fn finish(&mut self, out: &mut Vec<Symbol>) {
         let before = out.len();
-        for b in 0..self.pending.len() {
-            let pend = std::mem::take(&mut self.pending[b]);
-            for key in pend {
-                if self.nodes.contains_key(&key) {
-                    self.nodes
-                        .get_mut(&key)
-                        .expect("live")
-                        .pins
-                        .pending_serialization = false;
-                    self.serialize_store(b, key);
+        self.with_edge_queue(|obs| {
+            for b in 0..obs.sh.b() {
+                // This block's pending stores, in trace order.
+                let mut i = 0;
+                while i < obs.pending.len() {
+                    if obs.pending[i].0 as usize != b {
+                        i += 1;
+                        continue;
+                    }
+                    let key = obs.pending.remove(i).1;
+                    if let Some(n) = obs.nodes.get_mut(&key) {
+                        n.pins.pending_serialization = false;
+                        obs.serialize_store(b, key);
+                    }
                 }
+                obs.flush_edges(out);
             }
-            self.flush_edges(out);
-        }
+        });
         scv_telemetry::add(
             scv_telemetry::Metric::ObserverSymbols,
             (out.len() - before) as u64,
@@ -385,15 +466,15 @@ impl Observer {
         let loc = step.tracking.loc.expect("ST carries a location label");
         // The overwritten occupant of `loc` may need rescuing first.
         self.rescue_if_needed(loc, out);
-        let key = self.new_node(op);
+        let key = self.new_node();
         self.nodes.get_mut(&key).expect("live").loc_count = 1;
-        let old = self.loc_owner[(loc - 1) as usize].replace(key);
+        let old = self.refs[self.sh.owner(loc)].replace(key);
         out.push(Symbol::node(loc, op));
         self.drop_loc_ref(old);
 
         self.take_po_anchor(key, op.proc.idx());
         let b = op.block.idx();
-        match self.cfg.policy {
+        match self.sh.cfg.policy {
             StOrderPolicy::RealTime => self.serialize_store(b, key),
             StOrderPolicy::Serialization { .. } => {
                 self.nodes
@@ -401,7 +482,7 @@ impl Observer {
                     .expect("live")
                     .pins
                     .pending_serialization = true;
-                self.pending[b].push(key);
+                self.pending.push((b as u8, key));
             }
         }
         self.flush_edges(out);
@@ -410,8 +491,8 @@ impl Observer {
 
     fn on_load(&mut self, op: Op, step: &Step, out: &mut Vec<Symbol>) {
         let loc = step.tracking.loc.expect("LD carries a location label");
-        let src = self.loc_owner[(loc - 1) as usize];
-        let key = self.new_node(op);
+        let src = self.refs[self.sh.owner(loc)];
+        let key = self.new_node();
         // A LD node holds no storage location; give it an auxiliary ID.
         let aux = self.grab_aux();
         self.nodes.get_mut(&key).expect("live").aux = Some(aux);
@@ -452,11 +533,11 @@ impl Observer {
                 // ⊥ load (or a value-less location, which the checker will
                 // flag): constraint 5(b) handling.
                 let b = op.block.idx();
-                match self.first_st[b] {
+                match self.refs[self.sh.first_st(b)] {
                     Some(first) => self.queue_edge(key, first, EdgeSet::FORCED),
                     None => {
-                        let slot = op.proc.idx() * self.cfg.params.b as usize + b;
-                        let prev = self.bot_anchor[slot].replace(key);
+                        let slot = self.sh.bot_anchor(op.proc.idx(), b);
+                        let prev = self.refs[slot].replace(key);
                         self.nodes.get_mut(&key).expect("live").pins.bot_anchor = true;
                         if let Some(prev) = prev {
                             if let Some(n) = self.nodes.get_mut(&prev) {
@@ -477,9 +558,10 @@ impl Observer {
             match src {
                 CopySrc::Loc(srcl) if srcl != dst => {
                     self.rescue_if_needed(dst, out);
-                    let old = self.loc_owner[(dst - 1) as usize].take();
-                    let gainer = self.loc_owner[(srcl - 1) as usize];
-                    self.loc_owner[(dst - 1) as usize] = gainer;
+                    let d = self.sh.owner(dst);
+                    let old = self.refs[d].take();
+                    let gainer = self.refs[self.sh.owner(srcl)];
+                    self.refs[d] = gainer;
                     out.push(Symbol::AddId { of: srcl, add: dst });
                     if let Some(g) = gainer {
                         self.nodes.get_mut(&g).expect("owner is live").loc_count += 1;
@@ -487,27 +569,26 @@ impl Observer {
                     self.drop_loc_ref(old);
                     // Serialization events: a copy into a block's
                     // serialization location serializes the source store.
-                    if let (Some(&b), Some(g)) = (self.serialization_of.get(&dst), gainer) {
+                    if let (Some(b), Some(g)) = (self.sh.serialization_of[d], gainer) {
                         let pending = self
                             .nodes
                             .get(&g)
                             .is_some_and(|n| n.pins.pending_serialization);
                         if pending {
-                            let bi = b as usize;
-                            self.pending[bi].retain(|&k| k != g);
+                            self.pending.retain(|&(_, k)| k != g);
                             self.nodes
                                 .get_mut(&g)
                                 .expect("live")
                                 .pins
                                 .pending_serialization = false;
-                            self.serialize_store(bi, g);
+                            self.serialize_store(b as usize, g);
                         }
                     }
                 }
                 CopySrc::Loc(_) => {} // c_l(t) = l: unchanged
                 CopySrc::Invalid => {
                     self.rescue_if_needed(dst, out);
-                    let old = self.loc_owner[(dst - 1) as usize].take();
+                    let old = self.refs[self.sh.owner(dst)].take();
                     if old.is_some() {
                         out.push(Symbol::AddId {
                             of: self.null_id(),
@@ -525,7 +606,7 @@ impl Observer {
 
     /// `node` becomes the next store of block `b` in ST order.
     fn serialize_store(&mut self, b: usize, node: Key) {
-        match self.sto_tail[b] {
+        match self.refs[self.sh.sto_tail(b)] {
             Some(tail) => {
                 self.queue_edge(tail, node, EdgeSet::STO);
                 // Forced edges for the tail's waiting heirs; they unpin.
@@ -555,11 +636,10 @@ impl Observer {
             None => {
                 // First store of the block in ST order: discharge the ⊥
                 // anchors and stay pinned forever for late ⊥ loads.
-                self.first_st[b] = Some(node);
+                self.refs[self.sh.first_st(b)] = Some(node);
                 self.nodes.get_mut(&node).expect("live").pins.first_st = true;
-                for p in 0..self.cfg.params.p as usize {
-                    let slot = p * self.cfg.params.b as usize + b;
-                    if let Some(j) = self.bot_anchor[slot].take() {
+                for p in 0..self.sh.p() {
+                    if let Some(j) = self.refs[self.sh.bot_anchor(p, b)].take() {
                         if self.nodes.contains_key(&j) {
                             self.queue_edge(j, node, EdgeSet::FORCED);
                             self.nodes.get_mut(&j).expect("live").pins.bot_anchor = false;
@@ -569,33 +649,25 @@ impl Observer {
                 }
             }
         }
-        self.sto_tail[b] = Some(node);
+        self.refs[self.sh.sto_tail(b)] = Some(node);
         self.nodes.get_mut(&node).expect("live").pins.sto_tail = true;
     }
 
     // ----- plumbing ----------------------------------------------------------
 
-    fn new_node(&mut self, op: Op) -> Key {
+    fn new_node(&mut self) -> Key {
         let key = self.next_key;
-        self.next_key += 1;
-        self.nodes.insert(
-            key,
-            ObsNode {
-                op,
-                loc_count: 0,
-                aux: None,
-                pins: Pins::default(),
-                sto_succ: None,
-                heirs: Vec::new(),
-            },
-        );
+        self.next_key = key
+            .checked_add(1)
+            .expect("observer node keys exhausted: 2^32 - 1 nodes created on one run");
+        self.nodes.insert(key, ObsNode::default());
         key
     }
 
     /// Make `key` the program-order anchor of processor index `pi`,
     /// emitting the po edge from the previous anchor.
     fn take_po_anchor(&mut self, key: Key, pi: usize) {
-        if let Some(prev) = self.last_op[pi].replace(key) {
+        if let Some(prev) = self.refs[self.sh.last_op(pi)].replace(key) {
             self.queue_edge(prev, key, EdgeSet::PO);
             if let Some(n) = self.nodes.get_mut(&prev) {
                 n.pins.po_anchor = false;
@@ -608,7 +680,7 @@ impl Observer {
     /// The occupant of location `loc` is about to lose that ID; if it is
     /// its last ID and the node is pinned, grant an auxiliary ID first.
     fn rescue_if_needed(&mut self, loc: LocId, out: &mut Vec<Symbol>) {
-        let Some(key) = self.loc_owner[(loc - 1) as usize] else {
+        let Some(key) = self.refs[self.sh.owner(loc)] else {
             return;
         };
         let needs = {
@@ -658,7 +730,7 @@ impl Observer {
 
     /// Auxiliary IDs currently held by nodes.
     fn aux_in_use(&self) -> usize {
-        (self.aux_next - self.cfg.locations - 1) as usize - self.aux_released.len()
+        (self.aux_next - self.sh.cfg.locations - 1) as usize - self.aux_released.len()
     }
 
     /// Queue an edge for emission at the next flush, merging annotations.
@@ -673,16 +745,20 @@ impl Observer {
     /// Emit the queued edges using the nodes' current IDs, then release
     /// any endpoint whose ID was only kept alive for these edges.
     fn flush_edges(&mut self, out: &mut Vec<Symbol>) {
-        let edges = std::mem::take(&mut self.edges);
+        // Out of the queue while its endpoints are gc'd, so `gc` sees no
+        // edge deferring them; the buffer goes back cleared.
+        let mut edges = std::mem::take(&mut self.edges);
         for &((from, to), ann) in &edges {
             let f = self.id_of(from);
             let t = self.id_of(to);
             out.push(Symbol::edge(f, t, ann));
         }
-        for ((from, to), _) in edges {
+        for &((from, to), _) in &edges {
             self.gc(from);
             self.gc(to);
         }
+        edges.clear();
+        self.edges = edges;
     }
 
     /// Any current ID of a live node (auxiliary preferred, else a location
@@ -697,7 +773,7 @@ impl Observer {
         }
         debug_assert!(n.loc_count > 0);
         (self
-            .loc_owner
+            .loc_owner()
             .iter()
             .position(|o| *o == Some(key))
             .expect("loc_count > 0") as IdNum)
@@ -731,7 +807,7 @@ impl Observer {
     pub fn owner_words(&self, out: &mut Vec<u64>) -> bool {
         out.clear();
         let entries = self.nodes.entries();
-        for k in &self.loc_owner {
+        for k in self.loc_owner() {
             match k {
                 None => out.push(u64::MAX),
                 Some(k) => match entries.binary_search_by_key(k, |&(ek, _)| ek) {
@@ -775,15 +851,14 @@ impl Observer {
                     .map(|r| r as u64),
             }
         };
-        let b = self.cfg.params.b as usize;
-        for e in 0..self.cfg.params.p as usize {
+        for e in 0..self.sh.p() {
             keys.begin_key();
-            match rank(self.last_op[e]) {
+            match rank(self.refs[self.sh.last_op(e)]) {
                 Some(w) => keys.push(w),
                 None => return false,
             }
-            for bi in 0..b {
-                match rank(self.bot_anchor[e * b + block_inv(bi)]) {
+            for bi in 0..self.sh.b() {
+                match rank(self.refs[self.sh.bot_anchor(e, block_inv(bi))]) {
                     Some(w) => keys.push(w),
                     None => return false,
                 }
@@ -827,6 +902,20 @@ impl Observer {
         ids: &mut scv_descriptor::IdCanon<'_>,
         view: Option<&scv_descriptor::SymView<'_>>,
     ) {
+        with_scratch(|Scratch { dead, heirs, .. }| {
+            dead.clear();
+            self.encode_with_scratch(out, ids, view, dead, heirs);
+        });
+    }
+
+    fn encode_with_scratch<S: scv_descriptor::EncSink>(
+        &self,
+        out: &mut S,
+        ids: &mut scv_descriptor::IdCanon<'_>,
+        view: Option<&scv_descriptor::SymView<'_>>,
+        dead: &mut Vec<(Key, u64)>,
+        heirs: &mut Vec<(u8, u64)>,
+    ) {
         // Abort the walk the moment the sink refuses a word (see
         // `EncSink::word`); partial output is discarded by the sink.
         macro_rules! emit {
@@ -844,7 +933,6 @@ impl Observer {
         // Dead tokens (e.g. a gc'd sto_succ) get stable fresh numbers in
         // first-appearance order of this deterministic encoding; there are
         // at most a handful per state, so a linear scan beats a map.
-        let mut dead: Vec<(Key, u64)> = Vec::new();
         let tok = |k: Option<Key>, dead: &mut Vec<(Key, u64)>| -> u64 {
             match k {
                 None => u64::MAX,
@@ -864,16 +952,15 @@ impl Observer {
         // Under a view, arrays indexed by location / processor / block are
         // walked in *renamed* index order, so position `i` of the output
         // holds what the renamed structure's position `i` would hold.
-        let p_count = self.cfg.params.p as usize;
-        let b_count = self.cfg.params.b as usize;
+        let sh = &*self.sh;
         let old_proc = |i: usize| view.map_or(i, |v| v.perm.inv_proc_idx(i));
         let old_block = |i: usize| view.map_or(i, |v| v.perm.inv_block_idx(i));
         emit!(entries.len() as u64);
-        for i in 0..self.loc_owner.len() {
+        let loc_owner = self.loc_owner();
+        for i in 0..loc_owner.len() {
             let old = view.map_or(i, |v| v.loc_inv[i + 1] as usize - 1);
-            emit!(tok(self.loc_owner[old], &mut dead));
+            emit!(tok(loc_owner[old], dead));
         }
-        let mut heirs: Vec<(u8, u64)> = Vec::new();
         for (_, n) in entries {
             // Deliberately NOT encoded: the node's operation label. The
             // observer emits a node's label exactly once, at creation;
@@ -890,40 +977,44 @@ impl Observer {
                     | (n.pins.first_st as u64) << 3
                     | (n.pins.pending_serialization as u64) << 4
             );
-            emit!(tok(n.pins.heir_of, &mut dead));
-            emit!(tok(n.pins.forced_target_of, &mut dead));
-            emit!(tok(n.sto_succ, &mut dead));
+            emit!(tok(n.pins.heir_of, dead));
+            emit!(tok(n.pins.forced_target_of, dead));
+            emit!(tok(n.sto_succ, dead));
             heirs.clear();
             for &(p, h) in &n.heirs {
                 let p = view.map_or(p, |v| v.perm.proc(scv_types::ProcId(p)).0);
-                heirs.push((p, tok(Some(h), &mut dead)));
+                heirs.push((p, tok(Some(h), dead)));
             }
             heirs.sort_unstable();
             emit!(heirs.len() as u64);
-            for &(p, h) in &heirs {
+            for &(p, h) in heirs.iter() {
                 emit!((p as u64) << 32 | h);
             }
         }
-        for i in 0..p_count {
-            emit!(tok(self.last_op[old_proc(i)], &mut dead));
+        for i in 0..sh.p() {
+            emit!(tok(self.refs[sh.last_op(old_proc(i))], dead));
         }
-        for i in 0..b_count {
-            emit!(tok(self.sto_tail[old_block(i)], &mut dead));
+        for i in 0..sh.b() {
+            emit!(tok(self.refs[sh.sto_tail(old_block(i))], dead));
         }
-        for i in 0..b_count {
-            emit!(tok(self.first_st[old_block(i)], &mut dead));
+        for i in 0..sh.b() {
+            emit!(tok(self.refs[sh.first_st(old_block(i))], dead));
         }
-        for pi in 0..p_count {
-            for bi in 0..b_count {
-                let slot = old_proc(pi) * b_count + old_block(bi);
-                emit!(tok(self.bot_anchor[slot], &mut dead));
+        for pi in 0..sh.p() {
+            for bi in 0..sh.b() {
+                emit!(tok(
+                    self.refs[sh.bot_anchor(old_proc(pi), old_block(bi))],
+                    dead
+                ));
             }
         }
-        for bi in 0..b_count {
-            let pend = &self.pending[old_block(bi)];
-            emit!(pend.len() as u64);
-            for &k in pend {
-                emit!(tok(Some(k), &mut dead));
+        for bi in 0..sh.b() {
+            let ob = old_block(bi) as u8;
+            emit!(self.pending.iter().filter(|&&(b, _)| b == ob).count() as u64);
+            for &(b, k) in &self.pending {
+                if b == ob {
+                    emit!(tok(Some(k), dead));
+                }
             }
         }
         // The free auxiliary pool is deliberately NOT encoded: it is the
@@ -1222,11 +1313,29 @@ mod tests {
             [obs.grab_aux(), obs.grab_aux(), obs.grab_aux()],
             [l + 3, l + 1, l + 4]
         );
-        while obs.aux_in_use() < obs.aux_total {
+        while obs.aux_in_use() < obs.sh.aux_total {
             obs.grab_aux();
         }
         assert_eq!(obs.aux_next, obs.k() + 1);
         obs.grab_aux();
+    }
+
+    /// Node keys are 32-bit: an observer whose key counter has reached
+    /// `u32::MAX` refuses the next node rather than wrap to a key that may
+    /// still be live.
+    #[test]
+    #[should_panic(expected = "observer node keys exhausted")]
+    fn node_key_counter_panics_instead_of_wrapping() {
+        let p = MsiProtocol::new(Params::new(2, 1, 1));
+        let run = random_run(&p, 40, 3);
+        let store = run
+            .steps
+            .iter()
+            .find(|s| s.action.op().is_some_and(|op| op.is_store()))
+            .expect("a random msi run stores");
+        let mut obs = Observer::new(ObserverConfig::from_protocol(&p));
+        obs.next_key = Key::MAX;
+        obs.step(store, &mut Vec::new());
     }
 
     /// The size statistics of seeded runs: `(max_aux_in_use,
