@@ -587,11 +587,6 @@ impl ScChecker {
         n
     }
 
-    /// Has the checker already rejected?
-    pub fn is_rejected(&self) -> bool {
-        self.rejected.is_some()
-    }
-
     /// Run the checker over a whole descriptor.
     pub fn check(d: &Descriptor) -> ScVerdict {
         let mut c = ScChecker::new(d.k);
@@ -800,6 +795,10 @@ impl ScChecker {
     /// through `view`) into an arbitrary [`scv_descriptor::EncSink`] —
     /// e.g. an incremental lexicographic comparator that aborts the walk
     /// at the first losing word during orbit-minimum canonicalization.
+    /// With a `view`, `ids` must be the same
+    /// [`scv_descriptor::IdCanon`] (built with
+    /// [`scv_descriptor::IdCanon::with_locs`]) already threaded through the
+    /// paired observer's view encoding.
     pub fn canonical_encoding_into<S: scv_descriptor::EncSink>(
         &self,
         out: &mut S,
@@ -807,21 +806,6 @@ impl ScChecker {
         view: Option<&scv_descriptor::SymView<'_>>,
     ) {
         self.encode_canonical(out, ids, view);
-    }
-
-    /// [`ScChecker::canonical_encoding`] as it would read after renaming
-    /// every processor/block/value identity through `view` — emits exactly
-    /// the sequence the renamed checker would emit. `ids` must be the same
-    /// [`scv_descriptor::IdCanon`] (built with
-    /// [`scv_descriptor::IdCanon::with_locs`]) already threaded through the
-    /// paired observer's view encoding.
-    pub fn canonical_encoding_with(
-        &self,
-        out: &mut Vec<u64>,
-        ids: &mut scv_descriptor::IdCanon<'_>,
-        view: &scv_descriptor::SymView<'_>,
-    ) {
-        self.encode_canonical(out, ids, Some(view));
     }
 
     fn encode_canonical<S: scv_descriptor::EncSink>(

@@ -34,11 +34,6 @@ impl IdTable {
         }
     }
 
-    /// Size of the ID space (`k+1`).
-    pub fn id_space(&self) -> usize {
-        self.owner.len()
-    }
-
     /// Number of node descriptors processed so far.
     pub fn nodes_seen(&self) -> usize {
         self.nodes_seen

@@ -2,11 +2,11 @@
 //! rendering over *raw* edge lists, as produced by decoding a descriptor
 //! prefix.
 //!
-//! Unlike [`crate::dot::to_dot`], which requires a fully-labeled
-//! [`crate::ConstraintGraph`], these functions tolerate the partial
-//! graphs that arise when explaining a rejection: a descriptor prefix cut
-//! at the offending symbol can mention nodes whose labels were recycled
-//! away and edges that carry no annotation. Edge styles follow §3.1 of
+//! Rather than a fully-labeled [`crate::ConstraintGraph`], these
+//! functions take the partial graphs that arise when explaining a
+//! rejection: a descriptor prefix cut at the offending symbol can mention
+//! nodes whose labels were recycled away and edges that carry no
+//! annotation. Edge styles follow §3.1 of
 //! the paper (program order solid, ST order bold, inheritance dashed,
 //! forced dotted); the rejecting cycle is overlaid in red.
 

@@ -27,7 +27,6 @@
 
 pub mod axioms;
 pub mod baseline;
-pub mod dot;
 pub mod edge;
 pub mod explain;
 pub mod graph;
@@ -37,7 +36,6 @@ pub mod serial_search;
 
 pub use axioms::{validate_constraint_graph, AxiomViolation};
 pub use baseline::{saturated_graph, BaselineChecker, BaselineVerdict, Witness, WitnessError};
-pub use dot::{to_dot, to_dot_with_cycle};
 pub use edge::EdgeSet;
 pub use explain::{annotated_dot, find_cycle_in};
 pub use graph::ConstraintGraph;

@@ -26,7 +26,7 @@
 //!   [`CancelToken`] fired;
 //! * run control & checkpointing — [`Budget`], [`CancelToken`], and the
 //!   `*_controlled` engine variants interrupt a search at a consistent
-//!   point; [`checkpoint::CheckpointFile`] serializes it, and
+//!   point; [`checkpoint::CheckpointHeader::save`] streams it to disk, and
 //!   [`VerifyOptions::resume_from`] continues it exactly.
 
 mod canon;
@@ -38,7 +38,7 @@ pub mod sip;
 pub mod verify;
 pub mod ws;
 
-pub use checkpoint::{CheckpointError, CheckpointFile};
+pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointHeader};
 pub use control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 pub use mc::{
     bfs, bfs_controlled, fp_collision_bound, BfsOptions, ControlledSearch, Counterexample,

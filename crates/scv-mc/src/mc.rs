@@ -344,9 +344,10 @@ impl<L, V> SearchResult<L, V> {
 }
 
 /// Everything an interrupted search needs to continue exactly where it
-/// stopped: the fingerprint seeds, the seen-set, the unexpanded frontier
-/// (with per-state BFS depths), the parent edges accumulated so far, and
-/// the running totals.
+/// stopped: the fingerprint seeds, the unexpanded frontier (with per-state
+/// BFS depths), the parent edges accumulated so far, and the running
+/// totals. The parent edges are also the seen-set: every admitted state
+/// but the initial one is the child of exactly one edge.
 ///
 /// The *consistency point* invariant all engines guarantee before handing
 /// one of these back: every expanded state has all of its successors
@@ -360,19 +361,24 @@ pub struct SearchCheckpoint<S, L> {
     /// Fingerprint of the initial state (parent-chain terminator, and a
     /// resume-time sanity check that the system is the same one).
     pub init_fp: u128,
-    /// Every admitted fingerprint.
-    pub seen: Vec<u128>,
     /// Admitted-but-unexpanded states: `(state, fingerprint, depth)`.
     pub frontier: Vec<(S, u128, usize)>,
-    /// Parent edges `(child_fp, parent_fp, label)` for counterexample
-    /// reconstruction after resume.
+    /// Parent edges `(child_fp, parent_fp, label)`, one per admitted state
+    /// other than the initial one: with `init_fp`, the admitted set, and
+    /// the chains counterexample reconstruction walks after resume.
     pub parents: Vec<(u128, u128, L)>,
-    /// Distinct states admitted so far.
-    pub states: usize,
     /// Transitions explored so far.
     pub transitions: usize,
     /// Deepest BFS level admitted so far.
     pub depth: usize,
+}
+
+impl<S, L> SearchCheckpoint<S, L> {
+    /// Distinct states admitted so far: the initial state plus one child
+    /// per parent edge.
+    pub fn states(&self) -> usize {
+        self.parents.len() + 1
+    }
 }
 
 /// Outcome of a budget-/cancel-aware search.
@@ -403,8 +409,7 @@ impl<S, L, V> ControlledSearch<S, L, V> {
 }
 
 /// The sequential seen map: fingerprint → parent edge (`None` for the
-/// initial state and for fingerprints restored from a checkpoint's seen
-/// list).
+/// initial state).
 type SeenMap<L> = HashMap<u128, Option<(u128, L)>, FpBuild>;
 
 /// Sequential BFS with parent tracking for counterexample extraction.
@@ -458,14 +463,12 @@ pub fn bfs_controlled<T: TransitionSystem>(
     match resume {
         Some(ck) => {
             init_fp = ck.init_fp;
-            seen.reserve(ck.seen.len());
-            for fp in &ck.seen {
-                seen.insert(*fp, None);
-            }
+            stats.states = ck.states();
+            seen.reserve(stats.states);
+            seen.insert(init_fp, None);
             for (child, parent, label) in ck.parents {
                 seen.insert(child, Some((parent, label)));
             }
-            stats.states = ck.states;
             stats.transitions = ck.transitions;
             stats.depth = ck.depth;
             frontier.extend(ck.frontier);
@@ -513,13 +516,11 @@ pub fn bfs_controlled<T: TransitionSystem>(
             let checkpoint = SearchCheckpoint {
                 seeds: fper.seeds(),
                 init_fp,
-                seen: seen.keys().copied().collect(),
                 frontier: frontier.into_iter().collect(),
                 parents: seen
                     .iter()
                     .filter_map(|(c, p)| p.as_ref().map(|(pf, l)| (*c, *pf, l.clone())))
                     .collect(),
-                states: stats.states,
                 transitions: stats.transitions,
                 depth: stats.depth,
             };
@@ -709,7 +710,13 @@ mod tests {
             assert_eq!(reason, InterruptReason::StateBudget);
             assert!(stats.states >= cut);
             assert!(!checkpoint.frontier.is_empty(), "cut {cut}");
-            assert_eq!(checkpoint.seen.len(), checkpoint.states, "cut {cut}");
+            // The parent log is the admitted set: one edge per state but
+            // the initial one, each naming a distinct child.
+            assert_eq!(checkpoint.parents.len() + 1, stats.states, "cut {cut}");
+            let children: std::collections::HashSet<u128> =
+                checkpoint.parents.iter().map(|e| e.0).collect();
+            assert_eq!(children.len(), checkpoint.parents.len(), "cut {cut}");
+            assert!(!children.contains(&checkpoint.init_fp), "cut {cut}");
             let resumed = bfs_controlled(
                 &sys,
                 BfsOptions::default(),

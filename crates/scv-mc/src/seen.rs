@@ -188,20 +188,6 @@ impl StripedSeen {
         new
     }
 
-    /// Probe a batch of fingerprints that all map to shard `shard` under a
-    /// single lock acquisition, **without inserting anything**. Pushes one
-    /// bool per fingerprint onto `absent`, in order: `true` iff the
-    /// fingerprint is not in the set. This is the admission gate's read
-    /// side: a `true` answer is a *hint* (a racing worker may insert the
-    /// fingerprint right after the lock drops), so callers must still
-    /// treat [`StripedSeen::insert_batch`] as the authoritative admission.
-    /// A `false` answer is definitive — fingerprints are never removed.
-    pub fn probe_batch(&self, shard: usize, fps: &[u128], absent: &mut Vec<bool>) {
-        debug_assert!(fps.iter().all(|&fp| self.shard_of(fp) == shard));
-        let guard = self.shards[shard].lock().unwrap();
-        absent.extend(fps.iter().map(|&fp| !guard.contains(desentinel(fp))));
-    }
-
     /// Probe an unsorted batch of fingerprints (any mix of stripes),
     /// writing `absent[i] == true` iff `fps[i]` is not in the set. Groups
     /// the batch by stripe internally so each touched stripe is locked
@@ -233,19 +219,6 @@ impl StripedSeen {
             }
             at = end;
         }
-    }
-
-    /// Snapshot every stored fingerprint (in arbitrary order), for
-    /// checkpoint serialization. Exact when no concurrent inserts are in
-    /// flight; the values are post-sentinel-remap, so re-inserting them
-    /// into a fresh set reproduces the same membership answers.
-    pub fn fingerprints(&self) -> Vec<u128> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in self.shards.iter() {
-            let guard = shard.lock().unwrap();
-            out.extend(guard.slots.iter().copied().filter(|&fp| fp != 0));
-        }
-        out
     }
 
     /// Total fingerprints stored. Exact when no concurrent inserts are in
@@ -320,26 +293,14 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_and_probe_many_report_membership_without_inserting() {
+    fn probe_many_reports_membership_without_inserting() {
         let seen = StripedSeen::new(5);
         let present: Vec<u128> = (1..100u128).map(|i| i * 0x1234567890AB).collect();
         for &fp in &present {
             seen.insert(fp);
         }
         let absent_fps: Vec<u128> = (1..100u128).map(|i| i * 0xFEDCBA987654321).collect();
-        // probe_batch: per-stripe, membership answers in order.
-        let mut by_shard: Vec<Vec<u128>> = vec![Vec::new(); seen.shard_count()];
-        for &fp in present.iter().chain(&absent_fps) {
-            by_shard[seen.shard_of(fp)].push(fp);
-        }
-        for (shard, group) in by_shard.iter().enumerate() {
-            let mut flags = Vec::new();
-            seen.probe_batch(shard, group, &mut flags);
-            for (i, &fp) in group.iter().enumerate() {
-                assert_eq!(flags[i], !present.contains(&fp), "fp {fp:x}");
-            }
-        }
-        // probe_many: interleaved stripes, same answers, nothing inserted.
+        // Interleaved stripes, membership answers in order, nothing inserted.
         let mixed: Vec<u128> = present
             .iter()
             .zip(&absent_fps)
@@ -360,24 +321,6 @@ mod tests {
         let mut flags = Vec::new();
         seen.probe_many(&[0, 1], &mut flags, &mut order);
         assert!(!flags[0] && !flags[1], "0 aliases to 1 by design");
-    }
-
-    #[test]
-    fn fingerprints_snapshot_roundtrips_into_fresh_set() {
-        let seen = StripedSeen::new(7);
-        let fps: Vec<u128> = (0..500u128).map(|i| i * 0x9E3779B97F4A7C15).collect();
-        for &fp in &fps {
-            seen.insert(fp);
-        }
-        let snap = seen.fingerprints();
-        assert_eq!(snap.len(), seen.len());
-        let rebuilt = StripedSeen::new(3);
-        for &fp in &snap {
-            assert!(rebuilt.insert(fp), "snapshot has no duplicates");
-        }
-        for &fp in &fps {
-            assert!(rebuilt.contains(fp), "membership preserved for {fp:x}");
-        }
     }
 
     #[test]

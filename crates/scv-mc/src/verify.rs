@@ -3,7 +3,7 @@
 //! symmetry group.
 
 use crate::canon::{self, CanonScratch, FastPlan};
-use crate::checkpoint::{CheckpointError, CheckpointFile};
+use crate::checkpoint::{CheckpointError, CheckpointFile, CheckpointHeader};
 use crate::control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 use crate::mc::{
     bfs_controlled, eager_expand, BfsOptions, ControlledSearch, ExpandScratch, Fingerprinter,
@@ -427,11 +427,6 @@ impl<P: Symmetry> VerifySystem<P> {
         &self.protocol
     }
 
-    /// The symmetry mode this system was built with.
-    pub fn symmetry_mode(&self) -> SymmetryMode {
-        self.mode
-    }
-
     /// Order of the effective symmetry group (1 = no reduction).
     pub fn symmetry_group_order(&self) -> usize {
         self.perms.len().max(1)
@@ -630,8 +625,8 @@ impl<P: Symmetry> VerifySystem<P> {
             };
             ids.reset();
             ids.set_locs(&e.locs);
-            obs.canonical_encoding_with(cand, &mut ids, &view);
-            chk.canonical_encoding_with(cand, &mut ids, &view);
+            obs.canonical_encoding_into(cand, &mut ids, Some(&view));
+            chk.canonical_encoding_into(cand, &mut ids, Some(&view));
             match (*cand).cmp(best) {
                 std::cmp::Ordering::Less => {
                     std::mem::swap(best, cand);
@@ -1314,7 +1309,7 @@ where
     pub fn try_search(&self, opts: &VerifyOptions) -> Result<Outcome, CheckpointError> {
         let run_start = Instant::now();
         let mut resume = match &opts.resume_from {
-            Some(path) => Some(self.rebuild_checkpoint(&CheckpointFile::load(path)?)?),
+            Some(path) => Some(self.rebuild_checkpoint(CheckpointFile::load(path)?)?),
             None => None,
         };
         // The budget deadline is absolute (measured from run start); each
@@ -1333,7 +1328,7 @@ where
         let mut effective_every = opts
             .checkpoint_every
             .map(|e| e.max(Duration::from_millis(1)));
-        let mut last_states = resume.as_ref().map_or(0, |ck| ck.states);
+        let mut last_states = resume.as_ref().map_or(0, |ck| ck.states());
         loop {
             let mut ctrl = RunControl::new(&sliced_budget, opts.cancel.clone());
             if let Some(d) = budget_deadline {
@@ -1383,12 +1378,12 @@ where
                         self.write_checkpoint(path, &checkpoint)?;
                     }
                     if tick {
-                        if checkpoint.states <= last_states {
+                        if checkpoint.states() <= last_states {
                             if let Some(e) = &mut effective_every {
                                 *e = e.saturating_mul(2);
                             }
                         }
-                        last_states = checkpoint.states;
+                        last_states = checkpoint.states();
                         resume = Some(checkpoint);
                         continue;
                     }
@@ -1408,37 +1403,25 @@ where
         }
     }
 
-    /// Package an engine checkpoint into the portable file form.
-    fn checkpoint_file(
-        &self,
-        ck: &SearchCheckpoint<VerifyState<P::State>, Action>,
-    ) -> CheckpointFile {
-        let p = self.protocol.params();
-        CheckpointFile {
-            protocol: self.protocol.name().to_string(),
-            dims: (p.p, p.b, p.v),
-            symmetry: self.mode.as_byte(),
-            seeds: ck.seeds,
-            states: ck.states as u64,
-            transitions: ck.transitions as u64,
-            depth: ck.depth as u64,
-            init_fp: ck.init_fp,
-            seen: ck.seen.clone(),
-            parents: ck.parents.clone(),
-            frontier: ck
-                .frontier
-                .iter()
-                .map(|(_, fp, d)| (*fp, *d as u32))
-                .collect(),
-        }
-    }
-
+    /// Stream an engine checkpoint to `path` in the portable file form,
+    /// straight from the snapshot (no intermediate copy of the parent log).
     fn write_checkpoint(
         &self,
         path: &std::path::Path,
         ck: &SearchCheckpoint<VerifyState<P::State>, Action>,
     ) -> Result<(), CheckpointError> {
-        let bytes = self.checkpoint_file(ck).save(path)?;
+        let p = self.protocol.params();
+        let header = CheckpointHeader {
+            protocol: self.protocol.name().to_string(),
+            dims: (p.p, p.b, p.v),
+            symmetry: self.mode.as_byte(),
+            seeds: ck.seeds,
+            transitions: ck.transitions as u64,
+            depth: ck.depth as u64,
+            init_fp: ck.init_fp,
+        };
+        let frontier = ck.frontier.iter().map(|(_, fp, d)| (*fp, *d as u32));
+        let bytes = header.save(path, &ck.parents, frontier)?;
         if scv_telemetry::recorder_enabled() {
             scv_telemetry::recorder::instant(
                 scv_telemetry::recorder::InstantKind::Checkpoint,
@@ -1453,40 +1436,52 @@ where
     /// state by replaying its parent chain from the initial state.
     fn rebuild_checkpoint(
         &self,
-        file: &CheckpointFile,
+        file: CheckpointFile,
     ) -> Result<SearchCheckpoint<VerifyState<P::State>, Action>, CheckpointError> {
+        let head = &file.header;
         let name = self.protocol.name();
-        if file.protocol != name {
+        if head.protocol != name {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint is for protocol {:?}, not {name:?}",
-                file.protocol
+                head.protocol
             )));
         }
         let p = self.protocol.params();
-        if file.dims != (p.p, p.b, p.v) {
+        if head.dims != (p.p, p.b, p.v) {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint parameters {:?} do not match ({}, {}, {})",
-                file.dims, p.p, p.b, p.v
+                head.dims, p.p, p.b, p.v
             )));
         }
-        if file.symmetry != self.mode.as_byte() {
+        if head.symmetry != self.mode.as_byte() {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint symmetry byte {} does not match mode {:?}",
-                file.symmetry, self.mode
+                head.symmetry, self.mode
             )));
         }
-        let fper = Fingerprinter::from_seeds(file.seeds);
+        let fper = Fingerprinter::from_seeds(head.seeds);
         let init = self.initial();
         let init_fp = fper.fp(&init);
-        if init_fp != file.init_fp {
+        if init_fp != head.init_fp {
             return Err(CheckpointError::Mismatch(
                 "initial-state fingerprint does not match (different system?)".into(),
             ));
         }
-        // Parent edges keyed by child fingerprint, for chain walking.
+        // Parent edges keyed by child fingerprint, for chain walking. The
+        // log is the admitted set, so the state count the engines derive
+        // from it holds only if no state is named twice.
         let mut up: HashMap<u128, (u128, Action)> = HashMap::with_capacity(file.parents.len());
         for &(child, parent, action) in &file.parents {
-            up.insert(child, (parent, action));
+            if child == init_fp {
+                return Err(CheckpointError::Corrupt(
+                    "the initial state is named as a parent edge's child".into(),
+                ));
+            }
+            if up.insert(child, (parent, action)).is_some() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "state {child:#034x} is the child of two parent edges"
+                )));
+            }
         }
         // Replayed states are cached by fingerprint so frontier states
         // sharing a prefix walk it only once.
@@ -1528,14 +1523,12 @@ where
             frontier.push((state, fp, depth as usize));
         }
         Ok(SearchCheckpoint {
-            seeds: file.seeds,
+            seeds: head.seeds,
             init_fp,
-            seen: file.seen.clone(),
             frontier,
-            parents: file.parents.clone(),
-            states: file.states as usize,
-            transitions: file.transitions as usize,
-            depth: file.depth as usize,
+            transitions: head.transitions as usize,
+            depth: head.depth as usize,
+            parents: file.parents,
         })
     }
 }
@@ -1802,8 +1795,8 @@ mod tests {
 
         // The file on disk round-trips through the codec.
         let file = CheckpointFile::load(&path).unwrap();
-        assert_eq!(file.protocol, "serial-memory");
-        assert!(file.states >= 2_000);
+        assert_eq!(file.header.protocol, "serial-memory");
+        assert!(file.parents.len() + 1 >= 2_000);
 
         // Resuming finishes the run with the clean run's verdict and —
         // for the deterministic sequential engine — its exact totals.
@@ -1883,6 +1876,48 @@ mod tests {
         .try_search(&opts(30_000).resume_from(&path))
         .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The state count is derived from the parent log, so a sealed file
+    /// whose log names a state twice, names the initial state as a child,
+    /// or leaves a frontier state without an edge must be refused as
+    /// corrupt, never resumed and never a panic.
+    #[test]
+    fn resume_rejects_a_parent_log_that_is_not_the_admitted_set() {
+        let path = tmp_ckpt("bad-log");
+        let sys = VerifySystem::new(SerialMemory::new(Params::new(2, 1, 1)));
+        let out = sys
+            .try_search(
+                &opts(30_000)
+                    .budget(Budget::unlimited().states(500))
+                    .checkpoint_to(&path),
+            )
+            .unwrap();
+        assert!(out.is_inconclusive());
+        let good = CheckpointFile::load(&path).unwrap();
+        let init_fp = good.header.init_fp;
+        let (_, parent, action) = good.parents[1];
+
+        let mut repeated = good.clone();
+        repeated.parents.push(good.parents[1]);
+        let mut init_as_child = good.clone();
+        init_as_child.parents.push((init_fp, parent, action));
+        let mut orphan = good.clone();
+        orphan.frontier.push((init_fp ^ 0x5eed, 3));
+
+        for (what, bad) in [
+            ("repeated child", repeated),
+            ("initial state as a child", init_as_child),
+            ("frontier state without an edge", orphan),
+        ] {
+            std::fs::write(&path, bad.encode()).unwrap();
+            match sys.try_search(&opts(30_000).resume_from(&path)) {
+                Err(CheckpointError::Corrupt(_)) => {}
+                Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+                Ok(o) => panic!("{what}: resumed to {:?}", o.stats()),
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -553,10 +553,11 @@ where
     match resume {
         Some(ck) => {
             init_fp = ck.init_fp;
-            for fp in &ck.seen {
-                shared.seen.insert(*fp);
+            shared.seen.insert(init_fp);
+            for &(child, _, _) in &ck.parents {
+                shared.seen.insert(child);
             }
-            shared.states.store(ck.states as u64, Ordering::Relaxed);
+            shared.states.store(ck.states() as u64, Ordering::Relaxed);
             shared.depth_max.store(ck.depth, Ordering::Relaxed);
             base_transitions = ck.transitions;
             base_parents = ck.parents;
@@ -703,10 +704,8 @@ where
         let checkpoint = SearchCheckpoint {
             seeds: shared.fper.seeds(),
             init_fp,
-            seen: shared.seen.fingerprints(),
             frontier,
             parents,
-            states: stats.states,
             transitions: stats.transitions,
             depth: stats.depth,
         };
@@ -872,17 +871,22 @@ mod tests {
                 let (r, _) =
                     ws_search_controlled(&sys, BfsOptions::default(), threads, 8, &ctrl, None);
                 let ControlledSearch::Interrupted {
-                    reason, checkpoint, ..
+                    reason,
+                    checkpoint,
+                    stats,
                 } = r
                 else {
                     panic!("budget {cut} must interrupt (threads={threads})");
                 };
                 assert_eq!(reason, InterruptReason::StateBudget);
-                assert_eq!(
-                    checkpoint.seen.len(),
-                    checkpoint.states,
-                    "seen-set matches the admitted count (threads={threads}, cut={cut})"
-                );
+                // The parent log is the admitted set: one edge per state
+                // but the initial one, each naming a distinct child.
+                let at = format!("threads={threads}, cut={cut}");
+                assert_eq!(checkpoint.parents.len() + 1, stats.states, "{at}");
+                let children: std::collections::HashSet<u128> =
+                    checkpoint.parents.iter().map(|e| e.0).collect();
+                assert_eq!(children.len(), checkpoint.parents.len(), "{at}");
+                assert!(!children.contains(&checkpoint.init_fp), "{at}");
                 let (resumed, _) = ws_search_controlled(
                     &sys,
                     BfsOptions::default(),

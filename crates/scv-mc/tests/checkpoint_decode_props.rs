@@ -1,21 +1,20 @@
 //! `CheckpointFile::decode` against hostile input.
 //!
-//! Every mutated file below is re-sealed with a correct XXH64 integrity
-//! word, so decode gets past the checksum and has to survive the parser
+//! Every mutated file below is re-sealed with a correct SipHash-1-3
+//! integrity word, so decode gets past the checksum and has to survive the parser
 //! itself. Three families:
 //!
 //! * truncation of the body at every length — always an error;
 //! * single-bit flips anywhere in the body — an error, or a file that
 //!   re-encodes to exactly the mutated bytes (a flip inside a seed or a
 //!   fingerprint yields another well-formed file);
-//! * oversized `count` fields (seen, parents, frontier) — always an error.
+//! * oversized `count` fields (parents, frontier) — always an error.
 //!
 //! None may panic, and none may allocate more than a small multiple of
 //! the buffer: a per-thread counting allocator measures every decode.
 
 use proptest::prelude::*;
-use scv_mc::checkpoint::xxh64;
-use scv_mc::{CheckpointError, CheckpointFile};
+use scv_mc::{CheckpointError, CheckpointFile, CheckpointHeader, SipHasher13};
 use scv_protocol::Action;
 use scv_types::{BlockId, Op, ProcId, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,22 +59,22 @@ fn decode_bounded(bytes: &[u8]) -> Result<CheckpointFile, CheckpointError> {
 
 /// Append the integrity word to a body.
 fn seal(mut body: Vec<u8>) -> Vec<u8> {
-    let sum = xxh64(&body, 0);
+    let sum = SipHasher13::hash_bytes(0, 0, &body);
     body.extend_from_slice(&sum.to_le_bytes());
     body
 }
 
 fn sample() -> CheckpointFile {
     CheckpointFile {
-        protocol: "msi".into(),
-        dims: (2, 2, 1),
-        symmetry: 0,
-        seeds: [11, 22, 33, 44],
-        states: 5,
-        transitions: 9,
-        depth: 2,
-        init_fp: 0x1111,
-        seen: vec![0x1111, 0x2222, 0x3333, u128::MAX],
+        header: CheckpointHeader {
+            protocol: "msi".into(),
+            dims: (2, 2, 1),
+            symmetry: 0,
+            seeds: [11, 22, 33, 44],
+            transitions: 9,
+            depth: 2,
+            init_fp: 0x1111,
+        },
         parents: vec![
             (
                 0x2222,
@@ -100,13 +99,11 @@ fn body() -> Vec<u8> {
     b
 }
 
-/// Byte offsets of the three `count` fields in [`body`].
-fn count_offsets() -> [usize; 3] {
+/// Byte offsets of the two `count` fields in [`body`].
+fn count_offsets() -> [usize; 2] {
     let f = sample();
-    // magic, version, name, dims, symmetry, seeds, states/trans/depth,
-    // init_fp.
-    let seen = 8 + 4 + 4 + f.protocol.len() + 3 + 1 + 32 + 24 + 16;
-    let parents = seen + 8 + 16 * f.seen.len();
+    // magic, version, name, dims, symmetry, seeds, trans/depth, init_fp.
+    let parents = 8 + 4 + 4 + f.header.protocol.len() + 3 + 1 + 32 + 16 + 16;
     let parent_bytes: usize = f
         .parents
         .iter()
@@ -118,16 +115,15 @@ fn count_offsets() -> [usize; 3] {
         })
         .sum();
     let frontier = parents + 8 + parent_bytes;
-    [seen, parents, frontier]
+    [parents, frontier]
 }
 
 #[test]
 fn count_offsets_match_the_encoder() {
     let b = body();
     let f = sample();
-    let [s, p, fr] = count_offsets();
+    let [p, fr] = count_offsets();
     let at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
-    assert_eq!(at(s), f.seen.len() as u64);
     assert_eq!(at(p), f.parents.len() as u64);
     assert_eq!(at(fr), f.frontier.len() as u64);
     assert_eq!(fr + 8 + 20 * f.frontier.len(), b.len());
@@ -157,7 +153,7 @@ proptest! {
     }
 
     #[test]
-    fn oversized_counts_are_errors(which in 0usize..3, count in 5u64..=u64::MAX) {
+    fn oversized_counts_are_errors(which in 0usize..2, count in 5u64..=u64::MAX) {
         let mut b = body();
         let at = count_offsets()[which];
         b[at..at + 8].copy_from_slice(&count.to_le_bytes());

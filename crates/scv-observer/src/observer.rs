@@ -871,6 +871,11 @@ impl Observer {
     /// through `view`) into an arbitrary [`scv_descriptor::EncSink`] —
     /// e.g. an incremental lexicographic comparator that aborts the walk
     /// at the first losing word during orbit-minimum canonicalization.
+    /// With a `view`, the traversal emits exactly the sequence the renamed
+    /// observer would emit, without materialising the rename; `ids` must
+    /// then have been built with [`scv_descriptor::IdCanon::with_locs`]
+    /// using the same location map, and be shared with the paired
+    /// checker's encoding.
     pub fn canonical_encoding_into<S: scv_descriptor::EncSink>(
         &self,
         out: &mut S,
@@ -878,22 +883,6 @@ impl Observer {
         view: Option<&scv_descriptor::SymView<'_>>,
     ) {
         self.encode_canonical(out, ids, view);
-    }
-
-    /// [`Observer::canonical_encoding`] as it would read after renaming
-    /// every processor/block identity through `view` — the traversal emits
-    /// exactly the sequence the renamed observer would emit, without
-    /// materialising the rename. `ids` must have been built with
-    /// [`scv_descriptor::IdCanon::with_locs`] using the same location map
-    /// so location IDs rename consistently, and must be shared with the
-    /// paired checker's encoding.
-    pub fn canonical_encoding_with(
-        &self,
-        out: &mut Vec<u64>,
-        ids: &mut scv_descriptor::IdCanon<'_>,
-        view: &scv_descriptor::SymView<'_>,
-    ) {
-        self.encode_canonical(out, ids, Some(view));
     }
 
     fn encode_canonical<S: scv_descriptor::EncSink>(
