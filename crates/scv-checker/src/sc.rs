@@ -36,12 +36,30 @@ use scv_graph::EdgeSet;
 use scv_types::{Op, OpKind};
 use std::cell::Cell;
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// A generational handle to a (possibly already finalized) node record.
+/// Generations start at 1, so `Option<Handle>` takes no more room than a
+/// handle.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Handle {
     slot: u32,
-    gen: u32,
+    gen: NonZeroU32,
+}
+
+impl Handle {
+    /// The handle as one word, the form a [`Link`] stores.
+    fn bits(self) -> u64 {
+        (self.gen.get() as u64) << 32 | self.slot as u64
+    }
+
+    /// Inverse of [`Handle::bits`].
+    fn from_bits(bits: u64) -> Self {
+        Handle {
+            slot: bits as u32,
+            gen: NonZeroU32::new((bits >> 32) as u32).expect("a link names a live generation"),
+        }
+    }
 }
 
 /// Why the checker rejected.
@@ -96,97 +114,6 @@ impl std::error::Error for ScError {}
 /// Checker verdict with diagnostics.
 pub type ScVerdict = Result<(), ScError>;
 
-/// A growable bitset over slot indices (the reachability closure rows).
-/// Word 0 (slots 0..64) lives inline, and only slots ≥ 64 spill into
-/// `rest` (`rest[i]` is word `i + 1`). Retained nodes rarely reach slot
-/// 64, so a row usually costs no allocation at all.
-#[derive(PartialEq, Eq, Debug, Default)]
-struct SlotSet {
-    w0: u64,
-    rest: Vec<u64>,
-}
-
-// Manual `Clone` so `clone_from` reuses the spill buffer: closure rows are
-// copied once per replayed candidate on the lazy expansion path, and the
-// derived impl would reallocate each spilled row.
-impl Clone for SlotSet {
-    fn clone(&self) -> Self {
-        SlotSet {
-            w0: self.w0,
-            rest: self.rest.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.w0 = source.w0;
-        self.rest.clone_from(&source.rest);
-    }
-}
-
-impl SlotSet {
-    #[inline]
-    fn get(&self, slot: u32) -> bool {
-        let (w, b) = ((slot / 64) as usize, slot % 64);
-        let word = if w == 0 {
-            self.w0
-        } else {
-            self.rest.get(w - 1).copied().unwrap_or(0)
-        };
-        word & (1 << b) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, slot: u32) {
-        let (w, b) = ((slot / 64) as usize, slot % 64);
-        if w == 0 {
-            self.w0 |= 1 << b;
-            return;
-        }
-        if self.rest.len() < w {
-            self.rest.resize(w, 0);
-        }
-        self.rest[w - 1] |= 1 << b;
-    }
-
-    #[inline]
-    fn clear(&mut self, slot: u32) {
-        let (w, b) = ((slot / 64) as usize, slot % 64);
-        if w == 0 {
-            self.w0 &= !(1 << b);
-        } else if let Some(x) = self.rest.get_mut(w - 1) {
-            *x &= !(1 << b);
-        }
-    }
-
-    #[inline]
-    fn or_with(&mut self, other: &SlotSet) {
-        self.w0 |= other.w0;
-        if self.rest.len() < other.rest.len() {
-            self.rest.resize(other.rest.len(), 0);
-        }
-        for (a, b) in self.rest.iter_mut().zip(&other.rest) {
-            *a |= b;
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        std::iter::once(self.w0)
-            .chain(self.rest.iter().copied())
-            .enumerate()
-            .flat_map(|(w, x)| {
-                let mut bits = x;
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(w as u32 * 64 + b)
-                })
-            })
-    }
-}
-
 /// Where a block's first-in-ST-order store stands.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum HeadState {
@@ -200,116 +127,80 @@ enum HeadState {
     ConfirmedGone,
 }
 
-#[derive(PartialEq, Eq, Debug)]
+/// The bits of [`NodeRec::flags`], laid out exactly as the canonical
+/// encoding emits them in each node's flag word.
+mod flag {
+    /// A program-order edge enters the node.
+    pub const PO_IN: u16 = 1 << 0;
+    /// A program-order edge leaves the node.
+    pub const PO_OUT: u16 = 1 << 1;
+    /// An ST-order edge enters the node.
+    pub const STO_IN: u16 = 1 << 2;
+    /// An ST-order edge leaves the node.
+    pub const STO_OUT: u16 = 1 << 3;
+    /// An inheritance edge enters the node.
+    pub const INH_IN: u16 = 1 << 4;
+    /// LD: the required forced edge has been seen (directly, or inherited
+    /// through reachability per the contraction rule).
+    pub const FORCED_DONE: u16 = 1 << 5;
+    /// LD: the inheritance source is still active with no ST-order
+    /// successor yet, so the obligation cannot be evaluated.
+    pub const WAITING_SUCC: u16 = 1 << 6;
+    /// A later LD of the same processor covers this node's obligation
+    /// (program-order-path proviso of constraint 5).
+    pub const SUPERSEDED: u16 = 1 << 7;
+    /// LD: the forced-edge target exists but was finalized before the
+    /// obligation was met (only supersession can save the node now).
+    pub const TARGET_DEAD: u16 = 1 << 8;
+    /// ST: the ST-order successor exists but was finalized.
+    pub const SUCC_DEAD: u16 = 1 << 9;
+    /// `⊥` LD: the block's first store was confirmed while this node was
+    /// retained, and the node had no forced edge to it.
+    pub const BOT_UNSAT: u16 = 1 << 10;
+    /// `⊥` LD: as [`BOT_UNSAT`], but the forced edge was there. Neither
+    /// bit set means the obligation is still open.
+    pub const BOT_SAT: u16 = 1 << 11;
+}
+
+/// One retained node. Every variable-length list a node owns lives in
+/// the checker's [`Link`] pool, so the record is fixed-size and `Copy`:
+/// cloning a checker copies its slots with one `memcpy`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct NodeRec {
-    gen: u32,
+    gen: NonZeroU32,
     label: Op,
+    /// Number of descriptor IDs currently naming this node.
+    id_count: u32,
+    /// The node's [`flag`] bits.
+    flags: u16,
     /// Monotone birth index; only relative order among retained nodes is
     /// used (the canonical encoding ranks it away).
     birth: u64,
-    /// Number of descriptor IDs currently naming this node.
-    id_count: u32,
-    po_in: bool,
-    po_out: bool,
-    sto_in: bool,
-    sto_out: bool,
-    inh_in: bool,
     /// LD: the ST-order successor of the inheritance source — the
     /// `forced-edge-on-path-to` variable of the paper. `None` with
-    /// `target_dead` set means the successor exists but was finalized
-    /// before the obligation was met (only supersession can save the
-    /// node now).
+    /// [`flag::TARGET_DEAD`] set means the successor exists but was
+    /// finalized before the obligation was met.
     forced_target: Option<Handle>,
-    /// See [`NodeRec::forced_target`].
-    target_dead: bool,
-    /// LD: the required forced edge has been seen (directly, or inherited
-    /// through reachability per the contraction rule).
-    forced_done: bool,
-    /// LD: the inheritance source is still active with no ST-order
-    /// successor yet, so the obligation cannot be evaluated.
-    waiting_succ: bool,
-    /// A later LD of the same processor covering this node's obligation
-    /// (program-order-path proviso of constraint 5).
-    superseded: bool,
-    /// `⊥` LD: resolved verdict once the block's first store was
-    /// confirmed while this node was retained (`None` = still open).
-    bot_resolved: Option<bool>,
-    /// `⊥` LD: retained stores of the same block this node has forced
-    /// edges to (pruned when a target is finalized).
-    bot_forced: Vec<Handle>,
-    /// ST: next node in ST order, once known (`None` + `succ_dead` if the
-    /// successor was finalized).
+    /// ST: next node in ST order, once known (`None` with
+    /// [`flag::SUCC_DEAD`] if the successor was finalized).
     sto_succ: Option<Handle>,
-    /// See [`NodeRec::sto_succ`].
-    succ_dead: bool,
-    /// ST: the most recent inheriting LD per processor awaiting this
-    /// store's ST-order successor.
-    heirs: Vec<(u8, Handle)>,
-    /// Targets of this node's *forced* edges (retained nodes only).
-    forced_out: Vec<Handle>,
-    /// Reachability closure: slot `s` present iff the node in slot `s` is
-    /// reachable from this node in the (contracted) witness graph.
-    reach: SlotSet,
-}
-
-// Manual `Clone` so `clone_from` reuses the record's edge lists and
-// closure row. The checker is replayed into scratch copies once per
-// candidate transition on the lazy expansion path; with the derived impl
-// every replay reallocated `bot_forced`/`heirs`/`forced_out`/`reach` for
-// every retained record.
-impl Clone for NodeRec {
-    fn clone(&self) -> Self {
-        NodeRec {
-            gen: self.gen,
-            label: self.label,
-            birth: self.birth,
-            id_count: self.id_count,
-            po_in: self.po_in,
-            po_out: self.po_out,
-            sto_in: self.sto_in,
-            sto_out: self.sto_out,
-            inh_in: self.inh_in,
-            forced_target: self.forced_target,
-            target_dead: self.target_dead,
-            forced_done: self.forced_done,
-            waiting_succ: self.waiting_succ,
-            superseded: self.superseded,
-            bot_resolved: self.bot_resolved,
-            bot_forced: self.bot_forced.clone(),
-            sto_succ: self.sto_succ,
-            succ_dead: self.succ_dead,
-            heirs: self.heirs.clone(),
-            forced_out: self.forced_out.clone(),
-            reach: self.reach.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.gen = source.gen;
-        self.label = source.label;
-        self.birth = source.birth;
-        self.id_count = source.id_count;
-        self.po_in = source.po_in;
-        self.po_out = source.po_out;
-        self.sto_in = source.sto_in;
-        self.sto_out = source.sto_out;
-        self.inh_in = source.inh_in;
-        self.forced_target = source.forced_target;
-        self.target_dead = source.target_dead;
-        self.forced_done = source.forced_done;
-        self.waiting_succ = source.waiting_succ;
-        self.superseded = source.superseded;
-        self.bot_resolved = source.bot_resolved;
-        self.bot_forced.clone_from(&source.bot_forced);
-        self.sto_succ = source.sto_succ;
-        self.succ_dead = source.succ_dead;
-        self.heirs.clone_from(&source.heirs);
-        self.forced_out.clone_from(&source.forced_out);
-        self.reach.clone_from(&source.reach);
-    }
+    /// Reachability closure, slots 0..64: bit `s` is set iff the node in
+    /// slot `s` is reachable from this node in the (contracted) witness
+    /// graph. Retained nodes rarely reach slot 64; the closure words for
+    /// higher slots are [`List::Reach`] links.
+    reach: u64,
 }
 
 impl NodeRec {
+    fn has(&self, f: u16) -> bool {
+        self.flags & f != 0
+    }
+    fn set(&mut self, f: u16) {
+        self.flags |= f;
+    }
+    fn unset(&mut self, f: u16) {
+        self.flags &= !f;
+    }
     fn is_load(&self) -> bool {
         self.label.kind == OpKind::Load
     }
@@ -319,6 +210,56 @@ impl NodeRec {
     fn is_bottom_load(&self) -> bool {
         self.is_load() && self.label.value.is_bottom()
     }
+}
+
+/// Which of its owner's lists a [`Link`] belongs to.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum List {
+    /// `⊥` LD: retained stores of the same block this node has forced
+    /// edges to (pruned when a target is finalized).
+    BotForced,
+    /// ST: the most recent inheriting LD per processor awaiting this
+    /// store's ST-order successor.
+    Heirs,
+    /// Targets of this node's *forced* edges (retained nodes only).
+    ForcedOut,
+    /// Reachability closure words beyond [`NodeRec::reach`].
+    Reach,
+}
+
+/// One entry of the checker-wide list pool. The pool replaces four `Vec`s
+/// per node, most of them empty: it is kept sorted by `(owner, list)`, and
+/// within one list in insertion order, so each node's list is one
+/// contiguous run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Link {
+    /// Slot of the node that owns the list.
+    owner: u32,
+    list: List,
+    /// [`List::Heirs`]: the heir's processor. [`List::Reach`]: the closure
+    /// word's index (word `w` covers slots `64w..64w + 64`, `w ≥ 1`).
+    key: u8,
+    /// A target [`Handle`] ([`Handle::bits`]), or a closure word.
+    val: u64,
+}
+
+impl Link {
+    fn handle(&self) -> Handle {
+        debug_assert!(self.list != List::Reach, "a closure word is no handle");
+        Handle::from_bits(self.val)
+    }
+}
+
+/// The slots whose bits are set in closure word `w` (slot `64w + bit`).
+fn word_slots(w: u32, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let b = bits.trailing_zeros();
+        bits &= bits - 1;
+        Some(w * 64 + b)
+    })
 }
 
 /// End-of-string tallies for one processor's program order or one block's
@@ -477,6 +418,10 @@ impl Drop for ScratchGuard {
     }
 }
 
+/// Sanity cap on simultaneously retained nodes: a stream that never lets
+/// anything finalize is rejected with [`ScErrorKind::TooManyRetained`].
+const MAX_SLOTS: usize = 4096;
+
 /// Streaming statistics, for the bandwidth experiments of §4.4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ScStats {
@@ -494,10 +439,13 @@ pub struct ScChecker {
     /// by `k`: most of `1..=k+1` is unowned at any time, and every product
     /// state carries this table.
     owner: SortedMap<IdNum, Handle>,
+    /// Retained nodes; a new node takes the lowest empty slot.
     slots: Vec<Option<NodeRec>>,
-    free_slots: Vec<u32>,
-    next_gen: u32,
+    /// Every retained node's lists, in one sorted pool (see [`Link`]).
+    links: Vec<Link>,
+    next_gen: NonZeroU32,
     birth: u64,
+    /// Symbols processed so far.
     position: usize,
     /// Per-processor program-order tallies.
     proc_tally: ProcTally,
@@ -505,7 +453,8 @@ pub struct ScChecker {
     block_tally: BlockTally,
     /// Most recent `⊥` load per (processor, block).
     last_bot: SortedMap<(u8, u8), Handle>,
-    stats: ScStats,
+    /// [`ScStats::max_retained`].
+    max_retained: usize,
     /// The rejection, once raised (boxed: rare, and absorbing, so it costs
     /// an accepting checker one pointer).
     rejected: Option<Box<ScError>>,
@@ -514,21 +463,22 @@ pub struct ScChecker {
 // Manual `Clone` so `clone_from` reuses the target's allocations
 // field-by-field. Lazy expansion replays candidate transitions into a
 // scratch checker via `clone_from` on the model checker's hot path; the
-// derived impl reallocates `slots`/`owner` and all three tallies per replay.
+// derived impl reallocates `slots`/`links`/`owner` and all three tallies
+// per replay.
 impl Clone for ScChecker {
     fn clone(&self) -> Self {
         ScChecker {
             k: self.k,
             owner: self.owner.clone(),
             slots: self.slots.clone(),
-            free_slots: self.free_slots.clone(),
+            links: self.links.clone(),
             next_gen: self.next_gen,
             birth: self.birth,
             position: self.position,
             proc_tally: self.proc_tally.clone(),
             block_tally: self.block_tally.clone(),
             last_bot: self.last_bot.clone(),
-            stats: self.stats,
+            max_retained: self.max_retained,
             rejected: self.rejected.clone(),
         }
     }
@@ -537,14 +487,14 @@ impl Clone for ScChecker {
         self.k = source.k;
         self.owner.clone_from(&source.owner);
         self.slots.clone_from(&source.slots);
-        self.free_slots.clone_from(&source.free_slots);
+        self.links.clone_from(&source.links);
         self.next_gen = source.next_gen;
         self.birth = source.birth;
         self.position = source.position;
         self.proc_tally.clone_from(&source.proc_tally);
         self.block_tally.clone_from(&source.block_tally);
         self.last_bot.clone_from(&source.last_bot);
-        self.stats = source.stats;
+        self.max_retained = source.max_retained;
         self.rejected = source.rejected.clone();
     }
 }
@@ -556,14 +506,14 @@ impl ScChecker {
             k,
             owner: SortedMap::default(),
             slots: Vec::new(),
-            free_slots: Vec::new(),
-            next_gen: 1,
+            links: Vec::new(),
+            next_gen: NonZeroU32::MIN,
             birth: 0,
             position: 0,
             proc_tally: SortedMap::default(),
             block_tally: SortedMap::default(),
             last_bot: SortedMap::default(),
-            stats: ScStats::default(),
+            max_retained: 0,
             rejected: None,
         }
     }
@@ -575,16 +525,15 @@ impl ScChecker {
 
     /// Streaming statistics so far.
     pub fn stats(&self) -> ScStats {
-        self.stats
+        ScStats {
+            max_retained: self.max_retained,
+            symbols: self.position,
+        }
     }
 
     /// Number of currently retained (active + deferred) nodes.
     pub fn retained_count(&self) -> usize {
-        // Finalization is the only place a slot empties, and it frees the
-        // slot, so the empty slots are exactly the free ones.
-        let n = self.slots.len() - self.free_slots.len();
-        debug_assert_eq!(n, self.slots.iter().flatten().count());
-        n
+        self.slots.iter().flatten().count()
     }
 
     /// Run the checker over a whole descriptor.
@@ -604,7 +553,6 @@ impl ScChecker {
         }
         let pos = self.position;
         self.position += 1;
-        self.stats.symbols += 1;
         if scv_telemetry::enabled() {
             scv_telemetry::add(scv_telemetry::Metric::CheckerSymbols, 1);
             if matches!(sym, Symbol::Edge { .. }) {
@@ -621,7 +569,7 @@ impl ScChecker {
                 );
             }
         }
-        self.stats.max_retained = self.stats.max_retained.max(self.retained_count());
+        self.max_retained = self.max_retained.max(self.retained_count());
         result
     }
 
@@ -709,21 +657,21 @@ impl ScChecker {
         for h in self.live_handles() {
             let r = self.rec(h);
             let t = proc_tally.entry_or_default(r.label.proc.0);
-            if !r.po_in {
+            if !r.has(flag::PO_IN) {
                 t.bump_in();
             }
-            if !r.po_out {
+            if !r.has(flag::PO_OUT) {
                 t.bump_out();
             }
             if r.is_store() {
                 let (t, head) = block_tally.entry_or_default(r.label.block.0);
-                if !r.sto_in {
+                if !r.has(flag::STO_IN) {
                     t.bump_in();
                     if *head == HeadState::Unknown {
                         *head = HeadState::Alive(h);
                     }
                 }
-                if !r.sto_out {
+                if !r.has(flag::STO_OUT) {
                     t.bump_out();
                 }
             }
@@ -747,27 +695,27 @@ impl ScChecker {
         for h in self.live_handles() {
             let r = self.rec(h);
             if r.is_load() && !r.is_bottom_load() {
-                if !r.inh_in {
+                if !r.has(flag::INH_IN) {
                     return reject(ScErrorKind::Inheritance("load never inherited a value"));
                 }
-                // `waiting_succ` at end of string: the source never got an
+                // `WAITING_SUCC` at end of string: the source never got an
                 // ST-order successor (it is last in its block's validated
                 // order) — vacuous. Otherwise the forced edge must have
                 // been seen, or the load superseded.
-                if !r.superseded
-                    && !r.waiting_succ
-                    && (r.forced_target.is_some() || r.target_dead)
-                    && !r.forced_done
+                if !r.has(flag::SUPERSEDED | flag::WAITING_SUCC | flag::FORCED_DONE)
+                    && (r.forced_target.is_some() || r.has(flag::TARGET_DEAD))
                 {
                     return reject(ScErrorKind::ForcedUnsatisfied);
                 }
             }
-            if r.is_bottom_load() && !r.superseded {
+            if r.is_bottom_load() && !r.has(flag::SUPERSEDED) {
                 let block = r.label.block.0;
                 let ok = match block_tally.get(block) {
                     None => true, // no stores to the block: vacuous
-                    Some((_, HeadState::Alive(head))) => r.bot_forced.contains(head),
-                    Some((_, HeadState::ConfirmedGone)) => r.bot_resolved == Some(true),
+                    Some((_, HeadState::Alive(head))) => {
+                        self.has_link(h.slot, List::BotForced, *head)
+                    }
+                    Some((_, HeadState::ConfirmedGone)) => r.has(flag::BOT_SAT),
                     Some((_, HeadState::Unknown)) => {
                         unreachable!("tally passed: chain head exists")
                     }
@@ -867,14 +815,14 @@ impl ScChecker {
         rank_by_slot.clear();
         rank_by_slot.resize(self.slots.len(), (0, u64::MAX));
         for (i, &(_, h)) in retained.iter().enumerate() {
-            rank_by_slot[h.slot as usize] = (h.gen, i as u64);
+            rank_by_slot[h.slot as usize] = (h.gen.get(), i as u64);
         }
         let rank_by_slot = &*rank_by_slot;
         let tok = |h: Option<Handle>| -> u64 {
             h.map_or(u64::MAX, |h| {
                 let (gen, r) = rank_by_slot[h.slot as usize];
                 debug_assert!(
-                    r != u64::MAX && gen == h.gen,
+                    r != u64::MAX && gen == h.gen.get(),
                     "token references a non-retained handle"
                 );
                 r
@@ -897,11 +845,18 @@ impl ScChecker {
         }
         for &(_, h) in retained.iter() {
             let r = self.rec(h);
+            let links = self.links_of(h.slot);
+            let targets = |list: List| {
+                links
+                    .iter()
+                    .filter(move |l| l.list == list)
+                    .map(|l| tok(Some(l.handle())))
+            };
             // A load's value is never read again once its inheritance bit
             // is set (future inh edges are rejected on that bit before any
             // label comparison), so it is erased to a sentinel — loads
             // that already inherited differ only structurally.
-            let value = if r.is_load() && !r.label.value.is_bottom() && r.inh_in {
+            let value = if r.is_load() && !r.label.value.is_bottom() && r.has(flag::INH_IN) {
                 0xFFu64
             } else {
                 r.label.value.0 as u64
@@ -912,47 +867,40 @@ impl ScChecker {
                     | re_v(value) << 8
                     | r.is_store() as u64
             );
-            emit!(
-                (r.id_count as u64) << 16
-                    | (r.po_in as u64)
-                    | (r.po_out as u64) << 1
-                    | (r.sto_in as u64) << 2
-                    | (r.sto_out as u64) << 3
-                    | (r.inh_in as u64) << 4
-                    | (r.forced_done as u64) << 5
-                    | (r.waiting_succ as u64) << 6
-                    | (r.superseded as u64) << 7
-                    | (r.target_dead as u64) << 8
-                    | (r.succ_dead as u64) << 9
-                    | (match r.bot_resolved {
-                        None => 0u64,
-                        Some(false) => 1,
-                        Some(true) => 2,
-                    }) << 10
-            );
+            // The flag bits sit where the encoding wants them.
+            emit!((r.id_count as u64) << 16 | r.flags as u64);
             emit!(tok(r.forced_target));
             emit!(tok(r.sto_succ));
             bf.clear();
-            bf.extend(r.bot_forced.iter().map(|&x| tok(Some(x))));
+            bf.extend(targets(List::BotForced));
             bf.sort_unstable();
             emit!(bf.len() as u64);
             emit_all!(bf);
             heirs.clear();
-            heirs.extend(r.heirs.iter().map(|&(p, x)| (re_p(p), tok(Some(x)))));
+            heirs.extend(
+                links
+                    .iter()
+                    .filter(|l| l.list == List::Heirs)
+                    .map(|l| (re_p(l.key), tok(Some(l.handle())))),
+            );
             heirs.sort_unstable();
             emit!(heirs.len() as u64);
             for &(p, x) in heirs.iter() {
                 emit!((p as u64) << 32 | x);
             }
             fo.clear();
-            fo.extend(r.forced_out.iter().map(|&x| tok(Some(x))));
+            fo.extend(targets(List::ForcedOut));
             fo.sort_unstable();
             emit!(fo.len() as u64);
             emit_all!(fo);
             // Reachability closure as a rank set (slots retained under any
             // generation, exactly as the old slot-keyed map behaved).
             reach_ranks.clear();
-            reach_ranks.extend(r.reach.iter().filter_map(|s| {
+            let spill = links
+                .iter()
+                .filter(|l| l.list == List::Reach)
+                .flat_map(|l| word_slots(l.key as u32, l.val));
+            reach_ranks.extend(word_slots(0, r.reach).chain(spill).filter_map(|s| {
                 let (_, rr) = rank_by_slot[s as usize];
                 (rr != u64::MAX).then_some(rr)
             }));
@@ -1004,41 +952,30 @@ impl ScChecker {
 
     fn alloc_node(&mut self, op: Op, pos: usize) -> Result<Handle, ScError> {
         let gen = self.next_gen;
-        self.next_gen += 1;
+        // Wraps to 1 rather than overflowing: generations only need to
+        // differ between a slot's successive occupants.
+        self.next_gen = gen.checked_add(1).unwrap_or(NonZeroU32::MIN);
         let birth = self.birth;
         self.birth += 1;
         let rec = NodeRec {
             gen,
             label: op,
-            birth,
             id_count: 0,
-            po_in: false,
-            po_out: false,
-            sto_in: false,
-            sto_out: false,
-            inh_in: false,
+            flags: 0,
+            birth,
             forced_target: None,
-            target_dead: false,
-            forced_done: false,
-            waiting_succ: false,
-            superseded: false,
-            bot_resolved: None,
-            bot_forced: Vec::new(),
             sto_succ: None,
-            succ_dead: false,
-            heirs: Vec::new(),
-            forced_out: Vec::new(),
-            reach: SlotSet::default(),
+            reach: 0,
         };
-        let slot = match self.free_slots.pop() {
+        let slot = match self.slots.iter().position(Option::is_none) {
             Some(s) => {
-                self.slots[s as usize] = Some(rec);
-                s
+                self.slots[s] = Some(rec);
+                s as u32
             }
             None => {
                 // Sanity cap against adversarial streams that never let
                 // anything finalize; real observers retain O(L + pb).
-                if self.slots.len() >= 4096 {
+                if self.slots.len() >= MAX_SLOTS {
                     return Err(ScError {
                         position: Some(pos),
                         kind: ScErrorKind::TooManyRetained,
@@ -1061,7 +998,7 @@ impl ScChecker {
             let key = (op.proc.0, op.block.0);
             if let Some(prev) = self.last_bot.insert(key, h) {
                 if self.rec_opt(prev).is_some() {
-                    self.rec_mut(prev).superseded = true;
+                    self.rec_mut(prev).set(flag::SUPERSEDED);
                     self.try_finalize(prev);
                 }
             }
@@ -1097,6 +1034,53 @@ impl ScChecker {
             .filter(|r| r.gen == h.gen)
     }
 
+    // ----- the list pool ---------------------------------------------------
+
+    /// Every link the node in slot `owner` holds, grouped by list.
+    fn links_of(&self, owner: u32) -> &[Link] {
+        let lo = self.links.partition_point(|l| l.owner < owner);
+        let hi = lo + self.links[lo..].partition_point(|l| l.owner == owner);
+        &self.links[lo..hi]
+    }
+
+    /// Where `owner`'s `list` sits in the pool.
+    fn list_range(&self, owner: u32, list: List) -> std::ops::Range<usize> {
+        let lo = self
+            .links
+            .partition_point(|l| (l.owner, l.list) < (owner, list));
+        let hi = lo + self.links[lo..].partition_point(|l| (l.owner, l.list) == (owner, list));
+        lo..hi
+    }
+
+    /// The targets in `owner`'s `list`, in insertion order.
+    fn targets(&self, owner: u32, list: List) -> Vec<Handle> {
+        self.links[self.list_range(owner, list)]
+            .iter()
+            .map(Link::handle)
+            .collect()
+    }
+
+    fn has_link(&self, owner: u32, list: List, to: Handle) -> bool {
+        let bits = to.bits();
+        self.links[self.list_range(owner, list)]
+            .iter()
+            .any(|l| l.val == bits)
+    }
+
+    /// Append a link to the end of `owner`'s `list`.
+    fn push_link(&mut self, owner: u32, list: List, key: u8, val: u64) {
+        let at = self.list_range(owner, list).end;
+        self.links.insert(
+            at,
+            Link {
+                owner,
+                list,
+                key,
+                val,
+            },
+        );
+    }
+
     /// Drop ID `id`; if its owner lost its last ID, run the deactivation
     /// checks and possibly finalize it.
     fn retire_id(&mut self, id: IdNum) -> ScVerdict {
@@ -1115,22 +1099,22 @@ impl ScChecker {
     /// without inheritance; release waiting heirs of a store (its ST-order
     /// successor can no longer appear); then finalize unless deferred.
     fn deactivate(&mut self, h: Handle) -> ScVerdict {
-        let (is_ld, is_bot, inh_in) = {
-            let r = self.rec(h);
-            (r.is_load(), r.is_bottom_load(), r.inh_in)
-        };
-        if is_ld && !is_bot && !inh_in {
+        let r = *self.rec(h);
+        if r.is_load() && !r.is_bottom_load() && !r.has(flag::INH_IN) {
             return Err(ScError {
                 position: Some(self.position.saturating_sub(1)),
                 kind: ScErrorKind::Inheritance("load removed without inheritance edge"),
             });
         }
-        if self.rec(h).is_store() {
-            let heirs = std::mem::take(&mut self.rec_mut(h).heirs);
-            for (_, j) in heirs {
-                if self.rec_opt(j).is_some() {
-                    self.rec_mut(j).waiting_succ = false;
-                    self.try_finalize(j);
+        if r.is_store() {
+            let heirs = self.list_range(h.slot, List::Heirs);
+            if !heirs.is_empty() {
+                let heirs: Vec<Handle> = self.links.drain(heirs).map(|l| l.handle()).collect();
+                for j in heirs {
+                    if self.rec_opt(j).is_some() {
+                        self.rec_mut(j).unset(flag::WAITING_SUCC);
+                        self.try_finalize(j);
+                    }
                 }
             }
         }
@@ -1142,16 +1126,17 @@ impl ScChecker {
     /// tally its order bits, propagate its forced edges per the
     /// contraction rule, scrub references to it, and drop the record.
     fn try_finalize(&mut self, h: Handle) {
-        let Some(r) = self.rec_opt(h) else { return };
+        let Some(&r) = self.rec_opt(h) else { return };
         if r.id_count > 0 {
             return;
         }
         let pending = if r.is_bottom_load() {
-            !r.superseded && r.bot_resolved != Some(true)
+            !r.has(flag::SUPERSEDED | flag::BOT_SAT)
         } else if r.is_load() {
-            !r.superseded
-                && (r.waiting_succ
-                    || ((r.forced_target.is_some() || r.target_dead) && !r.forced_done))
+            !r.has(flag::SUPERSEDED)
+                && (r.has(flag::WAITING_SUCC)
+                    || ((r.forced_target.is_some() || r.has(flag::TARGET_DEAD))
+                        && !r.has(flag::FORCED_DONE)))
         } else {
             false
         };
@@ -1159,22 +1144,20 @@ impl ScChecker {
             return;
         }
 
-        let r = self.rec(h).clone();
-
         // Tally order bits (the "counted when removed from the active
         // graph" step of the paper's checker).
         let t = self.proc_tally.entry_or_default(r.label.proc.0);
-        if !r.po_in {
+        if !r.has(flag::PO_IN) {
             t.bump_in();
         }
-        if !r.po_out {
+        if !r.has(flag::PO_OUT) {
             t.bump_out();
         }
         if r.is_store() {
             let mut confirm_head = false;
             {
                 let (t, head) = self.block_tally.entry_or_default(r.label.block.0);
-                if !r.sto_in {
+                if !r.has(flag::STO_IN) {
                     t.bump_in();
                     // No future in-edge can arrive: this is the confirmed
                     // head of the block's ST order.
@@ -1183,7 +1166,7 @@ impl ScChecker {
                         confirm_head = true;
                     }
                 }
-                if !r.sto_out {
+                if !r.has(flag::STO_OUT) {
                     t.bump_out();
                 }
             }
@@ -1192,26 +1175,17 @@ impl ScChecker {
                 // before the record disappears.
                 let block = r.label.block.0;
                 let loads: Vec<Handle> = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(s, n)| {
-                        n.as_ref().map(|n| {
-                            (
-                                Handle {
-                                    slot: s as u32,
-                                    gen: n.gen,
-                                },
-                                n,
-                            )
-                        })
+                    .live_handles()
+                    .filter(|&x| {
+                        let n = self.rec(x);
+                        n.is_bottom_load() && n.label.block.0 == block
                     })
-                    .filter(|(_, n)| n.is_bottom_load() && n.label.block.0 == block)
-                    .map(|(x, _)| x)
                     .collect();
                 for j in loads {
-                    let sat = self.rec(j).bot_forced.contains(&h);
-                    self.rec_mut(j).bot_resolved = Some(sat);
+                    let sat = self.has_link(j.slot, List::BotForced, h);
+                    let n = self.rec_mut(j);
+                    n.unset(flag::BOT_SAT | flag::BOT_UNSAT);
+                    n.set(if sat { flag::BOT_SAT } else { flag::BOT_UNSAT });
                 }
             }
         }
@@ -1219,27 +1193,14 @@ impl ScChecker {
         // The paper's contraction rule, in reachability form: every
         // retained same-processor node that reaches `h` inherits `h`'s
         // forced edges.
-        if !r.forced_out.is_empty() {
+        let forced_out = self.targets(h.slot, List::ForcedOut);
+        if !forced_out.is_empty() {
             let preds: Vec<Handle> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(s, n)| {
-                    n.as_ref().map(|n| {
-                        (
-                            Handle {
-                                slot: s as u32,
-                                gen: n.gen,
-                            },
-                            n,
-                        )
-                    })
-                })
-                .filter(|(x, n)| *x != h && n.label.proc == r.label.proc && n.reach.get(h.slot))
-                .map(|(x, _)| x)
+                .live_handles()
+                .filter(|&x| x != h && self.rec(x).label.proc == r.label.proc && self.reaches(x, h))
                 .collect();
             for g in preds {
-                for &j in &r.forced_out {
+                for &j in &forced_out {
                     if self.rec_opt(j).is_some() {
                         self.note_forced(g, j);
                     }
@@ -1247,48 +1208,93 @@ impl ScChecker {
             }
         }
 
-        // Scrub references to the dying node from the retained set.
-        for s in 0..self.slots.len() {
-            let Some(n) = self.slots[s].as_mut() else {
-                continue;
-            };
-            n.reach.clear(h.slot);
+        // Scrub references to the dying node from the retained set, and
+        // drop the dying node's own lists.
+        let (word, bit) = (h.slot / 64, 1u64 << (h.slot % 64));
+        for n in self.slots.iter_mut().flatten() {
+            if word == 0 {
+                n.reach &= !bit;
+            }
             if n.sto_succ == Some(h) {
                 n.sto_succ = None;
-                n.succ_dead = true;
+                n.set(flag::SUCC_DEAD);
             }
             if n.forced_target == Some(h) {
                 n.forced_target = None;
-                n.target_dead = true;
+                n.set(flag::TARGET_DEAD);
             }
-            n.bot_forced.retain(|&x| x != h);
-            n.forced_out.retain(|&x| x != h);
-            n.heirs.retain(|&(_, x)| x != h);
         }
+        let dead = h.bits();
+        self.links.retain_mut(|l| {
+            if l.owner == h.slot {
+                return false;
+            }
+            if l.list != List::Reach {
+                return l.val != dead;
+            }
+            if l.key as u32 == word {
+                l.val &= !bit;
+            }
+            l.val != 0
+        });
         self.slots[h.slot as usize] = None;
-        self.free_slots.push(h.slot);
     }
 
     // ----- reachability ----------------------------------------------------
 
-    /// Record the edge `u -> v` in the reachability closure.
+    /// Record the edge `u -> v` in the reachability closure: everything
+    /// that reaches `u` (and `u` itself) now reaches `v` and all `v`
+    /// reaches.
     fn add_reach(&mut self, u: Handle, v: Handle) {
         debug_assert!(u != v);
-        let mut add = self.rec(v).reach.clone();
-        add.set(v.slot);
-        for s in 0..self.slots.len() {
-            let Some(n) = self.slots[s].as_mut() else {
-                continue;
-            };
-            if s as u32 == u.slot || n.reach.get(u.slot) {
-                n.reach.or_with(&add);
+        let add = self.rec(v).reach | if v.slot < 64 { 1 << v.slot } else { 0 };
+        if self.slots.len() <= 64 {
+            // Every slot fits the inline word, so no node has a spilled
+            // closure word.
+            let ubit = 1u64 << u.slot;
+            for (s, n) in self.slots.iter_mut().enumerate() {
+                if let Some(n) = n {
+                    if s as u32 == u.slot || n.reach & ubit != 0 {
+                        n.reach |= add;
+                    }
+                }
+            }
+            return;
+        }
+        let mut spill: Vec<(u8, u64)> = self
+            .links_of(v.slot)
+            .iter()
+            .filter(|l| l.list == List::Reach)
+            .map(|l| (l.key, l.val))
+            .collect();
+        if v.slot >= 64 {
+            spill.push(((v.slot / 64) as u8, 1 << (v.slot % 64)));
+        }
+        let from: Vec<Handle> = self
+            .live_handles()
+            .filter(|&x| x.slot == u.slot || self.reaches(x, u))
+            .collect();
+        for x in from {
+            self.rec_mut(x).reach |= add;
+            for &(key, bits) in &spill {
+                let r = self.list_range(x.slot, List::Reach);
+                match self.links[r].iter_mut().find(|l| l.key == key) {
+                    Some(l) => l.val |= bits,
+                    None => self.push_link(x.slot, List::Reach, key, bits),
+                }
             }
         }
     }
 
     /// Is `to` reachable from `from`?
     fn reaches(&self, from: Handle, to: Handle) -> bool {
-        self.rec(from).reach.get(to.slot)
+        if to.slot < 64 {
+            return self.rec(from).reach & (1 << to.slot) != 0;
+        }
+        let (key, bit) = ((to.slot / 64) as u8, 1u64 << (to.slot % 64));
+        self.links[self.list_range(from.slot, List::Reach)]
+            .iter()
+            .any(|l| l.key == key && l.val & bit != 0)
     }
 
     // ----- annotation handling ---------------------------------------------
@@ -1302,64 +1308,60 @@ impl ScChecker {
         };
 
         if ann.contains(EdgeSet::PO) {
-            let (lu, lv, bu, bv) = {
-                let (ru, rv) = (self.rec(u), self.rec(v));
-                (ru.label, rv.label, ru.birth, rv.birth)
-            };
-            if lu.proc != lv.proc {
+            let (ru, rv) = (*self.rec(u), *self.rec(v));
+            if ru.label.proc != rv.label.proc {
                 return reject(ScErrorKind::ProgramOrder("edge joins different processors"));
             }
-            if bu >= bv {
+            if ru.birth >= rv.birth {
                 return reject(ScErrorKind::ProgramOrder("edge contradicts trace order"));
             }
-            if self.rec(u).po_out {
+            if ru.has(flag::PO_OUT) {
                 return reject(ScErrorKind::ProgramOrder("two program-order successors"));
             }
-            if self.rec(v).po_in {
+            if rv.has(flag::PO_IN) {
                 return reject(ScErrorKind::ProgramOrder("two program-order predecessors"));
             }
-            self.rec_mut(u).po_out = true;
-            self.rec_mut(v).po_in = true;
+            self.rec_mut(u).set(flag::PO_OUT);
+            self.rec_mut(v).set(flag::PO_IN);
         }
 
         if ann.contains(EdgeSet::STO) {
-            let (lu, lv) = (self.rec(u).label, self.rec(v).label);
+            let (ru, rv) = (*self.rec(u), *self.rec(v));
+            let (lu, lv) = (ru.label, rv.label);
             if !lu.is_store() || !lv.is_store() || lu.block != lv.block {
                 return reject(ScErrorKind::StOrder("edge is not between STs to one block"));
             }
-            if self.rec(u).sto_out {
+            if ru.has(flag::STO_OUT) {
                 return reject(ScErrorKind::StOrder("two ST-order successors"));
             }
-            if self.rec(v).sto_in {
+            if rv.has(flag::STO_IN) {
                 return reject(ScErrorKind::StOrder("two ST-order predecessors"));
             }
-            self.rec_mut(u).sto_out = true;
-            self.rec_mut(v).sto_in = true;
-            self.rec_mut(u).sto_succ = Some(v);
+            let ru = self.rec_mut(u);
+            ru.set(flag::STO_OUT);
+            ru.sto_succ = Some(v);
+            self.rec_mut(v).set(flag::STO_IN);
             // Initialize forced-edge-on-path-to for every waiting heir.
             // The heirs stay registered: a later load inheriting from `u`
             // may still supersede them (program-order-path proviso).
-            let heirs = self.rec(u).heirs.clone();
-            for (_, j) in &heirs {
-                let j = *j;
+            for j in self.targets(u.slot, List::Heirs) {
                 if self.rec_opt(j).is_none() {
                     continue;
                 }
-                let already_forced = self.rec(j).forced_out.contains(&v);
-                {
-                    let rj = self.rec_mut(j);
-                    rj.forced_target = Some(v);
-                    rj.waiting_succ = false;
-                    if already_forced {
-                        rj.forced_done = true;
-                    }
+                let already_forced = self.has_link(j.slot, List::ForcedOut, v);
+                let rj = self.rec_mut(j);
+                rj.forced_target = Some(v);
+                rj.unset(flag::WAITING_SUCC);
+                if already_forced {
+                    rj.set(flag::FORCED_DONE);
                 }
                 self.try_finalize(j);
             }
         }
 
         if ann.contains(EdgeSet::INH) {
-            let (lu, lv) = (self.rec(u).label, self.rec(v).label);
+            let (ru, rv) = (*self.rec(u), *self.rec(v));
+            let (lu, lv) = (ru.label, rv.label);
             if !lu.is_store() || !lv.is_load() || lv.value.is_bottom() {
                 return reject(ScErrorKind::Inheritance(
                     "inheritance must run from a ST to a non-⊥ LD",
@@ -1368,31 +1370,27 @@ impl ScChecker {
             if lu.block != lv.block || lu.value != lv.value {
                 return reject(ScErrorKind::Inheritance("source does not match load"));
             }
-            if self.rec(v).inh_in {
+            if rv.has(flag::INH_IN) {
                 return reject(ScErrorKind::Inheritance("two inheritance edges"));
             }
-            self.rec_mut(v).inh_in = true;
-            let (succ, succ_dead) = {
-                let ru = self.rec(u);
-                (ru.sto_succ, ru.succ_dead)
-            };
-            match succ {
+            self.rec_mut(v).set(flag::INH_IN);
+            match ru.sto_succ {
                 Some(k) => {
-                    let already_forced = self.rec(v).forced_out.contains(&k);
+                    let already_forced = self.has_link(v.slot, List::ForcedOut, k);
                     let rv = self.rec_mut(v);
                     rv.forced_target = Some(k);
                     if already_forced {
-                        rv.forced_done = true;
+                        rv.set(flag::FORCED_DONE);
                     }
                 }
-                None if succ_dead => {
+                None if ru.has(flag::SUCC_DEAD) => {
                     // The successor exists but was finalized: the forced
                     // edge can no longer be expressed. Only supersession
                     // can discharge this load now.
-                    self.rec_mut(v).target_dead = true;
+                    self.rec_mut(v).set(flag::TARGET_DEAD);
                 }
                 None => {
-                    self.rec_mut(v).waiting_succ = true;
+                    self.rec_mut(v).set(flag::WAITING_SUCC);
                 }
             }
             // Register v as the newest heir of u for its processor,
@@ -1400,19 +1398,15 @@ impl ScChecker {
             // successor is already known): a forced edge from the latest
             // inheritor covers earlier ones via the program-order path.
             let proc = lv.proc.0;
-            let prev = {
-                let ru = self.rec_mut(u);
-                let prev = ru
-                    .heirs
-                    .iter()
-                    .position(|(p, _)| *p == proc)
-                    .map(|i| ru.heirs.remove(i).1);
-                ru.heirs.push((proc, v));
-                prev
-            };
+            let heirs = self.list_range(u.slot, List::Heirs);
+            let prev = self.links[heirs.clone()]
+                .iter()
+                .position(|l| l.key == proc)
+                .map(|i| self.links.remove(heirs.start + i).handle());
+            self.push_link(u.slot, List::Heirs, proc, v.bits());
             if let Some(prev) = prev {
                 if self.rec_opt(prev).is_some() && prev != v {
-                    self.rec_mut(prev).superseded = true;
+                    self.rec_mut(prev).set(flag::SUPERSEDED);
                     self.try_finalize(prev);
                 }
             }
@@ -1428,24 +1422,20 @@ impl ScChecker {
     /// through the contraction rule): discharge matching obligations on
     /// `u`.
     fn note_forced(&mut self, u: Handle, v: Handle) {
-        {
-            let ru = self.rec_mut(u);
-            if !ru.forced_out.contains(&v) {
-                ru.forced_out.push(v);
-            }
-            if ru.forced_target == Some(v) {
-                ru.forced_done = true;
-            }
+        if !self.has_link(u.slot, List::ForcedOut, v) {
+            self.push_link(u.slot, List::ForcedOut, 0, v.bits());
         }
-        if self.rec(u).is_bottom_load() {
-            let (is_st, same_block) = {
-                match self.rec_opt(v) {
-                    Some(rv) => (rv.is_store(), rv.label.block == self.rec(u).label.block),
-                    None => (false, false),
-                }
-            };
-            if is_st && same_block && !self.rec(u).bot_forced.contains(&v) {
-                self.rec_mut(u).bot_forced.push(v);
+        let ru = self.rec_mut(u);
+        if ru.forced_target == Some(v) {
+            ru.set(flag::FORCED_DONE);
+        }
+        let ru = *ru;
+        if ru.is_bottom_load() {
+            let same_block_store = self
+                .rec_opt(v)
+                .is_some_and(|rv| rv.is_store() && rv.label.block == ru.label.block);
+            if same_block_store && !self.has_link(u.slot, List::BotForced, v) {
+                self.push_link(u.slot, List::BotForced, 0, v.bits());
             }
         }
     }
@@ -2032,6 +2022,76 @@ mod closure_tests {
         assert_eq!(c.retained_count(), 1);
         let err = c.step(&Symbol::edge(1, 3, EdgeSet::PO)).unwrap_err();
         assert_eq!(err.kind, ScErrorKind::DanglingEdge);
+    }
+
+    /// Every retained node costs one slot, and a checker is cloned once
+    /// per frontier state: the record must stay within a cache line, and
+    /// neither an empty slot nor an absent handle may cost a tag word.
+    #[test]
+    fn node_record_fits_a_cache_line() {
+        use std::mem::size_of;
+        assert!(size_of::<NodeRec>() <= 64, "{} B", size_of::<NodeRec>());
+        assert_eq!(size_of::<Option<NodeRec>>(), size_of::<NodeRec>());
+        assert_eq!(size_of::<Option<Handle>>(), size_of::<Handle>());
+        assert_eq!(size_of::<Link>(), 16);
+    }
+
+    /// A chain of retained nodes through slot 64 and beyond: the closure
+    /// words past the inline one live in the pool, and must still close
+    /// the cycle back to slot 0 and forget a finalized node.
+    #[test]
+    fn reachability_spills_past_slot_64() {
+        // ⊥ loads of distinct processors stay retained after losing their
+        // IDs (their obligation is open until the block's first store), so
+        // node `i` sits in slot `i`. ID 1 keeps naming node 0; IDs 2..=5
+        // rotate through the rest.
+        let mut c = ScChecker::new(4);
+        c.step(&Symbol::node(1, ldb(1, 1))).unwrap();
+        let id = |i: u32| 2 + (i - 1) % 4;
+        let mut prev = 1;
+        for i in 1..70u32 {
+            c.step(&Symbol::node(id(i), ldb(i as u8 + 1, 1))).unwrap();
+            c.step(&Symbol::edge(prev, id(i), EdgeSet::FORCED)).unwrap();
+            prev = id(i);
+        }
+        assert_eq!(c.retained_count(), 70);
+        assert!(c.links.iter().any(|l| l.list == List::Reach));
+        // Node 69 is reached from node 0 only through spilled words.
+        let mut d = c.clone();
+        let err = d.step(&Symbol::edge(prev, 1, EdgeSet::FORCED)).unwrap_err();
+        assert_eq!(err.kind, ScErrorKind::CycleClosed);
+        // A later ⊥ load of the same processor and block supersedes each
+        // node, which finalizes it and scrubs its spilled bits everywhere.
+        let mut e = c.clone();
+        let before = e.links.len();
+        for i in 0..70u32 {
+            e.step(&Symbol::node(1, ldb(i as u8 + 1, 1))).unwrap();
+        }
+        assert!(e.links.len() < before, "finalized nodes keep their links");
+        assert!(e.links.iter().all(|l| l.list != List::Reach || l.val != 0));
+    }
+
+    /// `clone_from` copies into the target's slot and pool buffers when
+    /// they are large enough, as the lazy expansion path relies on.
+    #[test]
+    fn clone_from_reuses_the_buffers() {
+        let mut big = ScChecker::new(6);
+        big.step(&Symbol::node(1, ldb(2, 1))).unwrap();
+        big.step(&Symbol::node(2, st(1, 1, 1))).unwrap();
+        big.step(&Symbol::edge(1, 2, EdgeSet::FORCED)).unwrap();
+        big.step(&Symbol::node(3, ld(2, 1, 1))).unwrap();
+        big.step(&Symbol::edge(2, 3, EdgeSet::INH)).unwrap();
+        assert!(!big.links.is_empty());
+        let mut small = ScChecker::new(6);
+        small.step(&Symbol::node(1, st(1, 1, 1))).unwrap();
+        let mut target = big.clone();
+        let (slots, links) = (target.slots.as_ptr(), target.links.as_ptr());
+        target.clone_from(&small);
+        assert_eq!(target, small);
+        target.clone_from(&big);
+        assert_eq!(target, big);
+        assert_eq!(target.slots.as_ptr(), slots);
+        assert_eq!(target.links.as_ptr(), links);
     }
 
     #[test]

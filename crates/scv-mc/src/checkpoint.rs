@@ -55,7 +55,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hasher;
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// File magic: "SCVCKPT1".
@@ -363,13 +363,17 @@ impl CheckpointHeader {
     /// Write a checkpoint to `path` atomically: stream it into a temp file
     /// in the same directory, sync that to disk, then rename. Returns the
     /// number of bytes written.
+    ///
+    /// The temp file is `path` with `.tmp` appended to the whole name, so
+    /// two checkpoints that differ only in their extension (`msi.a`,
+    /// `msi.b`) never stage through the same file.
     pub fn save(
         &self,
         path: &Path,
         parents: &[(u128, u128, Action)],
         frontier: impl ExactSizeIterator<Item = (u128, u32)>,
     ) -> Result<u64, CheckpointError> {
-        let tmp = path.with_extension("ckpt.tmp");
+        let tmp = staging_path(path);
         let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
         let bytes = self.write_to(&mut out, parents, frontier)?;
         out.into_inner()
@@ -378,6 +382,14 @@ impl CheckpointHeader {
         std::fs::rename(&tmp, path)?;
         Ok(bytes)
     }
+}
+
+/// The temp file [`CheckpointHeader::save`] streams `path` into: `.tmp`
+/// appended to the whole file name.
+fn staging_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    tmp.into()
 }
 
 impl CheckpointFile {
@@ -595,6 +607,41 @@ mod tests {
         assert!(!dir.join("t.ckpt.tmp").exists(), "the temp file is renamed");
         let g = CheckpointFile::load(&path).expect("load");
         assert_eq!(g.parents, f.parents);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Names that differ only after the last dot used to share one temp
+    /// file, so one run's rename could install the other's snapshot. Two
+    /// writers saving such names side by side must each read back their
+    /// own file.
+    #[test]
+    fn names_differing_in_extension_save_independently() {
+        let dir = std::env::temp_dir().join(format!("scv-ckpt-ext-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path_a, path_b) = (dir.join("msi.a"), dir.join("msi.b"));
+        assert_ne!(staging_path(&path_a), staging_path(&path_b));
+        assert_eq!(staging_path(&dir.join("t.ckpt")), dir.join("t.ckpt.tmp"));
+        let a = sample();
+        let mut b = sample();
+        b.header.protocol = "mesi".into();
+        b.frontier.push((9, 5));
+        std::thread::scope(|scope| {
+            for (path, f) in [(&path_a, &a), (&path_b, &b)] {
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        f.header
+                            .save(path, &f.parents, f.frontier.iter().copied())
+                            .expect("save");
+                    }
+                });
+            }
+        });
+        for (path, f) in [(&path_a, &a), (&path_b, &b)] {
+            let g = CheckpointFile::load(path).expect("load");
+            assert_eq!(g.header, f.header, "{}", path.display());
+            assert_eq!(g.frontier, f.frontier, "{}", path.display());
+            assert!(!staging_path(path).exists(), "the temp file is renamed");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -47,7 +47,6 @@ pub use mc::{
 pub use seen::StripedSeen;
 pub use sip::{FpBuild, Sip, SipHasher13};
 pub use verify::{
-    verify_protocol, EncRef, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState,
-    VerifySystem,
+    verify_protocol, Outcome, RejectReason, SymmetryMode, VerifyOptions, VerifyState, VerifySystem,
 };
 pub use ws::{ws_search, ws_search_controlled, ws_search_detailed, WorkerStats};

@@ -290,8 +290,8 @@ pub struct McStats {
     /// Seen-set lock acquisitions, i.e. batch inserts (work-stealing
     /// engine only; 0 elsewhere).
     pub seen_batches: usize,
-    /// Peak number of states queued for expansion at any instant
-    /// (work-stealing engine only; 0 elsewhere).
+    /// Peak number of states queued for expansion at any instant (both
+    /// engines).
     pub peak_frontier: usize,
 }
 
@@ -492,6 +492,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
             frontier.push_back((init, init_fp, 0));
         }
     }
+    stats.peak_frontier = frontier.len();
 
     let rebuild = |seen: &SeenMap<T::Label>, mut at: u128| -> Vec<T::Label> {
         let mut path = Vec::new();
@@ -590,6 +591,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
             }
             frontier.push_back((t, fp, d + 1));
         }
+        stats.peak_frontier = stats.peak_frontier.max(frontier.len());
         if truncated {
             break;
         }

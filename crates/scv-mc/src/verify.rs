@@ -136,34 +136,74 @@ impl SymmetryMode {
 /// orbit-minimum representative.
 const GROUP_CAP: usize = 1024;
 
-/// An arena-interned canonical encoding: a view into a shared chunk.
+/// Append `words` to `out` packed: each word `w` as the LEB128 varint of
+/// `w.wrapping_add(1)`, so the `u64::MAX` "none" sentinel — over half the
+/// words of a typical product-state encoding — takes a single byte, and
+/// small counts, ranks and IDs take one or two. The code is prefix-free
+/// and every word has exactly one encoding, so two packed byte strings are
+/// equal iff their word sequences are.
+fn pack_into(words: &[u64], out: &mut Vec<u8>) {
+    for &w in words {
+        let mut x = w.wrapping_add(1);
+        while x >= 0x80 {
+            out.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        out.push(x as u8);
+    }
+}
+
+/// The words of a byte string written by [`pack_into`].
+fn unpack(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let mut x = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = *bytes.get(at)?;
+            at += 1;
+            x |= ((b & 0x7f) as u64) << shift;
+            if b < 0x80 {
+                return Some(x.wrapping_sub(1));
+            }
+            shift += 7;
+        }
+    })
+}
+
+/// A packed canonical encoding ([`pack_into`]): a view into a shared
+/// chunk.
 ///
-/// Admission-gated expansion freezes *one* `Arc<[u64]>` per parent
-/// expansion, covering the encodings of every admitted successor, instead
-/// of allocating a `Vec<u64>` per successor. Equality and hashing go
-/// through the viewed slice, so an interned encoding is indistinguishable
-/// from an owned one — in particular it hashes exactly like the
-/// `Vec<u64>` it replaced (both are length-prefixed slice hashes).
+/// Admission-gated expansion freezes *one* `Arc<[u8]>` per parent
+/// expansion, covering the packed encodings of every admitted successor,
+/// instead of allocating per successor. Equality compares the packed
+/// bytes, which is the same relation as comparing the words; hashing
+/// streams the *words*, exactly as `<[u64]>::hash` does (length prefix,
+/// then the words' bytes), so a state hashes as it did when it carried
+/// its encoding unpacked, and as the [`FpParts`] the admission gate
+/// fingerprints before it materializes anything.
 #[derive(Clone, Debug)]
-pub struct EncRef {
-    chunk: Arc<[u64]>,
+struct EncRef {
+    chunk: Arc<[u8]>,
     start: u32,
     len: u32,
 }
 
 impl EncRef {
-    /// Intern a standalone encoding in its own chunk (initial state and
+    /// Pack a standalone encoding into its own chunk (initial state and
     /// successors materialized outside the admission gate).
-    fn owned(enc: &[u64]) -> Self {
+    fn pack(words: &[u64]) -> Self {
+        let mut bytes = Vec::new();
+        pack_into(words, &mut bytes);
         EncRef {
-            chunk: Arc::from(enc),
+            len: bytes.len() as u32,
+            chunk: bytes.into(),
             start: 0,
-            len: enc.len() as u32,
         }
     }
 
-    /// A view into an already-frozen chunk.
-    fn view(chunk: &Arc<[u64]>, start: usize, len: usize) -> Self {
+    /// A view of `len` packed bytes at `start` of an already-frozen chunk.
+    fn view(chunk: &Arc<[u8]>, start: usize, len: usize) -> Self {
         debug_assert!(start + len <= chunk.len());
         EncRef {
             chunk: Arc::clone(chunk),
@@ -172,15 +212,15 @@ impl EncRef {
         }
     }
 
-    /// The encoding payload.
-    pub fn as_slice(&self) -> &[u64] {
+    /// The packed bytes.
+    fn bytes(&self) -> &[u8] {
         &self.chunk[self.start as usize..(self.start + self.len) as usize]
     }
 }
 
 impl PartialEq for EncRef {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.bytes() == other.bytes()
     }
 }
 
@@ -188,7 +228,12 @@ impl Eq for EncRef {}
 
 impl Hash for EncRef {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        let bytes = self.bytes();
+        // One word ends at each byte without the continuation bit.
+        state.write_usize(bytes.iter().filter(|&&b| b < 0x80).count());
+        for w in unpack(bytes) {
+            state.write(&w.to_ne_bytes());
+        }
     }
 }
 
@@ -218,9 +263,16 @@ pub struct VerifyState<PS> {
 }
 
 impl<PS> VerifyState<PS> {
-    /// The canonical encoding this state hashes and compares through.
-    pub fn encoding(&self) -> &[u64] {
-        self.enc.as_slice()
+    /// The canonical encoding this state hashes and compares through,
+    /// unpacked.
+    pub fn encoding(&self) -> Vec<u64> {
+        unpack(self.enc.bytes()).collect()
+    }
+
+    /// Bytes the packed canonical encoding occupies in the chunk it views
+    /// (one byte for each `u64::MAX` sentinel word).
+    pub fn packed_encoding_len(&self) -> usize {
+        self.enc.len as usize
     }
 }
 
@@ -228,7 +280,7 @@ impl<PS> VerifyState<PS> {
 /// fingerprints *before* materializing it: protocol component iff the
 /// encoding is not symmetry-sealed, then the canonical encoding. Must
 /// hash exactly like [`VerifyState`] (same field order, and `&[u64]`
-/// hashes identically to the `EncRef`/`Vec<u64>` it stands in for) —
+/// hashes identically to the packed `EncRef` it stands in for) —
 /// `tests/lazy_expand_props.rs` pins this equivalence.
 struct FpParts<'a, PS> {
     proto: Option<&'a PS>,
@@ -306,8 +358,12 @@ struct CandSlot<PS> {
     /// the parent directly) and materialization clones the parent instead.
     chk_is_parent: bool,
     error: Option<Box<RejectReason>>,
+    /// Where the candidate's canonical encoding sits in the scratch
+    /// arena (words).
     enc_start: usize,
     enc_len: usize,
+    /// Bytes the encoding packed to in the frozen chunk (admitted only).
+    packed_len: usize,
 }
 
 /// Per-worker scratch for admission-gated lazy expansion, carried by the
@@ -328,8 +384,8 @@ pub(crate) struct SealScratch<PS> {
     /// Candidate fingerprints and the admission verdicts they received.
     fps: Vec<u128>,
     keep: Vec<bool>,
-    /// Freeze buffer: admitted encodings, compacted before interning.
-    frozen: Vec<u64>,
+    /// Freeze buffer: admitted encodings, packed before interning.
+    frozen: Vec<u8>,
     /// Reusable aux-ID renaming for the per-candidate identity encodings
     /// (no location map — `'static` is the no-borrow case).
     ids: scv_descriptor::IdCanon<'static>,
@@ -354,7 +410,7 @@ impl<PS> SealScratch<PS> {
             cand: Vec::with_capacity(160),
             fps: Vec::new(),
             keep: Vec::new(),
-            frozen: Vec::with_capacity(1024),
+            frozen: Vec::with_capacity(2048),
             ids: scv_descriptor::IdCanon::new(0),
             seal_cache: HashMap::with_hasher(FpBuild),
             canon: CanonScratch::new(),
@@ -433,7 +489,26 @@ impl<P: Symmetry> VerifySystem<P> {
     }
 
     /// Seal a product state: compute the canonical encoding its hash and
-    /// equality go through.
+    /// equality go through, and pack it.
+    fn seal(
+        &self,
+        proto: P::State,
+        obs: Observer,
+        chk: ScChecker,
+        error: Option<Box<RejectReason>>,
+    ) -> VerifyState<P::State> {
+        let enc = EncRef::pack(&self.encode(&proto, &obs, &chk));
+        VerifyState {
+            proto,
+            obs,
+            chk,
+            error,
+            enc,
+            sym: !self.perms.is_empty(),
+        }
+    }
+
+    /// The canonical encoding of a product state's components.
     ///
     /// Without symmetry this is the aux-ID-canonical encoding of observer
     /// and checker (the protocol state is hashed natively alongside).
@@ -443,13 +518,7 @@ impl<P: Symmetry> VerifySystem<P> {
     /// [`scv_descriptor::SymView`] through the encoding traversals. A
     /// cheap prefix comparison on the (injective) protocol part prunes
     /// most candidates before the expensive observer/checker walk.
-    fn seal(
-        &self,
-        proto: P::State,
-        obs: Observer,
-        chk: ScChecker,
-        error: Option<Box<RejectReason>>,
-    ) -> VerifyState<P::State> {
+    fn encode(&self, proto: &P::State, obs: &Observer, chk: &ScChecker) -> Vec<u64> {
         let base = obs.location_count();
         if self.perms.is_empty() {
             // One IdCanon across both encodings: auxiliary descriptor IDs
@@ -461,14 +530,7 @@ impl<P: Symmetry> VerifySystem<P> {
             let mut enc = Vec::with_capacity(128);
             obs.canonical_encoding(&mut enc, &mut ids);
             chk.canonical_encoding(&mut enc, &mut ids);
-            return VerifyState {
-                proto,
-                obs,
-                chk,
-                error,
-                enc: EncRef::owned(&enc),
-                sym: false,
-            };
+            return enc;
         }
 
         let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
@@ -476,16 +538,9 @@ impl<P: Symmetry> VerifySystem<P> {
         let mut cand = Vec::with_capacity(160);
         let mut ids = scv_descriptor::IdCanon::new(base);
         canon::with_thread_scratch(|cs| {
-            self.orbit_min_encoding(&proto, &obs, &chk, &mut ids, &mut best, &mut cand, cs)
+            self.orbit_min_encoding(proto, obs, chk, &mut ids, &mut best, &mut cand, cs)
         });
-        VerifyState {
-            proto,
-            obs,
-            chk,
-            error,
-            enc: EncRef::owned(&best),
-            sym: true,
-        }
+        best
     }
 
     /// Recompute the canonical encoding of a product state from scratch,
@@ -495,8 +550,7 @@ impl<P: Symmetry> VerifySystem<P> {
     /// sort-based fast path ([`SymmetryMode::Full`]) or the brute-force
     /// reference ([`SymmetryMode::FullEnum`]).
     pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
-        let resealed = self.seal(s.proto.clone(), s.obs.clone(), s.chk.clone(), None);
-        resealed.enc.as_slice().to_vec()
+        self.encode(&s.proto, &s.obs, &s.chk)
     }
 
     /// Write a state's identity candidate into `best`: the protocol
@@ -759,6 +813,7 @@ where
                     error: None,
                     enc_start: 0,
                     enc_len: 0,
+                    packed_len: 0,
                 });
             }
             let slot = &mut sc.slots[i];
@@ -898,13 +953,14 @@ where
             return;
         }
 
-        // Freeze the admitted encodings into one shared chunk: a single
-        // allocation per parent instead of one per successor.
+        // Freeze the admitted encodings, packed, into one shared chunk: a
+        // single allocation per parent instead of one per successor.
         sc.frozen.clear();
         for i in 0..n {
             if !sc.keep[i] {
                 continue;
             }
+            let before = sc.frozen.len();
             let slot = &sc.slots[i];
             if slot.enc_len == ENC_UNSEALED {
                 // Admitted on a cache hit: the fingerprint was cached but
@@ -931,18 +987,20 @@ where
                     sc.fps[i],
                     "recomputed orbit minimum disagrees with the cached fingerprint"
                 );
-                sc.frozen.extend_from_slice(&sc.best);
-                sc.slots[i].enc_len = sc.best.len();
+                pack_into(&sc.best, &mut sc.frozen);
             } else {
-                sc.frozen
-                    .extend_from_slice(&sc.enc[slot.enc_start..slot.enc_start + slot.enc_len]);
+                pack_into(
+                    &sc.enc[slot.enc_start..slot.enc_start + slot.enc_len],
+                    &mut sc.frozen,
+                );
             }
+            sc.slots[i].packed_len = sc.frozen.len() - before;
         }
-        let chunk: Arc<[u64]> = sc.frozen.as_slice().into();
+        let chunk: Arc<[u8]> = sc.frozen.as_slice().into();
         if scv_telemetry::enabled() {
             scv_telemetry::add(
                 scv_telemetry::Metric::McArenaAllocBytes,
-                (sc.frozen.len() * std::mem::size_of::<u64>()) as u64,
+                sc.frozen.len() as u64,
             );
         }
         let mut off = 0usize;
@@ -951,8 +1009,8 @@ where
                 continue;
             }
             let slot = &mut sc.slots[i];
-            let enc = EncRef::view(&chunk, off, slot.enc_len);
-            off += slot.enc_len;
+            let enc = EncRef::view(&chunk, off, slot.packed_len);
+            off += slot.packed_len;
             out.push((
                 slot.action,
                 VerifyState {

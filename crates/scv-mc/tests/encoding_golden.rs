@@ -67,7 +67,7 @@ where
     let visit = |s: &VerifyState<P::State>, pin: &mut Pin| {
         pin.states += 1;
         pin.words += s.encoding().len();
-        pin.fnv = fnv1a(pin.fnv, s.encoding());
+        pin.fnv = fnv1a(pin.fnv, &s.encoding());
     };
     visit(&init, &mut pin);
     seen.insert(init.clone());

@@ -1,4 +1,4 @@
-//! Heap bytes per product state.
+//! Bytes per product state.
 //!
 //! The checker's and observer's per-state tables must be sized by the
 //! descriptor IDs that are live, not by the ID space `k` — `k` only bounds
@@ -14,10 +14,12 @@
 //!   ST-order policy (its immutable configuration is shared, not copied);
 //! * a product state's inline record stays under a fixed size;
 //! * after a 5 000-state BFS of msi (6,2,2) with symmetry off, a frontier
-//!   state's clone averages under 640 B of heap.
+//!   state's clone heap plus its packed canonical encoding (which clones
+//!   share, so the allocator does not see it) averages under 480 B, and
+//!   the packed encoding alone under 160 B.
 //!
 //! With `SCV_STRESS=1` the frontier check also runs msi, directory and
-//! lazy caching at (6,2,2) to a 30 000-state cap, each under 1 KB.
+//! lazy caching at (6,2,2) to a 30 000-state cap, each under 896 B.
 
 use scv_checker::ScChecker;
 use scv_mc::{SymmetryMode, TransitionSystem, VerifyState, VerifySystem};
@@ -68,16 +70,21 @@ fn clone_bytes<T: Clone>(x: &T) -> usize {
 }
 
 /// Bound on `size_of::<VerifyState<_>>()` for msi, directory and lazy
-/// caching (432, 480 and 480 B with 32-bit observer node keys).
+/// caching (424, 472 and 472 B).
 const INLINE_BOUND: usize = 512;
 
 /// Bound on the mean heap bytes of an msi (6,2,2) frontier state's clone
-/// at the 5 000-state cap (449 B with 32-bit observer node keys).
-const FRONTIER_BOUND: f64 = 640.0;
+/// plus its packed encoding at the 5 000-state cap (327 + 73 = 400 B with
+/// the 48-byte checker node record; the clone alone was 449 B before it).
+const FRONTIER_BOUND: f64 = 480.0;
 
-/// The same bound for every row of the 30 000-state stress run (lazy
-/// caching, the largest, measures 930 B).
-const FRONTIER_STRESS_BOUND: f64 = 1024.0;
+/// Bound on the mean packed canonical encoding of the same frontier
+/// (73 B; 512 B unpacked).
+const PACKED_BOUND: f64 = 160.0;
+
+/// The `FRONTIER_BOUND` figure for every row of the 30 000-state stress
+/// run (lazy caching, the largest, measures 642 + 129 = 771 B).
+const FRONTIER_STRESS_BOUND: f64 = 896.0;
 
 /// Heap allocations made by one clone of `x`.
 fn clone_allocations<T: Clone>(x: &T) -> usize {
@@ -168,9 +175,20 @@ fn product_state_inline_size_is_bounded() {
     }
 }
 
-/// Mean heap bytes of cloning a frontier state after a BFS over `cap`
-/// distinct states (symmetry off).
-fn frontier_heap_per_state<P>(proto: P, cap: usize) -> f64
+/// What a frontier state holds, averaged over the frontier.
+struct Frontier {
+    /// Heap bytes one clone of the state allocates.
+    heap: f64,
+    /// Bytes of the state's packed canonical encoding, which a clone shares
+    /// instead of copying (so `heap` leaves it out).
+    packed: f64,
+    /// Bytes the same encoding takes unpacked, 8 per word.
+    unpacked: f64,
+}
+
+/// Mean bytes per frontier state after a BFS over `cap` distinct states
+/// (symmetry off).
+fn frontier_bytes_per_state<P>(proto: P, cap: usize) -> Frontier
 where
     P: Symmetry,
     P::State: Clone + std::hash::Hash + Eq + Send + 'static,
@@ -193,16 +211,31 @@ where
         }
     }
     assert!(!queue.is_empty(), "the search finished before the cap");
-    let total: usize = queue.iter().map(clone_bytes).sum();
-    total as f64 / queue.len() as f64
+    let n = queue.len() as f64;
+    let heap: usize = queue.iter().map(clone_bytes).sum();
+    let packed: usize = queue.iter().map(VerifyState::packed_encoding_len).sum();
+    let words: usize = queue.iter().map(|s| s.encoding().len()).sum();
+    Frontier {
+        heap: heap as f64 / n,
+        packed: packed as f64 / n,
+        unpacked: (8 * words) as f64 / n,
+    }
 }
 
 #[test]
 fn frontier_states_stay_small() {
-    let per_state = frontier_heap_per_state(MsiProtocol::new(Params::new(6, 2, 2)), 5_000);
+    let f = frontier_bytes_per_state(MsiProtocol::new(Params::new(6, 2, 2)), 5_000);
     assert!(
-        per_state < FRONTIER_BOUND,
-        "msi (6,2,2): {per_state:.0} heap bytes per frontier state"
+        f.packed < PACKED_BOUND,
+        "msi (6,2,2): {:.0} packed encoding bytes per frontier state ({:.0} unpacked)",
+        f.packed,
+        f.unpacked
+    );
+    assert!(
+        f.heap + f.packed < FRONTIER_BOUND,
+        "msi (6,2,2): {:.0} heap + {:.0} encoding bytes per frontier state",
+        f.heap,
+        f.packed
     );
 }
 
@@ -215,22 +248,28 @@ fn frontier_states_stay_small_stress() {
     let rows = [
         (
             "msi",
-            frontier_heap_per_state(MsiProtocol::new(params), 30_000),
+            frontier_bytes_per_state(MsiProtocol::new(params), 30_000),
         ),
         (
             "directory",
-            frontier_heap_per_state(DirectoryProtocol::new(params), 30_000),
+            frontier_bytes_per_state(DirectoryProtocol::new(params), 30_000),
         ),
         (
             "lazy",
-            frontier_heap_per_state(LazyCaching::new(params, 1, 1), 30_000),
+            frontier_bytes_per_state(LazyCaching::new(params, 1, 1), 30_000),
         ),
     ];
-    for (name, per_state) in rows {
-        eprintln!("{name} (6,2,2): {per_state:.0} heap bytes per frontier state");
+    for (name, f) in rows {
+        eprintln!(
+            "{name} (6,2,2): {:.0} heap + {:.0} encoding bytes per frontier state \
+             ({:.0} unpacked)",
+            f.heap, f.packed, f.unpacked
+        );
         assert!(
-            per_state < FRONTIER_STRESS_BOUND,
-            "{name} (6,2,2): {per_state:.0} heap bytes per frontier state"
+            f.heap + f.packed < FRONTIER_STRESS_BOUND,
+            "{name} (6,2,2): {:.0} heap + {:.0} encoding bytes per frontier state",
+            f.heap,
+            f.packed
         );
     }
 }

@@ -222,9 +222,15 @@ where
                 .metric("depth", s.depth as f64)
                 .metric("elapsed_secs", s.elapsed.as_secs_f64())
                 .metric("states_per_sec", s.states_per_sec())
-                .metric("peak_frontier", s.peak_frontier as f64)
-                .metric("steals", s.steals as f64)
-                .metric("seen_batches", s.seen_batches as f64);
+                .metric("peak_frontier", s.peak_frontier as f64);
+            // Sequential BFS neither steals nor batches seen-set inserts:
+            // omit the fields rather than report a zero that means "not
+            // measured".
+            if self.options.threads > 1 {
+                report = report
+                    .metric("steals", s.steals as f64)
+                    .metric("seen_batches", s.seen_batches as f64);
+            }
             // Omitted (not zero) when the platform can't report it.
             if let Some(rss) = scv_telemetry::peak_rss_bytes() {
                 report = report.metric("peak_rss_bytes", rss as f64);

@@ -8,6 +8,8 @@
 //!   checker step).
 //! * The §5 runtime monitor reports a structured `MonitorDivergence`
 //!   event (step index, symbol, diagnosis) when a run stops being SC.
+//! * A run report carries only the engine fields its engine measured: a
+//!   t=1 report has the peak frontier but no steals or seen-set batches.
 //!
 //! Telemetry state is process-global, so every test serializes on
 //! `telemetry::test_mutex` (directly or through `TestSession`).
@@ -116,6 +118,52 @@ fn sequential_search_streams_admitted_states() {
         telemetry::registry().get(telemetry::Metric::McTransitions),
         r.stats().transitions as u64
     );
+}
+
+/// A run report states only what its engine measured. Sequential BFS
+/// tracks its peak frontier, and has no steals or seen-set batches to
+/// report, so those fields are left out instead of reading as a measured
+/// zero; the work-stealing engine reports all three.
+#[test]
+fn run_reports_carry_only_measured_engine_fields() {
+    for threads in [1usize, 2] {
+        let session = telemetry::TestSession::start();
+        let out = Verifier::new(MsiProtocol::new(Params::new(2, 1, 2)))
+            .max_states(3_000)
+            .threads(threads)
+            .run();
+        let events = session.events();
+        drop(session);
+        let report = events
+            .iter()
+            .find_map(|e| match e {
+                telemetry::Event::Report(r) if r.name == "verify/msi" => Some(r),
+                _ => None,
+            })
+            .expect("the run emitted a report");
+        let stats = out.stats();
+        let peak = report
+            .get_metric("peak_frontier")
+            .expect("peak_frontier is reported");
+        assert_eq!(peak, stats.peak_frontier as f64, "threads={threads}");
+        assert!(
+            stats.peak_frontier > 0 && stats.peak_frontier < stats.states,
+            "threads={threads}: peak frontier {} of {} states",
+            stats.peak_frontier,
+            stats.states
+        );
+        let ws = threads > 1;
+        assert_eq!(
+            report.get_metric("steals").is_some(),
+            ws,
+            "threads={threads}"
+        );
+        assert_eq!(
+            report.get_metric("seen_batches").is_some(),
+            ws,
+            "threads={threads}"
+        );
+    }
 }
 
 #[test]
