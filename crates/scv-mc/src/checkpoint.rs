@@ -328,10 +328,10 @@ fn get_action(cur: &mut Cursor<'_>) -> Result<Action, CheckpointError> {
 impl CheckpointHeader {
     /// Stream a checkpoint — this header, `parents`, then `frontier` —
     /// into `out` and seal it. Returns the number of bytes written.
-    fn write_to<W: Write>(
+    fn write_to<'a, W: Write>(
         &self,
         out: W,
-        parents: &[(u128, u128, Action)],
+        parents: impl ExactSizeIterator<Item = (u128, u128, &'a Action)>,
         frontier: impl ExactSizeIterator<Item = (u128, u32)>,
     ) -> io::Result<u64> {
         let mut w = Sealed::new(out);
@@ -348,8 +348,8 @@ impl CheckpointHeader {
         w.u128(self.init_fp)?;
         w.u64(parents.len() as u64)?;
         for (child, parent, action) in parents {
-            w.u128(*child)?;
-            w.u128(*parent)?;
+            w.u128(child)?;
+            w.u128(parent)?;
             w.action(action)?;
         }
         w.u64(frontier.len() as u64)?;
@@ -367,10 +367,10 @@ impl CheckpointHeader {
     /// The temp file is `path` with `.tmp` appended to the whole name, so
     /// two checkpoints that differ only in their extension (`msi.a`,
     /// `msi.b`) never stage through the same file.
-    pub fn save(
+    pub fn save<'a>(
         &self,
         path: &Path,
-        parents: &[(u128, u128, Action)],
+        parents: impl ExactSizeIterator<Item = (u128, u128, &'a Action)>,
         frontier: impl ExactSizeIterator<Item = (u128, u32)>,
     ) -> Result<u64, CheckpointError> {
         let tmp = staging_path(path);
@@ -384,6 +384,11 @@ impl CheckpointHeader {
     }
 }
 
+/// A stored parent log in the form [`CheckpointHeader::save`] streams.
+fn edges(parents: &[(u128, u128, Action)]) -> impl ExactSizeIterator<Item = (u128, u128, &Action)> {
+    parents.iter().map(|(c, p, a)| (*c, *p, a))
+}
+
 /// The temp file [`CheckpointHeader::save`] streams `path` into: `.tmp`
 /// appended to the whole file name.
 fn staging_path(path: &Path) -> PathBuf {
@@ -395,9 +400,9 @@ fn staging_path(path: &Path) -> PathBuf {
 impl CheckpointFile {
     /// Serialize to the wire format, integrity word included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let (mut out, frontier) = (Vec::new(), self.frontier.iter().copied());
         self.header
-            .write_to(&mut out, &self.parents, self.frontier.iter().copied())
+            .write_to(&mut out, edges(&self.parents), frontier)
             .expect("writing to a Vec cannot fail");
         out
     }
@@ -600,7 +605,7 @@ mod tests {
         let f = sample();
         let written = f
             .header
-            .save(&path, &f.parents, f.frontier.iter().copied())
+            .save(&path, edges(&f.parents), f.frontier.iter().copied())
             .expect("save");
         assert_eq!(written, f.encode().len() as u64);
         assert_eq!(std::fs::read(&path).unwrap(), f.encode());
@@ -630,7 +635,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..20 {
                         f.header
-                            .save(path, &f.parents, f.frontier.iter().copied())
+                            .save(path, edges(&f.parents), f.frontier.iter().copied())
                             .expect("save");
                     }
                 });

@@ -171,12 +171,7 @@ const RSS_STRIDE: u32 = 32;
 impl RunControl {
     /// A control that never trips.
     pub fn unlimited() -> Self {
-        RunControl {
-            cancel: CancelToken::new(),
-            deadline: None,
-            max_states: usize::MAX,
-            max_rss: None,
-        }
+        RunControl::new(&Budget::unlimited(), CancelToken::new())
     }
 
     /// Resolve `budget` against `Instant::now()` with the given token.
@@ -187,21 +182,6 @@ impl RunControl {
             max_states: budget.max_states.unwrap_or(usize::MAX),
             max_rss: budget.max_rss_bytes,
         }
-    }
-
-    /// Override the absolute deadline (used by the checkpoint driver to
-    /// shorten a slice to the next checkpoint tick).
-    pub fn with_deadline(mut self, at: Instant) -> Self {
-        self.deadline = Some(match self.deadline {
-            Some(d) => d.min(at),
-            None => at,
-        });
-        self
-    }
-
-    /// The cancel token this control polls.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
     }
 
     /// Check every limit. `states` is the current admitted-state count;
@@ -293,17 +273,6 @@ mod tests {
             &Budget::unlimited().deadline(Duration::ZERO),
             CancelToken::new(),
         );
-        let mut ticks = 0;
-        assert_eq!(ctrl.trip(0, &mut ticks), Some(InterruptReason::Deadline));
-    }
-
-    #[test]
-    fn with_deadline_takes_the_earlier_instant() {
-        let near = Instant::now();
-        let far = near + Duration::from_secs(3600);
-        let ctrl = RunControl::unlimited()
-            .with_deadline(far)
-            .with_deadline(near);
         let mut ticks = 0;
         assert_eq!(ctrl.trip(0, &mut ticks), Some(InterruptReason::Deadline));
     }

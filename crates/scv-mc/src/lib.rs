@@ -25,9 +25,9 @@
 //!   [`Outcome::Inconclusive`] when a [`Budget`] tripped or the
 //!   [`CancelToken`] fired;
 //! * run control & checkpointing — [`Budget`], [`CancelToken`], and the
-//!   `*_controlled` engine variants interrupt a search at a consistent
-//!   point; [`checkpoint::CheckpointHeader::save`] streams it to disk, and
-//!   [`VerifyOptions::resume_from`] continues it exactly.
+//!   `*_controlled` engine variants stop a search at a consistent point;
+//!   [`Checkpoints`] lends a [`Snapshot`] of it to a writer that streams
+//!   it to disk, and [`VerifyOptions::resume_from`] continues it exactly.
 
 mod canon;
 pub mod checkpoint;
@@ -41,8 +41,9 @@ pub mod ws;
 pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointHeader};
 pub use control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 pub use mc::{
-    bfs, bfs_controlled, fp_collision_bound, BfsOptions, ControlledSearch, Counterexample,
-    ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult, TransitionSystem,
+    bfs, bfs_controlled, fp_collision_bound, BfsOptions, Checkpoints, ControlledSearch,
+    Counterexample, ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult,
+    Snapshot, TransitionSystem,
 };
 pub use seen::StripedSeen;
 pub use sip::{FpBuild, Sip, SipHasher13};

@@ -381,6 +381,75 @@ impl<S, L> SearchCheckpoint<S, L> {
     }
 }
 
+/// A search at a consistent point, lent to a checkpoint writer: what a
+/// [`SearchCheckpoint`] holds, streamed from the engine's own seen-set,
+/// parent logs and queues instead of collected into one.
+pub struct Snapshot<'s, L> {
+    /// The [`Fingerprinter`] seeds.
+    pub seeds: [u64; 4],
+    /// Fingerprint of the initial state.
+    pub init_fp: u128,
+    /// Transitions explored so far.
+    pub transitions: usize,
+    /// Deepest BFS level admitted so far.
+    pub depth: usize,
+    /// Parent edges `(child_fp, parent_fp, label)`, one per admitted state
+    /// other than the initial one.
+    pub parents: &'s mut dyn ExactSizeIterator<Item = (u128, u128, &'s L)>,
+    /// Admitted-but-unexpanded states as `(fingerprint, depth)`.
+    pub frontier: &'s mut dyn ExactSizeIterator<Item = (u128, usize)>,
+}
+
+/// An iterator and its length: the engines' logs and queues span several
+/// containers, and a checkpoint writes each list's length first.
+pub(crate) struct Counted<I>(pub(crate) usize, pub(crate) I);
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        self.1.next().inspect(|_| self.0 -= 1)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.0, Some(self.0))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
+
+/// Where a search writes its checkpoints: every `every` while it runs,
+/// and once more if a limit stops it. When one is due, the engine lends
+/// `write` a [`Snapshot`] at its next consistent point; after a periodic
+/// one it carries on with the same seen-set, queues and counters. `write`
+/// returns `false` when it failed, and the engine then stops as a cancel
+/// stops it.
+pub struct Checkpoints<'w, L> {
+    every: Option<Duration>,
+    /// When the next periodic checkpoint is due.
+    pub(crate) due: Option<Instant>,
+    write: &'w mut dyn FnMut(Snapshot<'_, L>) -> bool,
+}
+
+impl<'w, L> Checkpoints<'w, L> {
+    /// The first periodic checkpoint is due `every` from now.
+    pub fn new(every: Option<Duration>, write: &'w mut dyn FnMut(Snapshot<'_, L>) -> bool) -> Self {
+        Checkpoints {
+            every,
+            due: every.map(|e| Instant::now() + e),
+            write,
+        }
+    }
+
+    /// Hand `snap` to the writer; the next periodic checkpoint is due
+    /// `every` after it returns.
+    pub(crate) fn write(&mut self, snap: Snapshot<'_, L>) -> bool {
+        let ok = (self.write)(snap);
+        self.due = self.every.map(|e| Instant::now() + e);
+        ok
+    }
+}
+
 /// Outcome of a budget-/cancel-aware search.
 #[derive(Clone, Debug)]
 pub enum ControlledSearch<S, L, V = String> {
@@ -412,12 +481,40 @@ impl<S, L, V> ControlledSearch<S, L, V> {
 /// initial state).
 type SeenMap<L> = HashMap<u128, Option<(u128, L)>, FpBuild>;
 
+/// Lend sequential BFS's live seen map and queue to `checkpoints`. Kept
+/// out of line: it runs once per checkpoint, and inlined into the
+/// expansion loop it slowed t=1 `prove` and `hunt` by 7–10%.
+#[cold]
+#[inline(never)]
+fn lend_bfs<S, L>(
+    checkpoints: &mut Checkpoints<'_, L>,
+    seeds: [u64; 4],
+    init_fp: u128,
+    stats: &McStats,
+    seen: &SeenMap<L>,
+    frontier: &VecDeque<(S, u128, usize)>,
+) -> bool {
+    let edges = seen
+        .iter()
+        .filter_map(|(c, p)| p.as_ref().map(|(pf, l)| (*c, *pf, l)));
+    let mut parents = Counted(seen.len() - 1, edges);
+    let mut queued = frontier.iter().map(|(_, fp, d)| (*fp, *d));
+    checkpoints.write(Snapshot {
+        seeds,
+        init_fp,
+        transitions: stats.transitions,
+        depth: stats.depth,
+        parents: &mut parents,
+        frontier: &mut queued,
+    })
+}
+
 /// Sequential BFS with parent tracking for counterexample extraction.
 /// The seen-set stores 128-bit fingerprints, not states (see
 /// [`Fingerprinter`]); full states live only in the frontier.
 pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::Label, T::Violation> {
     let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-    match bfs_controlled(sys, opts, &RunControl::unlimited(), None) {
+    match bfs_controlled(sys, opts, &RunControl::unlimited(), None, None) {
         ControlledSearch::Finished(r) => r,
         ControlledSearch::Interrupted { .. } => {
             unreachable!("an unlimited RunControl never interrupts")
@@ -426,19 +523,22 @@ pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::La
 }
 
 /// Sequential BFS under a [`RunControl`], optionally resuming a prior
-/// [`SearchCheckpoint`].
+/// [`SearchCheckpoint`] and writing [`Checkpoints`].
 ///
-/// Limits are checked once per state expansion (the admission boundary):
-/// when one trips, the state about to be expanded goes back to the front
-/// of the queue and the whole search — seen-set, frontier, parent edges —
-/// is packaged into a checkpoint. The queue is FIFO over `(state, fp,
-/// depth)` triples, so exploration order (and counterexample minimality on
-/// fresh runs) matches the classic level-by-level formulation.
+/// Limits and `checkpoints` are checked once per state expansion (the
+/// admission boundary), before the next state leaves the queue. A due
+/// checkpoint lends the live seen map and queue to the writer and the
+/// search goes on; a tripped limit lends them once more, then packages
+/// the whole search — seen-set, frontier, parent edges — into a
+/// checkpoint. The queue is FIFO over `(state, fp, depth)` triples, so
+/// exploration order (and counterexample minimality on fresh runs)
+/// matches the classic level-by-level formulation.
 pub fn bfs_controlled<T: TransitionSystem>(
     sys: &T,
     opts: BfsOptions,
     ctrl: &RunControl,
     resume: Option<SearchCheckpoint<T::State, T::Label>>,
+    mut checkpoints: Option<&mut Checkpoints<'_, T::Label>>,
 ) -> ControlledSearch<T::State, T::Label, T::Violation> {
     use scv_telemetry::recorder;
     let start = Instant::now();
@@ -508,11 +608,19 @@ pub fn bfs_controlled<T: TransitionSystem>(
     let mut admitted: Vec<(T::Label, T::State, u128)> = Vec::new();
     let mut truncated = false;
     let mut depth_limited = false;
-    let mut ticks = 0u32;
+    let mut rss_ticks = 0u32;
     let mut rec_depth = usize::MAX; // last depth the recorder sampled at
-    while let Some((s, sfp, d)) = frontier.pop_front() {
-        if let Some(reason) = ctrl.trip(stats.states, &mut ticks) {
-            frontier.push_front((s, sfp, d));
+    while !frontier.is_empty() {
+        let mut tripped = ctrl.trip(stats.states, &mut rss_ticks);
+        let due = |c: &&mut Checkpoints<'_, T::Label>| {
+            tripped.is_some() || c.due.is_some_and(|d| Instant::now() >= d)
+        };
+        if let Some(c) = checkpoints.as_deref_mut().filter(due) {
+            if !lend_bfs(c, fper.seeds(), init_fp, &stats, &seen, &frontier) {
+                tripped = tripped.or(Some(InterruptReason::Cancelled));
+            }
+        }
+        if let Some(reason) = tripped {
             stats.elapsed = start.elapsed();
             let checkpoint = SearchCheckpoint {
                 seeds: fper.seeds(),
@@ -531,6 +639,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 stats,
             };
         }
+        let (s, sfp, d) = frontier.pop_front().expect("the queue is not empty");
         if d >= opts.max_depth {
             depth_limited = true;
             continue;
@@ -605,14 +714,15 @@ pub fn bfs_controlled<T: TransitionSystem>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::control::{Budget, CancelToken};
 
-    /// A counter modulo n that "violates" at a designated value.
-    struct Counter {
-        n: u32,
-        bad: Option<u32>,
+    /// A counter modulo n that "violates" at a designated value (shared
+    /// with the ws.rs unit tests).
+    pub(crate) struct Counter {
+        pub(crate) n: u32,
+        pub(crate) bad: Option<u32>,
     }
 
     impl TransitionSystem for Counter {
@@ -629,6 +739,23 @@ mod tests {
         fn violation(&self, s: &u32) -> Option<String> {
             (Some(*s) == self.bad).then(|| format!("hit {s}"))
         }
+    }
+
+    /// A [`Counter`] search under `ctrl` with default limits.
+    fn controlled(
+        sys: &Counter,
+        ctrl: &RunControl,
+        resume: Option<SearchCheckpoint<u32, &'static str>>,
+    ) -> ControlledSearch<u32, &'static str> {
+        bfs_controlled(sys, BfsOptions::default(), ctrl, resume, None)
+    }
+
+    /// The state a [`Counter`] path of `n` leads to.
+    pub(crate) fn replay(path: &[&str], n: u32) -> u32 {
+        path.iter().fold(0, |s, l| match *l {
+            "inc" => (s + 1) % n,
+            _ => (s * 2) % n,
+        })
     }
 
     #[test]
@@ -651,15 +778,7 @@ mod tests {
                 // Shortest path to 5: 0->1->2->4->5 (inc,dbl,dbl,inc) = 4 steps
                 // or 0->1->2->3->... BFS guarantees minimality: length 4.
                 assert_eq!(ce.path.len(), 4);
-                // Replay the path.
-                let mut s = 0u32;
-                for l in &ce.path {
-                    s = match *l {
-                        "inc" => (s + 1) % 97,
-                        _ => (s * 2) % 97,
-                    };
-                }
-                assert_eq!(s, 5);
+                assert_eq!(replay(&ce.path, 97), 5);
             }
             r => panic!("expected Unsafe, got {r:?}"),
         }
@@ -700,7 +819,7 @@ mod tests {
         let clean = bfs(&sys, BfsOptions::default());
         for cut in [1usize, 7, 100, 500] {
             let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
-            let r = bfs_controlled(&sys, BfsOptions::default(), &ctrl, None);
+            let r = controlled(&sys, &ctrl, None);
             let ControlledSearch::Interrupted {
                 reason,
                 checkpoint,
@@ -719,12 +838,7 @@ mod tests {
                 checkpoint.parents.iter().map(|e| e.0).collect();
             assert_eq!(children.len(), checkpoint.parents.len(), "cut {cut}");
             assert!(!children.contains(&checkpoint.init_fp), "cut {cut}");
-            let resumed = bfs_controlled(
-                &sys,
-                BfsOptions::default(),
-                &RunControl::unlimited(),
-                Some(checkpoint),
-            );
+            let resumed = controlled(&sys, &RunControl::unlimited(), Some(checkpoint));
             let ControlledSearch::Finished(r2) = resumed else {
                 panic!("unlimited resume must finish");
             };
@@ -743,27 +857,19 @@ mod tests {
             bad: Some(900),
         };
         let ctrl = RunControl::new(&Budget::unlimited().states(50), CancelToken::new());
-        let ControlledSearch::Interrupted { checkpoint, .. } =
-            bfs_controlled(&sys, BfsOptions::default(), &ctrl, None)
-        else {
+        let ControlledSearch::Interrupted { checkpoint, .. } = controlled(&sys, &ctrl, None) else {
             panic!("expected interrupt");
         };
-        let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) = bfs_controlled(
-            &sys,
-            BfsOptions::default(),
-            &RunControl::unlimited(),
-            Some(checkpoint),
-        ) else {
+        let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) =
+            controlled(&sys, &RunControl::unlimited(), Some(checkpoint))
+        else {
             panic!("resume must find the violation");
         };
-        let mut s = 0u32;
-        for l in &ce.path {
-            s = match *l {
-                "inc" => (s + 1) % 977,
-                _ => (s * 2) % 977,
-            };
-        }
-        assert_eq!(s, 900, "path must replay to the bad state");
+        assert_eq!(
+            replay(&ce.path, 977),
+            900,
+            "path must replay to the bad state"
+        );
     }
 
     /// Cancellation interrupts promptly and the checkpoint resumes.
@@ -773,7 +879,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctrl = RunControl::new(&Budget::unlimited(), token);
-        match bfs_controlled(&sys, BfsOptions::default(), &ctrl, None) {
+        match controlled(&sys, &ctrl, None) {
             ControlledSearch::Interrupted { reason, .. } => {
                 assert_eq!(reason, InterruptReason::Cancelled)
             }

@@ -6,8 +6,8 @@ use crate::canon::{self, CanonScratch, FastPlan};
 use crate::checkpoint::{CheckpointError, CheckpointFile, CheckpointHeader};
 use crate::control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
 use crate::mc::{
-    bfs_controlled, eager_expand, BfsOptions, ControlledSearch, ExpandScratch, Fingerprinter,
-    McStats, SearchCheckpoint, SearchResult, TransitionSystem,
+    bfs_controlled, eager_expand, BfsOptions, Checkpoints, ControlledSearch, ExpandScratch,
+    Fingerprinter, McStats, SearchCheckpoint, SearchResult, Snapshot, TransitionSystem,
 };
 use crate::sip::FpBuild;
 use crate::ws::ws_search_controlled;
@@ -1126,9 +1126,10 @@ pub struct VerifyOptions {
     pub budget: Budget,
     /// Cooperative cancellation handle polled at admission boundaries.
     pub cancel: CancelToken,
-    /// Write a checkpoint this often while the run is in progress (the
-    /// search is paused at a consistent point, serialized, and resumed
-    /// in-process). Requires [`VerifyOptions::checkpoint_path`].
+    /// Write a checkpoint this often while the run is in progress: a
+    /// snapshot of the live search at the engine's next consistent point,
+    /// due this long after the previous write finished. Without
+    /// [`VerifyOptions::checkpoint_path`] it does nothing.
     pub checkpoint_every: Option<Duration>,
     /// Where periodic and final (budget-trip) checkpoints are written.
     pub checkpoint_path: Option<PathBuf>,
@@ -1343,143 +1344,98 @@ where
 
     /// Run a search over this product system.
     ///
-    /// This is the stop-and-go driver behind every public entry point:
-    ///
     /// 1. If [`VerifyOptions::resume_from`] is set, load the checkpoint
     ///    file, validate it against this system (protocol name,
     ///    parameters, symmetry mode, initial-state fingerprint), and
     ///    rebuild the in-memory search state — frontier states are
     ///    reconstructed by replaying their parent chains of actions from
     ///    the initial state, fingerprint-checking every step.
-    /// 2. Run the configured engine in *slices*: each slice's deadline is
-    ///    the earlier of the budget deadline and the next
-    ///    [`VerifyOptions::checkpoint_every`] tick. A slice that ends at a
-    ///    checkpoint tick serializes the paused search to
-    ///    [`VerifyOptions::checkpoint_path`] and resumes in-process.
-    /// 3. A verdict maps to `Verified`/`Violation`/`Bounded` exactly as
-    ///    before; a tripped budget or cancel writes a final checkpoint (if
-    ///    a path is configured) and returns [`Outcome::Inconclusive`] with
-    ///    the reason and coverage counts.
+    /// 2. Run the configured engine once. With
+    ///    [`VerifyOptions::checkpoint_path`] set, the engine writes a
+    ///    snapshot of the live search there at its next consistent point
+    ///    each time [`VerifyOptions::checkpoint_every`] has passed since
+    ///    the last write finished, and goes on; and once more if a budget
+    ///    trips or a cancel arrives. The interval alone arms nothing.
+    /// 3. A verdict maps to `Verified`/`Violation`/`Bounded`; a tripped
+    ///    budget or cancel returns [`Outcome::Inconclusive`] with the
+    ///    reason and coverage counts.
     ///
     /// The resume path is exact: verdicts and state counts match an
     /// uninterrupted run (the engines drain to a consistent point before
     /// checkpointing; see `crate::control`).
     pub fn try_search(&self, opts: &VerifyOptions) -> Result<Outcome, CheckpointError> {
         let run_start = Instant::now();
-        let mut resume = match &opts.resume_from {
+        // The budget's deadline runs from here: loading a resume file
+        // counts against it.
+        let ctrl = RunControl::new(&opts.budget, opts.cancel.clone());
+        let resume = match &opts.resume_from {
             Some(path) => Some(self.rebuild_checkpoint(CheckpointFile::load(path)?)?),
             None => None,
         };
-        // The budget deadline is absolute (measured from run start); each
-        // slice additionally caps itself at the next checkpoint tick.
-        let budget_deadline = opts.budget.deadline.map(|d| run_start + d);
-        let sliced_budget = Budget {
-            deadline: None,
-            ..opts.budget
+        let (path, mut failed) = (opts.checkpoint_path.as_deref(), None);
+        let mut write = |snap: Snapshot<'_, Action>| {
+            let written = path.map_or(Ok(()), |path| self.write_checkpoint(path, snap));
+            written.map_err(|e| failed = Some(e)).is_ok()
         };
-        let is_ws = opts.threads > 1;
-        // Floor the tick: a zero-length slice would trip before expanding
-        // anything. `effective_every` then adapts upward (doubling) any
-        // time a slice makes no progress — as the seen-set grows, resume
-        // setup costs O(states), and a fixed short tick could otherwise be
-        // consumed entirely by setup, livelocking the run.
-        let mut effective_every = opts
-            .checkpoint_every
-            .map(|e| e.max(Duration::from_millis(1)));
-        let mut last_states = resume.as_ref().map_or(0, |ck| ck.states());
-        loop {
-            let mut ctrl = RunControl::new(&sliced_budget, opts.cancel.clone());
-            if let Some(d) = budget_deadline {
-                ctrl = ctrl.with_deadline(d);
-            }
-            if let Some(every) = effective_every {
-                ctrl = ctrl.with_deadline(Instant::now() + every);
-            }
-            let taken = resume.take();
-            let result = if is_ws {
-                ws_search_controlled(self, opts.bfs, opts.threads, opts.batch_size, &ctrl, taken).0
-            } else {
-                // The work-stealing engine times its search span
-                // internally; sequential BFS does not, so `try_search` does.
-                let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
-                bfs_controlled(self, opts.bfs, &ctrl, taken)
-            };
-            match result {
-                ControlledSearch::Finished(r) => {
-                    let mut stats = r.stats();
-                    stats.elapsed = run_start.elapsed();
-                    return Ok(match r {
-                        SearchResult::Safe(_) => Outcome::Verified { stats },
-                        SearchResult::Bounded(_) => Outcome::Bounded { stats },
-                        SearchResult::Unsafe(ce, _) => {
-                            let ops: Vec<Op> = ce.path.iter().filter_map(|a| a.op()).collect();
-                            Outcome::Violation {
-                                run: ce.path,
-                                trace: Trace::from_ops(ops),
-                                reason: ce.reason,
-                                stats,
-                            }
-                        }
-                    });
-                }
-                ControlledSearch::Interrupted {
-                    reason,
-                    checkpoint,
-                    mut stats,
-                } => {
-                    // A deadline trip with the *budget* deadline still in
-                    // the future is a checkpoint tick, not a budget trip:
-                    // snapshot and keep going.
-                    let tick = reason == InterruptReason::Deadline
-                        && budget_deadline.is_none_or(|d| Instant::now() < d);
-                    if let Some(path) = &opts.checkpoint_path {
-                        self.write_checkpoint(path, &checkpoint)?;
-                    }
-                    if tick {
-                        if checkpoint.states() <= last_states {
-                            if let Some(e) = &mut effective_every {
-                                *e = e.saturating_mul(2);
-                            }
-                        }
-                        last_states = checkpoint.states();
-                        resume = Some(checkpoint);
-                        continue;
-                    }
-                    let coverage = Coverage {
-                        explored: stats.states,
-                        frontier: checkpoint.frontier.len(),
-                        depth: stats.depth,
-                    };
-                    stats.elapsed = run_start.elapsed();
-                    return Ok(Outcome::Inconclusive {
-                        reason,
-                        coverage,
-                        stats,
-                    });
-                }
-            }
+        let mut checkpoints = path.map(|_| Checkpoints::new(opts.checkpoint_every, &mut write));
+        let result = if opts.threads > 1 {
+            let (threads, batch, to) = (opts.threads, opts.batch_size, checkpoints.as_mut());
+            ws_search_controlled(self, opts.bfs, threads, batch, &ctrl, resume, to).0
+        } else {
+            // The work-stealing engine times its search span
+            // internally; sequential BFS does not, so `try_search` does.
+            let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
+            bfs_controlled(self, opts.bfs, &ctrl, resume, checkpoints.as_mut())
+        };
+        if let Some(e) = failed {
+            return Err(e);
         }
+        let mut stats = result.stats();
+        stats.elapsed = run_start.elapsed();
+        Ok(match result {
+            ControlledSearch::Finished(SearchResult::Safe(_)) => Outcome::Verified { stats },
+            ControlledSearch::Finished(SearchResult::Bounded(_)) => Outcome::Bounded { stats },
+            ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) => {
+                let ops: Vec<Op> = ce.path.iter().filter_map(|a| a.op()).collect();
+                Outcome::Violation {
+                    run: ce.path,
+                    trace: Trace::from_ops(ops),
+                    reason: ce.reason,
+                    stats,
+                }
+            }
+            ControlledSearch::Interrupted {
+                reason, checkpoint, ..
+            } => Outcome::Inconclusive {
+                reason,
+                coverage: Coverage {
+                    explored: stats.states,
+                    frontier: checkpoint.frontier.len(),
+                    depth: stats.depth,
+                },
+                stats,
+            },
+        })
     }
 
-    /// Stream an engine checkpoint to `path` in the portable file form,
-    /// straight from the snapshot (no intermediate copy of the parent log).
+    /// Stream a snapshot of a search to `path` in the portable file form.
     fn write_checkpoint(
         &self,
         path: &std::path::Path,
-        ck: &SearchCheckpoint<VerifyState<P::State>, Action>,
+        snap: Snapshot<'_, Action>,
     ) -> Result<(), CheckpointError> {
         let p = self.protocol.params();
         let header = CheckpointHeader {
             protocol: self.protocol.name().to_string(),
             dims: (p.p, p.b, p.v),
             symmetry: self.mode.as_byte(),
-            seeds: ck.seeds,
-            transitions: ck.transitions as u64,
-            depth: ck.depth as u64,
-            init_fp: ck.init_fp,
+            seeds: snap.seeds,
+            transitions: snap.transitions as u64,
+            depth: snap.depth as u64,
+            init_fp: snap.init_fp,
         };
-        let frontier = ck.frontier.iter().map(|(_, fp, d)| (*fp, *d as u32));
-        let bytes = header.save(path, &ck.parents, frontier)?;
+        let frontier = snap.frontier.map(|(fp, d)| (fp, d as u32));
+        let bytes = header.save(path, snap.parents, frontier)?;
         if scv_telemetry::recorder_enabled() {
             scv_telemetry::recorder::instant(
                 scv_telemetry::recorder::InstantKind::Checkpoint,
@@ -1877,27 +1833,6 @@ mod tests {
             resumed_ws.stats()
         );
         assert!(resumed_ws.stats().states >= 30_000);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn periodic_checkpoints_do_not_change_the_verdict() {
-        let clean = verify_protocol(SerialMemory::new(Params::new(2, 1, 1)), opts(20_000));
-        let path = tmp_ckpt("periodic");
-        let sys = VerifySystem::new(SerialMemory::new(Params::new(2, 1, 1)));
-        let out = sys
-            .try_search(
-                &opts(20_000)
-                    .checkpoint_every(std::time::Duration::from_millis(1))
-                    .checkpoint_to(&path),
-            )
-            .unwrap();
-        assert!(matches!(out, Outcome::Bounded { .. }), "{:?}", out.stats());
-        assert_eq!(out.stats().states, clean.stats().states);
-        // The run was long enough for at least one tick, so a valid
-        // snapshot must be on disk.
-        assert!(path.exists(), "no periodic checkpoint written");
-        CheckpointFile::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
     }
 

@@ -60,12 +60,16 @@
 //! successors admitted and every admitted-unexpanded state sits in some
 //! deque, so the main thread can snapshot the queues + seen-set + parent
 //! logs into a [`SearchCheckpoint`] from which a later run continues with
-//! verdict- and state-count parity.
+//! verdict- and state-count parity. A checkpoint file is written from the
+//! same drain: the main thread lends the deques and parent logs to the
+//! [`Checkpoints`] writer, and after a periodic checkpoint clears the flag
+//! and spawns the workers again over the same seen-set, deques and
+//! counters.
 
-use crate::control::{code_to_reason, reason_to_code, RunControl};
+use crate::control::{code_to_reason, reason_to_code, InterruptReason, RunControl};
 use crate::mc::{
-    BfsOptions, ControlledSearch, Counterexample, ExpandScratch, Fingerprinter, McStats,
-    SearchCheckpoint, SearchResult, TransitionSystem,
+    BfsOptions, Checkpoints, ControlledSearch, Counted, Counterexample, ExpandScratch,
+    Fingerprinter, McStats, SearchCheckpoint, SearchResult, Snapshot, TransitionSystem,
 };
 use crate::seen::StripedSeen;
 use crate::sip::FpBuild;
@@ -102,6 +106,10 @@ struct PendingSucc<T: TransitionSystem> {
 
 type Chunk<T> = Vec<(<T as TransitionSystem>::State, u128, usize)>;
 
+/// The interrupt code of a due periodic checkpoint, which is no
+/// [`InterruptReason`]: the main thread writes it and respawns the workers.
+const TICK: u8 = u8::MAX;
+
 struct Shared<'a, T: TransitionSystem> {
     sys: &'a T,
     opts: BfsOptions,
@@ -114,9 +122,11 @@ struct Shared<'a, T: TransitionSystem> {
     /// Bumped on every enqueue; idle workers re-scan when it moves.
     epoch: AtomicU64,
     stop: AtomicBool,
-    /// Nonzero = an [`InterruptReason`](crate::control::InterruptReason)
-    /// code; workers drain and exit when they observe it.
+    /// Nonzero = an [`InterruptReason`] code or [`TICK`]; workers drain
+    /// and exit when they observe it.
     interrupt: AtomicU8,
+    /// When the next periodic checkpoint is due.
+    tick_at: Option<Instant>,
     states: AtomicU64,
     depth_max: AtomicUsize,
     state_limited: AtomicBool,
@@ -175,23 +185,22 @@ impl<T: TransitionSystem> Shared<'_, T> {
         None
     }
 
-    /// Poll the run control at a batch boundary; on a trip, raise the
-    /// shared interrupt flag (first tripper wins).
-    fn check_trip(&self, ticks: &mut u32) {
+    /// Poll the run control and the tick clock at a batch boundary; on a
+    /// trip or a due tick, raise the shared interrupt flag (first tripper
+    /// wins).
+    fn check_trip(&self, rss_ticks: &mut u32) {
         if self.interrupt.load(Ordering::Relaxed) != 0 {
             return;
         }
-        if let Some(reason) = self
-            .ctrl
-            .trip(self.states.load(Ordering::Relaxed) as usize, ticks)
-        {
-            let _ = self.interrupt.compare_exchange(
-                0,
-                reason_to_code(reason),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-        }
+        let states = self.states.load(Ordering::Relaxed) as usize;
+        let code = match self.ctrl.trip(states, rss_ticks) {
+            Some(reason) => reason_to_code(reason),
+            None if self.tick_at.is_some_and(|t| Instant::now() >= t) => TICK,
+            None => return,
+        };
+        let _ = self
+            .interrupt
+            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
     }
 }
 
@@ -216,11 +225,15 @@ struct Scratch<T: TransitionSystem> {
     parent_log: ParentLog<T::Label>,
 }
 
+/// Run one worker until the search stops or is interrupted. Its counters
+/// and parent log outlive the thread, which a checkpoint tick ends and
+/// spawns again. Its scratch is made and freed on the thread: freed on
+/// the main thread instead, it raised `sweep-ws` peak RSS by about 13%.
 fn worker_loop<T: TransitionSystem>(
     shared: &Shared<'_, T>,
     id: usize,
-) -> (WorkerStats, ParentLog<T::Label>) {
-    let mut stats = WorkerStats::default();
+    (stats, log): &mut (WorkerStats, ParentLog<T::Label>),
+) {
     if scv_telemetry::recorder_enabled() {
         scv_telemetry::recorder::set_worker(&format!("ws-{id}"));
     }
@@ -232,9 +245,9 @@ fn worker_loop<T: TransitionSystem>(
         fp_scratch: Vec::new(),
         flag_scratch: Vec::new(),
         out_chunk: Vec::with_capacity(shared.chunk_size),
-        parent_log: Vec::new(),
+        parent_log: std::mem::take(log),
     };
-    let mut ticks = 0u32;
+    let mut rss_ticks = 0u32;
 
     'main: loop {
         // At the top of the loop all scratch buffers are clean (flushed at
@@ -242,7 +255,7 @@ fn worker_loop<T: TransitionSystem>(
         if shared.stop.load(Ordering::Relaxed) || shared.interrupt.load(Ordering::Relaxed) != 0 {
             break;
         }
-        let Some(chunk) = shared.obtain_chunk(id, &mut stats) else {
+        let Some(mut chunk) = shared.obtain_chunk(id, stats) else {
             if shared.pending.load(Ordering::SeqCst) == 0 {
                 break;
             }
@@ -274,7 +287,7 @@ fn worker_loop<T: TransitionSystem>(
         };
         // One control poll per obtained chunk: the batch boundary that
         // keeps the per-state loop branch-cheap.
-        shared.check_trip(&mut ticks);
+        shared.check_trip(&mut rss_ticks);
 
         let mut idx = 0usize;
         while idx < chunk.len() {
@@ -288,7 +301,7 @@ fn worker_loop<T: TransitionSystem>(
                 // checkpoint frontier sees it.
                 for stripe in 0..scratch.stripes.len() {
                     if !scratch.stripes[stripe].is_empty() {
-                        flush_stripe(shared, id, stripe, &mut scratch, &mut stats);
+                        flush_stripe(shared, id, stripe, &mut scratch, stats);
                     }
                 }
                 if !scratch.out_chunk.is_empty() {
@@ -298,9 +311,9 @@ fn worker_loop<T: TransitionSystem>(
                     );
                     shared.push_chunk(id, out);
                 }
-                let rest: Chunk<T> = chunk[idx..].to_vec();
-                if !rest.is_empty() {
-                    shared.push_chunk(id, rest);
+                chunk.drain(..idx);
+                if !chunk.is_empty() {
+                    shared.push_chunk(id, chunk);
                 }
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
                 break 'main;
@@ -343,12 +356,12 @@ fn worker_loop<T: TransitionSystem>(
                     state: succ,
                 });
                 if scratch.stripes[stripe].len() >= shared.batch {
-                    flush_stripe(shared, id, stripe, &mut scratch, &mut stats);
+                    flush_stripe(shared, id, stripe, &mut scratch, stats);
                     if shared.stop.load(Ordering::Relaxed) {
                         break 'main;
                     }
                     // A flush is the other batch boundary worth a poll.
-                    shared.check_trip(&mut ticks);
+                    shared.check_trip(&mut rss_ticks);
                 }
             }
             scratch.admitted = admitted;
@@ -357,7 +370,7 @@ fn worker_loop<T: TransitionSystem>(
         // chunk, and only then retire the input chunk from `pending`.
         for stripe in 0..scratch.stripes.len() {
             if !scratch.stripes[stripe].is_empty() {
-                flush_stripe(shared, id, stripe, &mut scratch, &mut stats);
+                flush_stripe(shared, id, stripe, &mut scratch, stats);
                 if shared.stop.load(Ordering::Relaxed) {
                     break 'main;
                 }
@@ -375,7 +388,7 @@ fn worker_loop<T: TransitionSystem>(
     // Hand the worker's flight-recorder ring to the collector before the
     // scope joins us (TLS destructors may outlive the join).
     scv_telemetry::recorder::flush_worker();
-    (stats, scratch.parent_log)
+    *log = scratch.parent_log;
 }
 
 /// Batch-insert one stripe's buffered successors, then admit the new ones:
@@ -485,7 +498,8 @@ where
     T: TransitionSystem + Sync,
     T::Label: Send,
 {
-    let (r, ws) = ws_search_controlled(sys, opts, threads, batch, &RunControl::unlimited(), None);
+    let unlimited = RunControl::unlimited();
+    let (r, ws) = ws_search_controlled(sys, opts, threads, batch, &unlimited, None, None);
     match r {
         ControlledSearch::Finished(r) => (r, ws),
         ControlledSearch::Interrupted { .. } => {
@@ -495,8 +509,8 @@ where
 }
 
 /// Work-stealing search under a [`RunControl`], optionally resuming a
-/// prior [`SearchCheckpoint`]; see the module docs for the interrupt
-/// drain protocol.
+/// prior [`SearchCheckpoint`] and writing [`Checkpoints`]; see the module docs
+/// for the interrupt drain protocol.
 #[allow(clippy::type_complexity)]
 pub fn ws_search_controlled<T>(
     sys: &T,
@@ -505,6 +519,7 @@ pub fn ws_search_controlled<T>(
     batch: usize,
     ctrl: &RunControl,
     resume: Option<SearchCheckpoint<T::State, T::Label>>,
+    mut checkpoints: Option<&mut Checkpoints<'_, T::Label>>,
 ) -> (
     ControlledSearch<T::State, T::Label, T::Violation>,
     Vec<WorkerStats>,
@@ -525,7 +540,7 @@ where
         None => Fingerprinter::new(),
     };
 
-    let shared = Shared::<T> {
+    let mut shared = Shared::<T> {
         sys,
         opts,
         ctrl,
@@ -536,6 +551,7 @@ where
         epoch: AtomicU64::new(0),
         stop: AtomicBool::new(false),
         interrupt: AtomicU8::new(0),
+        tick_at: checkpoints.as_ref().and_then(|c| c.due),
         states: AtomicU64::new(0),
         depth_max: AtomicUsize::new(0),
         state_limited: AtomicBool::new(false),
@@ -547,9 +563,11 @@ where
         batch,
     };
 
+    let mut per_worker: Vec<(WorkerStats, ParentLog<T::Label>)> = (0..threads)
+        .map(|_| (WorkerStats::default(), Vec::new()))
+        .collect();
     let init_fp;
     let mut base_transitions = 0usize;
-    let mut base_parents: ParentLog<T::Label> = Vec::new();
     match resume {
         Some(ck) => {
             init_fp = ck.init_fp;
@@ -560,78 +578,98 @@ where
             shared.states.store(ck.states() as u64, Ordering::Relaxed);
             shared.depth_max.store(ck.depth, Ordering::Relaxed);
             base_transitions = ck.transitions;
-            base_parents = ck.parents;
+            // The resumed log goes first in worker 0's: the logs are only
+            // ever read whole.
+            per_worker[0].1 = ck.parents;
             // Re-chunk the saved frontier round-robin across the deques so
             // every worker starts with local work.
-            let mut w = 0usize;
-            let mut frontier = ck.frontier;
-            while !frontier.is_empty() {
-                let take = frontier.len().min(batch);
-                let chunk: Chunk<T> = frontier.drain(..take).collect();
-                shared.push_chunk(w % threads, chunk);
-                w += 1;
+            let mut frontier = ck.frontier.into_iter();
+            for w in 0..frontier.len().div_ceil(batch) {
+                shared.push_chunk(w % threads, frontier.by_ref().take(batch).collect());
             }
         }
         None => {
             let init = sys.initial();
             // Counted as sequential BFS counts it: admitted before checked.
             scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
-            if let Some(reason) = sys.violation(&init) {
-                let stats = McStats {
-                    states: 1,
-                    workers: threads,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                };
-                return (
-                    ControlledSearch::Finished(SearchResult::Unsafe(
-                        Counterexample {
-                            path: Vec::new(),
-                            reason,
-                        },
-                        stats,
-                    )),
-                    vec![WorkerStats::default(); threads],
-                );
+            // A violating initial state, or a depth limit that lets
+            // nothing be expanded, decides the run as it does sequential
+            // BFS's.
+            let stats = McStats {
+                states: 1,
+                workers: threads,
+                elapsed: start.elapsed(),
+                ..Default::default()
+            };
+            let decided = match sys.violation(&init) {
+                Some(reason) => Some(SearchResult::Unsafe(
+                    Counterexample {
+                        path: Vec::new(),
+                        reason,
+                    },
+                    stats,
+                )),
+                None if opts.max_depth > 0 => None,
+                None if sys.successors(&init).is_empty() => Some(SearchResult::Safe(stats)),
+                None => Some(SearchResult::Bounded(stats)),
+            };
+            if let Some(r) = decided {
+                let idle = vec![WorkerStats::default(); threads];
+                return (ControlledSearch::Finished(r), idle);
             }
             init_fp = shared.fper.fp(&init);
             shared.seen.insert(init_fp);
             shared.states.store(1, Ordering::Relaxed);
-            if opts.max_depth == 0 {
-                // Nothing may be expanded; mirror sequential BFS's verdict.
-                let has_succs = !sys.successors(&init).is_empty();
-                let stats = McStats {
-                    states: 1,
-                    workers: threads,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                };
-                let result = if has_succs {
-                    SearchResult::Bounded(stats)
-                } else {
-                    SearchResult::Safe(stats)
-                };
-                return (
-                    ControlledSearch::Finished(result),
-                    vec![WorkerStats::default(); threads],
-                );
-            }
             shared.push_chunk(0, vec![(init, init_fp, 0usize)]);
         }
     }
 
-    let per_worker: Vec<(WorkerStats, ParentLog<T::Label>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|id| {
+    loop {
+        std::thread::scope(|scope| {
+            for (id, worker) in per_worker.iter_mut().enumerate() {
                 let shared = &shared;
-                scope.spawn(move || worker_loop(shared, id))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
+                scope.spawn(move || worker_loop(shared, id, worker));
+            }
+        });
+        // After an interrupt every worker drained to a consistent point,
+        // so the deques hold the frontier and the logs the admitted set.
+        let code = shared.interrupt.load(Ordering::Relaxed);
+        let c = match checkpoints.as_deref_mut() {
+            Some(c) if code != 0 && !shared.stop.load(Ordering::Relaxed) => c,
+            _ => break,
+        };
+        let logs = || per_worker.iter().map(|(_, log)| log);
+        let mut parents = Counted(
+            logs().map(Vec::len).sum(),
+            logs().flatten().map(|(c, p, l)| (*c, *p, l)),
+        );
+        let queued = shared
+            .queues
+            .iter_mut()
+            .flat_map(|q| q.get_mut().unwrap().iter());
+        let mut frontier = Counted(
+            shared.queued_items.load(Ordering::Relaxed),
+            queued.flatten().map(|(_, fp, d)| (*fp, *d)),
+        );
+        let ok = c.write(Snapshot {
+            seeds: shared.fper.seeds(),
+            init_fp,
+            transitions: base_transitions
+                + per_worker.iter().map(|w| w.0.transitions).sum::<usize>(),
+            depth: shared.depth_max.load(Ordering::Relaxed),
+            parents: &mut parents,
+            frontier: &mut frontier,
+        });
+        if !ok {
+            let cancelled = reason_to_code(InterruptReason::Cancelled);
+            shared.interrupt.store(cancelled, Ordering::Relaxed);
+        }
+        if !ok || code != TICK {
+            break;
+        }
+        shared.interrupt.store(0, Ordering::Relaxed);
+        shared.tick_at = c.due;
+    }
 
     let mut worker_stats = Vec::with_capacity(threads);
     let mut stats = McStats {
@@ -655,15 +693,11 @@ where
     // early".
     let found = shared.found.lock().unwrap().take();
     if let Some((bad_fp, reason)) = found {
-        let mut parents: HashMap<u128, (u128, T::Label), FpBuild> = HashMap::with_hasher(FpBuild);
-        for (child, parent, label) in base_parents {
-            parents.insert(child, (parent, label));
-        }
-        for (_, log) in per_worker {
-            for (child, parent, label) in log {
-                parents.insert(child, (parent, label));
-            }
-        }
+        let parents: HashMap<u128, (u128, T::Label), FpBuild> = per_worker
+            .into_iter()
+            .flat_map(|(_, log)| log)
+            .map(|(child, parent, label)| (child, (parent, label)))
+            .collect();
         let mut path = Vec::new();
         let mut cur = bad_fp;
         while let Some((parent, label)) = parents.get(&cur) {
@@ -691,21 +725,15 @@ where
     if tripped != 0 {
         // Every worker exited through a consistent point, so the deques
         // hold exactly the admitted-but-unexpanded states.
-        let mut frontier: Vec<(T::State, u128, usize)> = Vec::new();
-        for q in &shared.queues {
-            for chunk in q.lock().unwrap().drain(..) {
-                frontier.extend(chunk);
-            }
-        }
-        let mut parents = base_parents;
-        for (_, log) in per_worker {
-            parents.extend(log);
-        }
+        let queued = shared
+            .queues
+            .iter_mut()
+            .flat_map(|q| q.get_mut().unwrap().drain(..));
         let checkpoint = SearchCheckpoint {
             seeds: shared.fper.seeds(),
             init_fp,
-            frontier,
-            parents,
+            frontier: queued.flatten().collect(),
+            parents: per_worker.into_iter().flat_map(|(_, log)| log).collect(),
             transitions: stats.transitions,
             depth: stats.depth,
         };
@@ -741,40 +769,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{Budget, CancelToken, InterruptReason};
+    use crate::control::{Budget, CancelToken};
+    use crate::mc::tests::{replay, Counter};
 
-    /// A counter modulo n that "violates" at a designated value (the same
-    /// fixture as the mc.rs unit tests).
-    struct Counter {
-        n: u32,
-        bad: Option<u32>,
-    }
-
-    impl TransitionSystem for Counter {
-        type State = u32;
-        type Label = &'static str;
-        type Violation = String;
-
-        fn initial(&self) -> u32 {
-            0
-        }
-        fn successors(&self, s: &u32) -> Vec<(&'static str, u32)> {
-            vec![("inc", (s + 1) % self.n), ("dbl", (s * 2) % self.n)]
-        }
-        fn violation(&self, s: &u32) -> Option<String> {
-            (Some(*s) == self.bad).then(|| format!("hit {s}"))
-        }
-    }
-
-    fn replay(path: &[&str], n: u32) -> u32 {
-        let mut s = 0u32;
-        for l in path {
-            s = match *l {
-                "inc" => (s + 1) % n,
-                _ => (s * 2) % n,
-            };
-        }
-        s
+    /// A [`Counter`] search under `ctrl` with default limits and batch 8.
+    fn controlled(
+        sys: &Counter,
+        threads: usize,
+        ctrl: &RunControl,
+        resume: Option<SearchCheckpoint<u32, &'static str>>,
+    ) -> ControlledSearch<u32, &'static str> {
+        ws_search_controlled(sys, BfsOptions::default(), threads, 8, ctrl, resume, None).0
     }
 
     #[test]
@@ -868,8 +873,7 @@ mod tests {
         for threads in [1usize, 4] {
             for cut in [2usize, 50, 400, 900] {
                 let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
-                let (r, _) =
-                    ws_search_controlled(&sys, BfsOptions::default(), threads, 8, &ctrl, None);
+                let r = controlled(&sys, threads, &ctrl, None);
                 let ControlledSearch::Interrupted {
                     reason,
                     checkpoint,
@@ -887,14 +891,7 @@ mod tests {
                     checkpoint.parents.iter().map(|e| e.0).collect();
                 assert_eq!(children.len(), checkpoint.parents.len(), "{at}");
                 assert!(!children.contains(&checkpoint.init_fp), "{at}");
-                let (resumed, _) = ws_search_controlled(
-                    &sys,
-                    BfsOptions::default(),
-                    threads,
-                    8,
-                    &RunControl::unlimited(),
-                    Some(checkpoint),
-                );
+                let resumed = controlled(&sys, threads, &RunControl::unlimited(), Some(checkpoint));
                 let ControlledSearch::Finished(r2) = resumed else {
                     panic!("unlimited resume must finish");
                 };
@@ -917,18 +914,11 @@ mod tests {
             bad: Some(955),
         };
         let ctrl = RunControl::new(&Budget::unlimited().states(100), CancelToken::new());
-        let (r, _) = ws_search_controlled(&sys, BfsOptions::default(), 3, 8, &ctrl, None);
+        let r = controlled(&sys, 3, &ctrl, None);
         let ControlledSearch::Interrupted { checkpoint, .. } = r else {
             panic!("expected interrupt");
         };
-        let (resumed, _) = ws_search_controlled(
-            &sys,
-            BfsOptions::default(),
-            3,
-            8,
-            &RunControl::unlimited(),
-            Some(checkpoint),
-        );
+        let resumed = controlled(&sys, 3, &RunControl::unlimited(), Some(checkpoint));
         let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) = resumed else {
             panic!("resume must find the violation");
         };
@@ -947,7 +937,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctrl = RunControl::new(&Budget::unlimited(), token);
-        let (r, _) = ws_search_controlled(&sys, BfsOptions::default(), 2, 8, &ctrl, None);
+        let r = controlled(&sys, 2, &ctrl, None);
         let ControlledSearch::Interrupted {
             reason, checkpoint, ..
         } = r
@@ -955,14 +945,7 @@ mod tests {
             panic!("expected interrupt");
         };
         assert_eq!(reason, InterruptReason::Cancelled);
-        let (resumed, _) = ws_search_controlled(
-            &sys,
-            BfsOptions::default(),
-            2,
-            8,
-            &RunControl::unlimited(),
-            Some(checkpoint),
-        );
+        let resumed = controlled(&sys, 2, &RunControl::unlimited(), Some(checkpoint));
         let ControlledSearch::Finished(r2) = resumed else {
             panic!("resume must finish");
         };

@@ -55,9 +55,9 @@ where
             let ctrl = RunControl::new(&Budget::unlimited().states(budget), CancelToken::new());
             let opts = BfsOptions::new().max_states(usize::MAX);
             let result = if threads == 1 {
-                bfs_controlled(&sys, opts, &ctrl, None)
+                bfs_controlled(&sys, opts, &ctrl, None, None)
             } else {
-                ws_search_controlled(&sys, opts, threads, 32, &ctrl, None).0
+                ws_search_controlled(&sys, opts, threads, 32, &ctrl, None, None).0
             };
             let ControlledSearch::Interrupted { checkpoint: ck, .. } = result else {
                 panic!("{name} {mode:?} t={threads}: the budget did not interrupt the search");

@@ -344,3 +344,53 @@ fn exhaustive_serial_memory_engines_agree() {
         assert_states_close(out.stats().states, want, &format!("threads={threads}"));
     }
 }
+
+/// Resuming re-chunks the saved frontier in one pass. A work-stealing
+/// checkpoint of msi (2,1,2) at 300 000 states holds about 220 000
+/// frontier states of some 400 bytes each; a re-chunk that drains chunks
+/// off the front of that vector moves the tail once per chunk, over ten
+/// seconds before the search takes a single further state.
+#[test]
+fn stress_ws_resume_rechunks_linearly() {
+    if !stress_enabled() {
+        eprintln!("skipping the 300 000-state resume; enable with SCV_STRESS=1");
+        return;
+    }
+    use sc_verify::mc::{
+        ws_search_controlled, BfsOptions, Budget, CancelToken, ControlledSearch, RunControl,
+        SearchResult, VerifySystem,
+    };
+    let sys = VerifySystem::new(MsiProtocol::new(Params::new(2, 1, 2)));
+    let cut = RunControl::new(&Budget::unlimited().states(300_000), CancelToken::new());
+    let unbounded = BfsOptions::new().max_states(usize::MAX);
+    let (ControlledSearch::Interrupted { checkpoint, .. }, _) =
+        ws_search_controlled(&sys, unbounded, 2, 128, &cut, None, None)
+    else {
+        panic!("the state budget must interrupt the search");
+    };
+    let frontier = checkpoint.frontier.len();
+    let one_more = BfsOptions::new().max_states(checkpoint.states() + 1);
+    let start = std::time::Instant::now();
+    let (resumed, _) = ws_search_controlled(
+        &sys,
+        one_more,
+        2,
+        128,
+        &RunControl::unlimited(),
+        Some(checkpoint),
+        None,
+    );
+    let took = start.elapsed();
+    assert!(
+        matches!(
+            resumed,
+            ControlledSearch::Finished(SearchResult::Bounded(_))
+        ),
+        "{:?}",
+        resumed.stats()
+    );
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "resuming a {frontier}-state frontier took {took:?}"
+    );
+}

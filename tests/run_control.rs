@@ -21,12 +21,18 @@
 //!
 //! The matrix spans {1, 4} threads (sequential BFS, work-stealing) ×
 //! {off, full} symmetry, as drawn by the (deterministic, vendored)
-//! proptest runner.
+//! proptest runner. The killed runs also write a checkpoint every
+//! millisecond, so the battery covers ticks meeting a budget trip.
+//!
+//! Periodic checkpoints are snapshots of the live search: a ticking run
+//! reports what a clean run reports, over the whole run, and its last
+//! tick file resumes to the clean run's totals.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sc_verify::prelude::*;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// A per-case checkpoint path that cannot collide across test binaries
 /// or proptest cases.
@@ -112,6 +118,7 @@ where
 
     let killed = Verifier::with_options(mk(), base_opts(threads, sym))
         .budget(Budget::unlimited().states(kill_at))
+        .checkpoint_every(Duration::from_millis(1))
         .checkpoint_to(&path)
         .run_controlled()
         .map_err(|e| TestCaseError::fail(format!("kill run: {e}")))?;
@@ -362,4 +369,119 @@ fn cancelled_run_checkpoints_and_resumes() {
     let _ = std::fs::remove_file(&path);
     assert!(resumed.is_verified());
     assert_eq!(resumed.stats().states, 522);
+}
+
+/// Search msi (2,1,2), a product far larger than `cap`.
+fn msi_run(threads: usize, cap: usize, tweak: impl Fn(VerifyOptions) -> VerifyOptions) -> Outcome {
+    let sys = VerifySystem::new(MsiProtocol::new(Params::new(2, 1, 2)));
+    let opts = tweak(VerifyOptions::new().max_states(cap).threads(threads));
+    sys.try_search(&opts).unwrap()
+}
+
+/// [`msi_run`] to the cap: the run must end `Bounded`.
+fn msi_bounded(
+    threads: usize,
+    cap: usize,
+    tweak: impl Fn(VerifyOptions) -> VerifyOptions,
+) -> McStats {
+    let out = msi_run(threads, cap, tweak);
+    assert!(
+        matches!(out, Outcome::Bounded { .. }),
+        "t={threads}: {:?}",
+        out.stats()
+    );
+    out.stats()
+}
+
+/// A run ticking every millisecond snapshots the live search and goes
+/// on, so its statistics cover the whole run. Sequentially they are the
+/// clean run's exactly; with work stealing, every admitted state but the
+/// initial one came through a seen-set batch of at most `batch` states.
+#[test]
+fn ticking_runs_report_whole_run_stats() {
+    let path = ckpt_path("whole-run", 0);
+    let _ = std::fs::remove_file(&path);
+    let ticking = |o: VerifyOptions| {
+        o.checkpoint_every(Duration::from_millis(1))
+            .checkpoint_to(&path)
+    };
+
+    let clean = msi_bounded(1, 5_000, |o| o);
+    let t1 = msi_bounded(1, 5_000, ticking);
+    assert!(path.is_file(), "the run must have ticked");
+    let totals = |s: McStats| (s.states, s.transitions, s.depth, s.peak_frontier);
+    assert_eq!(totals(t1), totals(clean));
+
+    let batch = VerifyOptions::new().batch_size;
+    let t2 = msi_bounded(2, 8_000, ticking);
+    assert_eq!(t2.states, 8_000);
+    assert!(
+        t2.seen_batches * batch >= t2.states - 1,
+        "{} seen-set batches of at most {batch} cannot admit {} states",
+        t2.seen_batches,
+        t2.states - 1
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Checkpoint files a run writes while it goes on, and the one it writes
+/// when a budget stops it, are format-v3 files that resume exactly:
+/// sequentially to the clean run's states and transitions, with work
+/// stealing to the same cap. The second run ticks after a resume, so its
+/// files also carry the log it was resumed from.
+#[test]
+fn tick_files_resume_exactly() {
+    let every = Duration::from_millis(1);
+    for (threads, cap) in [(1usize, 5_000usize), (2, 8_000)] {
+        let first = ckpt_path("tick-first", threads as u64);
+        let second = ckpt_path("tick-second", threads as u64);
+        let clean = msi_bounded(threads, cap, |o| o);
+        let half = Budget::unlimited().states(cap / 2);
+        let stopped = msi_run(threads, cap, |o| {
+            o.budget(half).checkpoint_every(every).checkpoint_to(&first)
+        });
+        assert!(
+            stopped.is_inconclusive(),
+            "t={threads}: {:?}",
+            stopped.stats()
+        );
+        let resumed = msi_bounded(threads, cap, |o| {
+            o.resume_from(&first)
+                .checkpoint_every(every)
+                .checkpoint_to(&second)
+        });
+        let bytes = std::fs::read(&second).expect("the resumed run must have ticked");
+        assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "format v3");
+        let last = msi_bounded(threads, cap, |o| o.resume_from(&second));
+        let _ = std::fs::remove_file(&first);
+        let _ = std::fs::remove_file(&second);
+        for stats in [resumed, last] {
+            assert_eq!(stats.states, cap, "t={threads}");
+            if threads == 1 {
+                assert_eq!(stats.transitions, clean.transitions);
+            }
+        }
+    }
+}
+
+/// A checkpoint that cannot be written stops the run with the I/O error,
+/// on either engine.
+#[test]
+fn a_failed_checkpoint_write_is_an_error() {
+    let path = std::env::temp_dir()
+        .join("scv-no-such-dir")
+        .join("tick.ckpt");
+    for threads in [1, 2] {
+        let sys = VerifySystem::new(MsiProtocol::new(Params::new(2, 1, 2)));
+        let opts = VerifyOptions::new()
+            .max_states(20_000)
+            .threads(threads)
+            .checkpoint_every(Duration::from_millis(1))
+            .checkpoint_to(&path);
+        let err = sys.try_search(&opts).unwrap_err();
+        assert!(
+            matches!(err, sc_verify::mc::CheckpointError::Io(_)),
+            "t={threads}: {err}"
+        );
+    }
 }

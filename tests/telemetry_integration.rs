@@ -10,6 +10,8 @@
 //!   event (step index, symbol, diagnosis) when a run stops being SC.
 //! * A run report carries only the engine fields its engine measured: a
 //!   t=1 report has the peak frontier but no steals or seen-set batches.
+//! * A run opens one `search` span whether or not it writes periodic
+//!   checkpoints: a tick snapshots the running search.
 //!
 //! Telemetry state is process-global, so every test serializes on
 //! `telemetry::test_mutex` (directly or through `TestSession`).
@@ -312,4 +314,49 @@ fn monitor_divergence_emits_structured_event() {
     assert!(*step_index < 6, "divergence within the 6-step litmus");
     assert!(!symbol.is_empty(), "offending symbol is named");
     assert!(!detail.is_empty(), "diagnosis is present");
+}
+
+/// A checkpoint tick snapshots the running search instead of stopping and
+/// restarting it, so a run opens one `search` span on either engine; a
+/// tick interval without a path writes nothing and arms nothing.
+#[test]
+fn checkpoint_ticks_keep_one_search_span() {
+    let path = std::env::temp_dir().join(format!("scv-telemetry-{}.ckpt", std::process::id()));
+    let every = std::time::Duration::from_millis(1);
+    let cases = [
+        (1, VerifyOptions::new().checkpoint_every(every)),
+        (
+            1,
+            VerifyOptions::new()
+                .checkpoint_every(every)
+                .checkpoint_to(&path),
+        ),
+        (
+            2,
+            VerifyOptions::new()
+                .checkpoint_every(every)
+                .checkpoint_to(&path),
+        ),
+    ];
+    for (threads, opts) in cases {
+        let session = telemetry::TestSession::start();
+        let sys = VerifySystem::new(MsiProtocol::new(Params::new(2, 1, 2)));
+        let what = format!("t={threads}, path {:?}", opts.checkpoint_path);
+        let out = sys.search(&opts.max_states(5_000).threads(threads));
+        assert!(matches!(out, Outcome::Bounded { .. }), "{:?}", out.stats());
+        telemetry::flush();
+        let spans: Vec<u64> = session
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                telemetry::Event::PhaseSummary { phase, count, .. } if *phase == "search" => {
+                    Some(*count)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, [1], "{what}");
+    }
+    assert!(path.is_file(), "the ticking runs wrote a checkpoint");
+    let _ = std::fs::remove_file(&path);
 }
