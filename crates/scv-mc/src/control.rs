@@ -171,7 +171,12 @@ const RSS_STRIDE: u32 = 32;
 impl RunControl {
     /// A control that never trips.
     pub fn unlimited() -> Self {
-        RunControl::new(&Budget::unlimited(), CancelToken::new())
+        RunControl {
+            cancel: CancelToken::new(),
+            deadline: None,
+            max_states: usize::MAX,
+            max_rss: None,
+        }
     }
 
     /// Resolve `budget` against `Instant::now()` with the given token.

@@ -5,6 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::time::{Duration, Instant};
 
+use crate::checkpoint::CheckpointError;
 use crate::control::{InterruptReason, RunControl};
 use crate::sip::{FpBuild, SipHasher13};
 
@@ -418,35 +419,49 @@ impl<I: Iterator> Iterator for Counted<I> {
 
 impl<I: Iterator> ExactSizeIterator for Counted<I> {}
 
+/// The writer a [`Checkpoints`] lends each [`Snapshot`] to.
+type Writer<'w, L> = dyn FnMut(Snapshot<'_, L>) -> Result<(), CheckpointError> + 'w;
+
 /// Where a search writes its checkpoints: every `every` while it runs,
 /// and once more if a limit stops it. When one is due, the engine lends
 /// `write` a [`Snapshot`] at its next consistent point; after a periodic
-/// one it carries on with the same seen-set, queues and counters. `write`
-/// returns `false` when it failed, and the engine then stops as a cancel
-/// stops it.
+/// one it carries on with the same seen-set, queues and counters. A
+/// failed write stops the search as a cancel stops it, and
+/// [`Checkpoints::error`] returns its error.
 pub struct Checkpoints<'w, L> {
     every: Option<Duration>,
     /// When the next periodic checkpoint is due.
     pub(crate) due: Option<Instant>,
-    write: &'w mut dyn FnMut(Snapshot<'_, L>) -> bool,
+    write: &'w mut Writer<'w, L>,
+    error: Option<CheckpointError>,
 }
 
 impl<'w, L> Checkpoints<'w, L> {
-    /// The first periodic checkpoint is due `every` from now.
-    pub fn new(every: Option<Duration>, write: &'w mut dyn FnMut(Snapshot<'_, L>) -> bool) -> Self {
+    /// The first periodic checkpoint is due `every` from now. An interval
+    /// under 1 ms counts as 1 ms: each write costs time linear in the
+    /// states admitted, and with no gap between writes the search would
+    /// write before every expansion.
+    pub fn new(every: Option<Duration>, write: &'w mut Writer<'w, L>) -> Self {
+        let every = every.map(|e| e.max(Duration::from_millis(1)));
         Checkpoints {
             every,
             due: every.map(|e| Instant::now() + e),
             write,
+            error: None,
         }
     }
 
-    /// Hand `snap` to the writer; the next periodic checkpoint is due
-    /// `every` after it returns.
+    /// Hand `snap` to the writer and return whether it succeeded; the
+    /// next periodic checkpoint is due `every` after it returns.
     pub(crate) fn write(&mut self, snap: Snapshot<'_, L>) -> bool {
-        let ok = (self.write)(snap);
+        let written = (self.write)(snap);
         self.due = self.every.map(|e| Instant::now() + e);
-        ok
+        written.map_err(|e| self.error = Some(e)).is_ok()
+    }
+
+    /// The error of the write that stopped the search, if one failed.
+    pub fn error(self) -> Option<CheckpointError> {
+        self.error
     }
 }
 
@@ -608,10 +623,10 @@ pub fn bfs_controlled<T: TransitionSystem>(
     let mut admitted: Vec<(T::Label, T::State, u128)> = Vec::new();
     let mut truncated = false;
     let mut depth_limited = false;
-    let mut rss_ticks = 0u32;
+    let mut ticks = 0u32;
     let mut rec_depth = usize::MAX; // last depth the recorder sampled at
     while !frontier.is_empty() {
-        let mut tripped = ctrl.trip(stats.states, &mut rss_ticks);
+        let mut tripped = ctrl.trip(stats.states, &mut ticks);
         let due = |c: &&mut Checkpoints<'_, T::Label>| {
             tripped.is_some() || c.due.is_some_and(|d| Instant::now() >= d)
         };
@@ -714,15 +729,14 @@ pub fn bfs_controlled<T: TransitionSystem>(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::control::{Budget, CancelToken};
 
-    /// A counter modulo n that "violates" at a designated value (shared
-    /// with the ws.rs unit tests).
-    pub(crate) struct Counter {
-        pub(crate) n: u32,
-        pub(crate) bad: Option<u32>,
+    /// A counter modulo n that "violates" at a designated value.
+    struct Counter {
+        n: u32,
+        bad: Option<u32>,
     }
 
     impl TransitionSystem for Counter {
@@ -739,23 +753,6 @@ pub(crate) mod tests {
         fn violation(&self, s: &u32) -> Option<String> {
             (Some(*s) == self.bad).then(|| format!("hit {s}"))
         }
-    }
-
-    /// A [`Counter`] search under `ctrl` with default limits.
-    fn controlled(
-        sys: &Counter,
-        ctrl: &RunControl,
-        resume: Option<SearchCheckpoint<u32, &'static str>>,
-    ) -> ControlledSearch<u32, &'static str> {
-        bfs_controlled(sys, BfsOptions::default(), ctrl, resume, None)
-    }
-
-    /// The state a [`Counter`] path of `n` leads to.
-    pub(crate) fn replay(path: &[&str], n: u32) -> u32 {
-        path.iter().fold(0, |s, l| match *l {
-            "inc" => (s + 1) % n,
-            _ => (s * 2) % n,
-        })
     }
 
     #[test]
@@ -778,7 +775,15 @@ pub(crate) mod tests {
                 // Shortest path to 5: 0->1->2->4->5 (inc,dbl,dbl,inc) = 4 steps
                 // or 0->1->2->3->... BFS guarantees minimality: length 4.
                 assert_eq!(ce.path.len(), 4);
-                assert_eq!(replay(&ce.path, 97), 5);
+                // Replay the path.
+                let mut s = 0u32;
+                for l in &ce.path {
+                    s = match *l {
+                        "inc" => (s + 1) % 97,
+                        _ => (s * 2) % 97,
+                    };
+                }
+                assert_eq!(s, 5);
             }
             r => panic!("expected Unsafe, got {r:?}"),
         }
@@ -819,7 +824,7 @@ pub(crate) mod tests {
         let clean = bfs(&sys, BfsOptions::default());
         for cut in [1usize, 7, 100, 500] {
             let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
-            let r = controlled(&sys, &ctrl, None);
+            let r = bfs_controlled(&sys, BfsOptions::default(), &ctrl, None, None);
             let ControlledSearch::Interrupted {
                 reason,
                 checkpoint,
@@ -838,7 +843,13 @@ pub(crate) mod tests {
                 checkpoint.parents.iter().map(|e| e.0).collect();
             assert_eq!(children.len(), checkpoint.parents.len(), "cut {cut}");
             assert!(!children.contains(&checkpoint.init_fp), "cut {cut}");
-            let resumed = controlled(&sys, &RunControl::unlimited(), Some(checkpoint));
+            let resumed = bfs_controlled(
+                &sys,
+                BfsOptions::default(),
+                &RunControl::unlimited(),
+                Some(checkpoint),
+                None,
+            );
             let ControlledSearch::Finished(r2) = resumed else {
                 panic!("unlimited resume must finish");
             };
@@ -857,19 +868,28 @@ pub(crate) mod tests {
             bad: Some(900),
         };
         let ctrl = RunControl::new(&Budget::unlimited().states(50), CancelToken::new());
-        let ControlledSearch::Interrupted { checkpoint, .. } = controlled(&sys, &ctrl, None) else {
+        let ControlledSearch::Interrupted { checkpoint, .. } =
+            bfs_controlled(&sys, BfsOptions::default(), &ctrl, None, None)
+        else {
             panic!("expected interrupt");
         };
-        let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) =
-            controlled(&sys, &RunControl::unlimited(), Some(checkpoint))
-        else {
+        let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) = bfs_controlled(
+            &sys,
+            BfsOptions::default(),
+            &RunControl::unlimited(),
+            Some(checkpoint),
+            None,
+        ) else {
             panic!("resume must find the violation");
         };
-        assert_eq!(
-            replay(&ce.path, 977),
-            900,
-            "path must replay to the bad state"
-        );
+        let mut s = 0u32;
+        for l in &ce.path {
+            s = match *l {
+                "inc" => (s + 1) % 977,
+                _ => (s * 2) % 977,
+            };
+        }
+        assert_eq!(s, 900, "path must replay to the bad state");
     }
 
     /// Cancellation interrupts promptly and the checkpoint resumes.
@@ -879,7 +899,7 @@ pub(crate) mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctrl = RunControl::new(&Budget::unlimited(), token);
-        match controlled(&sys, &ctrl, None) {
+        match bfs_controlled(&sys, BfsOptions::default(), &ctrl, None, None) {
             ControlledSearch::Interrupted { reason, .. } => {
                 assert_eq!(reason, InterruptReason::Cancelled)
             }

@@ -1219,7 +1219,8 @@ impl VerifyOptions {
         self
     }
 
-    /// Write a checkpoint to [`VerifyOptions::checkpoint_path`] this often.
+    /// Write a checkpoint to [`VerifyOptions::checkpoint_path`] this often
+    /// (an interval under 1 ms counts as 1 ms).
     pub fn checkpoint_every(mut self, d: Duration) -> Self {
         self.checkpoint_every = Some(d);
         self
@@ -1372,12 +1373,12 @@ where
             Some(path) => Some(self.rebuild_checkpoint(CheckpointFile::load(path)?)?),
             None => None,
         };
-        let (path, mut failed) = (opts.checkpoint_path.as_deref(), None);
-        let mut write = |snap: Snapshot<'_, Action>| {
-            let written = path.map_or(Ok(()), |path| self.write_checkpoint(path, snap));
-            written.map_err(|e| failed = Some(e)).is_ok()
-        };
-        let mut checkpoints = path.map(|_| Checkpoints::new(opts.checkpoint_every, &mut write));
+        let mut write = opts
+            .checkpoint_path
+            .as_deref()
+            .map(|path| move |snap: Snapshot<'_, Action>| self.write_checkpoint(path, snap));
+        let every = opts.checkpoint_every;
+        let mut checkpoints = write.as_mut().map(|w| Checkpoints::new(every, w));
         let result = if opts.threads > 1 {
             let (threads, batch, to) = (opts.threads, opts.batch_size, checkpoints.as_mut());
             ws_search_controlled(self, opts.bfs, threads, batch, &ctrl, resume, to).0
@@ -1387,7 +1388,7 @@ where
             let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
             bfs_controlled(self, opts.bfs, &ctrl, resume, checkpoints.as_mut())
         };
-        if let Some(e) = failed {
+        if let Some(e) = checkpoints.and_then(Checkpoints::error) {
             return Err(e);
         }
         let mut stats = result.stats();

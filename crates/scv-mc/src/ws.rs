@@ -188,12 +188,12 @@ impl<T: TransitionSystem> Shared<'_, T> {
     /// Poll the run control and the tick clock at a batch boundary; on a
     /// trip or a due tick, raise the shared interrupt flag (first tripper
     /// wins).
-    fn check_trip(&self, rss_ticks: &mut u32) {
+    fn check_trip(&self, ticks: &mut u32) {
         if self.interrupt.load(Ordering::Relaxed) != 0 {
             return;
         }
         let states = self.states.load(Ordering::Relaxed) as usize;
-        let code = match self.ctrl.trip(states, rss_ticks) {
+        let code = match self.ctrl.trip(states, ticks) {
             Some(reason) => reason_to_code(reason),
             None if self.tick_at.is_some_and(|t| Instant::now() >= t) => TICK,
             None => return,
@@ -247,7 +247,7 @@ fn worker_loop<T: TransitionSystem>(
         out_chunk: Vec::with_capacity(shared.chunk_size),
         parent_log: std::mem::take(log),
     };
-    let mut rss_ticks = 0u32;
+    let mut ticks = 0u32;
 
     'main: loop {
         // At the top of the loop all scratch buffers are clean (flushed at
@@ -287,7 +287,7 @@ fn worker_loop<T: TransitionSystem>(
         };
         // One control poll per obtained chunk: the batch boundary that
         // keeps the per-state loop branch-cheap.
-        shared.check_trip(&mut rss_ticks);
+        shared.check_trip(&mut ticks);
 
         let mut idx = 0usize;
         while idx < chunk.len() {
@@ -361,7 +361,7 @@ fn worker_loop<T: TransitionSystem>(
                         break 'main;
                     }
                     // A flush is the other batch boundary worth a poll.
-                    shared.check_trip(&mut rss_ticks);
+                    shared.check_trip(&mut ticks);
                 }
             }
             scratch.admitted = admitted;
@@ -592,34 +592,46 @@ where
             let init = sys.initial();
             // Counted as sequential BFS counts it: admitted before checked.
             scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
-            // A violating initial state, or a depth limit that lets
-            // nothing be expanded, decides the run as it does sequential
-            // BFS's.
-            let stats = McStats {
-                states: 1,
-                workers: threads,
-                elapsed: start.elapsed(),
-                ..Default::default()
-            };
-            let decided = match sys.violation(&init) {
-                Some(reason) => Some(SearchResult::Unsafe(
-                    Counterexample {
-                        path: Vec::new(),
-                        reason,
-                    },
-                    stats,
-                )),
-                None if opts.max_depth > 0 => None,
-                None if sys.successors(&init).is_empty() => Some(SearchResult::Safe(stats)),
-                None => Some(SearchResult::Bounded(stats)),
-            };
-            if let Some(r) = decided {
-                let idle = vec![WorkerStats::default(); threads];
-                return (ControlledSearch::Finished(r), idle);
+            if let Some(reason) = sys.violation(&init) {
+                let stats = McStats {
+                    states: 1,
+                    workers: threads,
+                    elapsed: start.elapsed(),
+                    ..Default::default()
+                };
+                return (
+                    ControlledSearch::Finished(SearchResult::Unsafe(
+                        Counterexample {
+                            path: Vec::new(),
+                            reason,
+                        },
+                        stats,
+                    )),
+                    vec![WorkerStats::default(); threads],
+                );
             }
             init_fp = shared.fper.fp(&init);
             shared.seen.insert(init_fp);
             shared.states.store(1, Ordering::Relaxed);
+            if opts.max_depth == 0 {
+                // Nothing may be expanded; mirror sequential BFS's verdict.
+                let has_succs = !sys.successors(&init).is_empty();
+                let stats = McStats {
+                    states: 1,
+                    workers: threads,
+                    elapsed: start.elapsed(),
+                    ..Default::default()
+                };
+                let result = if has_succs {
+                    SearchResult::Bounded(stats)
+                } else {
+                    SearchResult::Safe(stats)
+                };
+                return (
+                    ControlledSearch::Finished(result),
+                    vec![WorkerStats::default(); threads],
+                );
+            }
             shared.push_chunk(0, vec![(init, init_fp, 0usize)]);
         }
     }
@@ -769,17 +781,40 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{Budget, CancelToken};
-    use crate::mc::tests::{replay, Counter};
+    use crate::control::{Budget, CancelToken, InterruptReason};
 
-    /// A [`Counter`] search under `ctrl` with default limits and batch 8.
-    fn controlled(
-        sys: &Counter,
-        threads: usize,
-        ctrl: &RunControl,
-        resume: Option<SearchCheckpoint<u32, &'static str>>,
-    ) -> ControlledSearch<u32, &'static str> {
-        ws_search_controlled(sys, BfsOptions::default(), threads, 8, ctrl, resume, None).0
+    /// A counter modulo n that "violates" at a designated value (the same
+    /// fixture as the mc.rs unit tests).
+    struct Counter {
+        n: u32,
+        bad: Option<u32>,
+    }
+
+    impl TransitionSystem for Counter {
+        type State = u32;
+        type Label = &'static str;
+        type Violation = String;
+
+        fn initial(&self) -> u32 {
+            0
+        }
+        fn successors(&self, s: &u32) -> Vec<(&'static str, u32)> {
+            vec![("inc", (s + 1) % self.n), ("dbl", (s * 2) % self.n)]
+        }
+        fn violation(&self, s: &u32) -> Option<String> {
+            (Some(*s) == self.bad).then(|| format!("hit {s}"))
+        }
+    }
+
+    fn replay(path: &[&str], n: u32) -> u32 {
+        let mut s = 0u32;
+        for l in path {
+            s = match *l {
+                "inc" => (s + 1) % n,
+                _ => (s * 2) % n,
+            };
+        }
+        s
     }
 
     #[test]
@@ -873,7 +908,15 @@ mod tests {
         for threads in [1usize, 4] {
             for cut in [2usize, 50, 400, 900] {
                 let ctrl = RunControl::new(&Budget::unlimited().states(cut), CancelToken::new());
-                let r = controlled(&sys, threads, &ctrl, None);
+                let (r, _) = ws_search_controlled(
+                    &sys,
+                    BfsOptions::default(),
+                    threads,
+                    8,
+                    &ctrl,
+                    None,
+                    None,
+                );
                 let ControlledSearch::Interrupted {
                     reason,
                     checkpoint,
@@ -891,7 +934,15 @@ mod tests {
                     checkpoint.parents.iter().map(|e| e.0).collect();
                 assert_eq!(children.len(), checkpoint.parents.len(), "{at}");
                 assert!(!children.contains(&checkpoint.init_fp), "{at}");
-                let resumed = controlled(&sys, threads, &RunControl::unlimited(), Some(checkpoint));
+                let (resumed, _) = ws_search_controlled(
+                    &sys,
+                    BfsOptions::default(),
+                    threads,
+                    8,
+                    &RunControl::unlimited(),
+                    Some(checkpoint),
+                    None,
+                );
                 let ControlledSearch::Finished(r2) = resumed else {
                     panic!("unlimited resume must finish");
                 };
@@ -914,11 +965,19 @@ mod tests {
             bad: Some(955),
         };
         let ctrl = RunControl::new(&Budget::unlimited().states(100), CancelToken::new());
-        let r = controlled(&sys, 3, &ctrl, None);
+        let (r, _) = ws_search_controlled(&sys, BfsOptions::default(), 3, 8, &ctrl, None, None);
         let ControlledSearch::Interrupted { checkpoint, .. } = r else {
             panic!("expected interrupt");
         };
-        let resumed = controlled(&sys, 3, &RunControl::unlimited(), Some(checkpoint));
+        let (resumed, _) = ws_search_controlled(
+            &sys,
+            BfsOptions::default(),
+            3,
+            8,
+            &RunControl::unlimited(),
+            Some(checkpoint),
+            None,
+        );
         let ControlledSearch::Finished(SearchResult::Unsafe(ce, _)) = resumed else {
             panic!("resume must find the violation");
         };
@@ -937,7 +996,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctrl = RunControl::new(&Budget::unlimited(), token);
-        let r = controlled(&sys, 2, &ctrl, None);
+        let (r, _) = ws_search_controlled(&sys, BfsOptions::default(), 2, 8, &ctrl, None, None);
         let ControlledSearch::Interrupted {
             reason, checkpoint, ..
         } = r
@@ -945,7 +1004,15 @@ mod tests {
             panic!("expected interrupt");
         };
         assert_eq!(reason, InterruptReason::Cancelled);
-        let resumed = controlled(&sys, 2, &RunControl::unlimited(), Some(checkpoint));
+        let (resumed, _) = ws_search_controlled(
+            &sys,
+            BfsOptions::default(),
+            2,
+            8,
+            &RunControl::unlimited(),
+            Some(checkpoint),
+            None,
+        );
         let ControlledSearch::Finished(r2) = resumed else {
             panic!("resume must finish");
         };

@@ -119,6 +119,8 @@ impl Args {
                     let d = Duration::from_secs_f64(secs);
                     if name == "--timeout" {
                         a.timeout = Some(d);
+                    } else if d.is_zero() {
+                        return Err(format!("{name}: seconds must be positive"));
                     } else {
                         a.checkpoint_every = Some(d);
                     }

@@ -485,3 +485,35 @@ fn a_failed_checkpoint_write_is_an_error() {
         );
     }
 }
+
+/// A zero checkpoint interval counts as 1 ms, so a run writes at most
+/// one periodic checkpoint per millisecond it runs, not one per
+/// expansion (sequentially) or per chunk (with work stealing).
+#[test]
+fn a_zero_checkpoint_interval_is_floored() {
+    use sc_verify::mc::{
+        bfs_controlled, ws_search_controlled, BfsOptions, Checkpoints, ControlledSearch,
+        RunControl, Snapshot,
+    };
+    let sys = VerifySystem::new(MsiProtocol::new(Params::new(2, 1, 2)));
+    let mut opts = BfsOptions::default();
+    opts.max_states = 20_000;
+    let ctrl = RunControl::unlimited();
+    for threads in [1, 2] {
+        let mut writes = 0u128;
+        let mut count = |_: Snapshot<'_, Action>| {
+            writes += 1;
+            Ok(())
+        };
+        let start = std::time::Instant::now();
+        let mut every_zero = Checkpoints::new(Some(Duration::ZERO), &mut count);
+        let to = Some(&mut every_zero);
+        let r = match threads {
+            1 => bfs_controlled(&sys, opts, &ctrl, None, to),
+            _ => ws_search_controlled(&sys, opts, threads, 64, &ctrl, None, to).0,
+        };
+        let ms = start.elapsed().as_millis();
+        assert!(matches!(r, ControlledSearch::Finished(_)), "t={threads}");
+        assert!(writes <= ms + 1, "t={threads}: {writes} writes in {ms} ms");
+    }
+}
