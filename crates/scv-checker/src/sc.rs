@@ -33,7 +33,8 @@
 
 use scv_descriptor::{Descriptor, IdNum, Symbol};
 use scv_graph::EdgeSet;
-use scv_types::{Op, OpKind};
+use scv_types::pack::{put_varint, take_bytes, take_varint};
+use scv_types::{Op, OpKind, Pack, Value};
 use std::cell::Cell;
 use std::fmt;
 use std::num::NonZeroU32;
@@ -496,6 +497,199 @@ impl Clone for ScChecker {
         self.last_bot.clone_from(&source.last_bot);
         self.max_retained = source.max_retained;
         self.rejected = source.rejected.clone();
+    }
+}
+
+/// A handle that may be absent, as varints: the generation (0 for none),
+/// then the slot.
+fn put_handle(out: &mut Vec<u8>, h: Option<Handle>) {
+    match h {
+        None => out.push(0),
+        Some(h) => {
+            put_varint(out, h.gen.get() as u64);
+            put_varint(out, h.slot as u64);
+        }
+    }
+}
+
+/// Inverse of [`put_handle`].
+fn take_handle(bytes: &mut &[u8]) -> Option<Handle> {
+    let gen = NonZeroU32::new(take_varint(bytes) as u32)?;
+    Some(Handle {
+        slot: take_varint(bytes) as u32,
+        gen,
+    })
+}
+
+/// A handle that is there.
+fn take_live(bytes: &mut &[u8]) -> Handle {
+    take_handle(bytes).expect("a packed handle names a node")
+}
+
+impl OrderTally {
+    /// Both saturating counts (each 0, 1 or 2) in one byte.
+    fn byte(self) -> u8 {
+        self.no_in | self.no_out << 2
+    }
+
+    fn from_byte(b: u8) -> Self {
+        OrderTally {
+            no_in: b & 3,
+            no_out: b >> 2,
+        }
+    }
+}
+
+/// A packed sorted map: its length, then each entry.
+fn put_map<K: Copy, V>(
+    out: &mut Vec<u8>,
+    m: &SortedMap<K, V>,
+    mut entry: impl FnMut(&mut Vec<u8>, K, &V),
+) {
+    put_varint(out, m.0.len() as u64);
+    for &(k, ref v) in &m.0 {
+        entry(out, k, v);
+    }
+}
+
+/// Inverse of [`put_map`], into `m`'s allocation.
+fn take_map<K, V>(
+    bytes: &mut &[u8],
+    m: &mut SortedMap<K, V>,
+    mut entry: impl FnMut(&mut &[u8]) -> (K, V),
+) {
+    m.0.clear();
+    for _ in 0..take_varint(bytes) {
+        let e = entry(bytes);
+        m.0.push(e);
+    }
+}
+
+/// The whole checker but a rejection, which is absorbing: a rejected
+/// state is a counterexample, never queued. Counts, IDs, generations,
+/// slots and closure words are varints, so a record takes a few bytes per
+/// retained node where the live `NodeRec` takes 48.
+impl Pack for ScChecker {
+    fn pack(&self, out: &mut Vec<u8>) {
+        assert!(
+            self.rejected.is_none(),
+            "a rejected checker is never packed"
+        );
+        put_varint(out, self.k as u64);
+        put_map(out, &self.owner, |out, id, &h| {
+            put_varint(out, id as u64);
+            put_handle(out, Some(h));
+        });
+        put_varint(out, self.slots.len() as u64);
+        for slot in &self.slots {
+            let Some(n) = slot else {
+                out.push(0);
+                continue;
+            };
+            put_varint(out, n.gen.get() as u64);
+            n.label.pack(out);
+            put_varint(out, n.id_count as u64);
+            put_varint(out, n.flags as u64);
+            put_varint(out, n.birth);
+            put_handle(out, n.forced_target);
+            put_handle(out, n.sto_succ);
+            put_varint(out, n.reach);
+        }
+        put_varint(out, self.links.len() as u64);
+        for l in &self.links {
+            put_varint(out, l.owner as u64);
+            out.extend_from_slice(&[l.list as u8, l.key]);
+            match l.list {
+                List::Reach => put_varint(out, l.val),
+                _ => put_handle(out, Some(l.handle())),
+            }
+        }
+        put_varint(out, self.next_gen.get() as u64);
+        put_varint(out, self.birth);
+        put_varint(out, self.position as u64);
+        put_map(out, &self.proc_tally, |out, p, t| {
+            out.extend_from_slice(&[p, t.byte()])
+        });
+        put_map(out, &self.block_tally, |out, b, &(t, head)| {
+            out.extend_from_slice(&[b, t.byte()]);
+            match head {
+                HeadState::Unknown => out.push(0),
+                HeadState::Alive(h) => {
+                    out.push(1);
+                    put_handle(out, Some(h));
+                }
+                HeadState::ConfirmedGone => out.push(2),
+            }
+        });
+        put_map(out, &self.last_bot, |out, (p, b), &h| {
+            out.extend_from_slice(&[p, b]);
+            put_handle(out, Some(h));
+        });
+        put_varint(out, self.max_retained as u64);
+    }
+
+    fn unpack_from(&mut self, bytes: &mut &[u8]) {
+        self.k = take_varint(bytes) as u32;
+        take_map(bytes, &mut self.owner, |bytes| {
+            (take_varint(bytes) as IdNum, take_live(bytes))
+        });
+        self.slots.clear();
+        for _ in 0..take_varint(bytes) {
+            let Some(gen) = NonZeroU32::new(take_varint(bytes) as u32) else {
+                self.slots.push(None);
+                continue;
+            };
+            let mut label = Op::load(scv_types::ProcId(1), scv_types::BlockId(1), Value::BOTTOM);
+            label.unpack_from(bytes);
+            self.slots.push(Some(NodeRec {
+                gen,
+                label,
+                id_count: take_varint(bytes) as u32,
+                flags: take_varint(bytes) as u16,
+                birth: take_varint(bytes),
+                forced_target: take_handle(bytes),
+                sto_succ: take_handle(bytes),
+                reach: take_varint(bytes),
+            }));
+        }
+        self.links.clear();
+        for _ in 0..take_varint(bytes) {
+            let owner = take_varint(bytes) as u32;
+            let b = take_bytes(bytes, 2);
+            let list = [List::BotForced, List::Heirs, List::ForcedOut, List::Reach][b[0] as usize];
+            let val = match list {
+                List::Reach => take_varint(bytes),
+                _ => take_live(bytes).bits(),
+            };
+            self.links.push(Link {
+                owner,
+                list,
+                key: b[1],
+                val,
+            });
+        }
+        self.next_gen = NonZeroU32::new(take_varint(bytes) as u32).expect("generations start at 1");
+        self.birth = take_varint(bytes);
+        self.position = take_varint(bytes) as usize;
+        take_map(bytes, &mut self.proc_tally, |bytes| {
+            let b = take_bytes(bytes, 2);
+            (b[0], OrderTally::from_byte(b[1]))
+        });
+        take_map(bytes, &mut self.block_tally, |bytes| {
+            let b = take_bytes(bytes, 3);
+            let head = match b[2] {
+                0 => HeadState::Unknown,
+                1 => HeadState::Alive(take_live(bytes)),
+                _ => HeadState::ConfirmedGone,
+            };
+            (b[0], (OrderTally::from_byte(b[1]), head))
+        });
+        take_map(bytes, &mut self.last_bot, |bytes| {
+            let b = take_bytes(bytes, 2);
+            ((b[0], b[1]), take_live(bytes))
+        });
+        self.max_retained = take_varint(bytes) as usize;
+        self.rejected = None;
     }
 }
 

@@ -187,15 +187,18 @@ impl fmt::Display for GenConfig {
 }
 
 /// Cache line state.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum GLine {
     /// Modified: exclusive, dirty.
     M,
     /// Shared: clean, read-only.
     S,
     /// Invalid (the value field retains the dead content).
+    #[default]
     I,
 }
+
+scv_types::pack_enum!(GLine { M, S, I });
 
 /// Protocol state: one line per (processor, block) plus memory, laid out
 /// exactly like the MSI reference protocol.
@@ -206,6 +209,8 @@ pub struct GenState {
     /// Memory contents per block.
     pub mem: Vec<Value>,
 }
+
+scv_types::pack_struct!(GenState { lines, mem });
 
 /// A generated protocol: one member of the configurable family.
 #[derive(Clone, Debug)]

@@ -43,8 +43,8 @@
 //! the number of distinct action names a protocol has).
 //!
 //! The encoder streams: [`CheckpointHeader::save`] writes the engine's
-//! parent log and frontier straight through a `BufWriter`, feeding the
-//! integrity hash the same bytes as they go out, and syncs the file before
+//! parent log and frontier to the file in 64 KiB blocks, feeding the
+//! integrity hash the same blocks as they go out, and syncs the file before
 //! renaming it into place. Decode checks the shape and the integrity word;
 //! the verify layer checks the parent log names each admitted state once.
 
@@ -54,7 +54,7 @@ use scv_types::{BlockId, Op, OpKind, ProcId, Value};
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hasher;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -143,12 +143,19 @@ pub struct CheckpointFile {
 // ---------------------------------------------------------------------------
 // Little-endian byte codec: a sealing sink to write, a cursor to read.
 
+/// Bytes [`Sealed`] stages before it hashes them and hands them to its
+/// sink in one write.
+const STAGE: usize = 64 << 10;
+
 /// The encoder's sink: every byte goes to `out` and into the integrity
-/// hash, so the file is sealed as it streams out.
+/// hash, so the file is sealed as it streams out. The fields are staged in
+/// blocks of [`STAGE`] bytes: fed a few bytes at a time, the hash and the
+/// writer cost several times what the copy does.
 struct Sealed<W> {
     out: W,
     sip: SipHasher13,
     len: u64,
+    stage: Vec<u8>,
 }
 
 impl<W: Write> Sealed<W> {
@@ -157,13 +164,24 @@ impl<W: Write> Sealed<W> {
             out,
             sip: SipHasher13::new(0, 0),
             len: 0,
+            stage: Vec::with_capacity(STAGE),
         }
     }
 
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.out.write_all(bytes)?;
-        self.sip.write(bytes);
+        if self.stage.len() + bytes.len() > STAGE {
+            self.flush()?;
+        }
+        self.stage.extend_from_slice(bytes);
         self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Hash and write out the staged bytes.
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.stage)?;
+        self.sip.write(&self.stage);
+        self.stage.clear();
         Ok(())
     }
 
@@ -209,6 +227,7 @@ impl<W: Write> Sealed<W> {
 
     /// Append the integrity word; returns the total bytes written.
     fn seal(mut self) -> io::Result<u64> {
+        self.flush()?;
         let sum = self.sip.finish();
         self.out.write_all(&sum.to_le_bytes())?;
         Ok(self.len + 8)
@@ -374,11 +393,9 @@ impl CheckpointHeader {
         frontier: impl ExactSizeIterator<Item = (u128, u32)>,
     ) -> Result<u64, CheckpointError> {
         let tmp = staging_path(path);
-        let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
+        let mut out = std::fs::File::create(&tmp)?;
         let bytes = self.write_to(&mut out, parents, frontier)?;
-        out.into_inner()
-            .map_err(io::IntoInnerError::into_error)?
-            .sync_all()?;
+        out.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(bytes)
     }
@@ -497,6 +514,7 @@ mod tests {
         for x in [0u128, 1, u128::MAX, 0x0123456789ABCDEF_FEDCBA9876543210] {
             let mut w = Sealed::new(Vec::new());
             w.u128(x).unwrap();
+            w.flush().unwrap();
             assert_eq!(w.out.as_slice(), &x.to_le_bytes());
             let mut cur = Cursor { buf: &w.out, at: 0 };
             assert_eq!(cur.u128().unwrap(), x);
@@ -538,6 +556,29 @@ mod tests {
             g.parents, f.parents,
             "actions must compare equal after decode"
         );
+    }
+
+    /// The exact bytes and seal of [`sample`]: a change to the encoder
+    /// (how it stages and hashes the fields) must leave the file as it was.
+    #[test]
+    fn sample_file_bytes_are_pinned() {
+        const HEX: &str = concat!(
+            "534356434b50543103000000030000006d736902010102010000000000000002",
+            "000000000000000300000000000000040000000000000088130000000000000c",
+            "0000000000000001000000000000000000000000000000030000000000000002",
+            "0000000000000000000000000000000100000000000000000000000000000000",
+            "00010100ffffffffffffffffffffffffffffffff020000000000000000000000",
+            "00000000000102010107000000000000000000000000000000ffffffffffffff",
+            "ffffffffffffffffff0105006576696374030000000200000000000000ffffff",
+            "ffffffffffffffffffffffffff03000000070000000000000000000000000000",
+            "00040000007bc3796e0903a1c7",
+        );
+        const SEAL: u64 = 0xc7a1_0309_6e79_c37b;
+        let bytes = sample().encode();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, HEX);
+        let (_, sum) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(u64::from_le_bytes(sum.try_into().unwrap()), SEAL);
     }
 
     #[test]
@@ -655,6 +696,7 @@ mod tests {
         let a = Action::Internal("fetch-exclusive", 9);
         let mut w = Sealed::new(Vec::new());
         w.action(&a).unwrap();
+        w.flush().unwrap();
         let buf = w.out;
         let mut cur = Cursor { buf: &buf, at: 0 };
         let b = get_action(&mut cur).unwrap();

@@ -24,6 +24,9 @@
 //!   offending run, or [`Outcome::Bounded`] if a limit was hit first, or
 //!   [`Outcome::Inconclusive`] when a [`Budget`] tripped or the
 //!   [`CancelToken`] fired;
+//! * [`Frontier`] — the queue both engines keep: each admitted state as
+//!   one packed byte record ([`scv_types::Pack`]), unpacked into a reused
+//!   state when it is dequeued;
 //! * run control & checkpointing — [`Budget`], [`CancelToken`], and the
 //!   `*_controlled` engine variants stop a search at a consistent point;
 //!   [`Checkpoints`] lends a [`Snapshot`] of it to a writer that streams
@@ -32,6 +35,7 @@
 mod canon;
 pub mod checkpoint;
 pub mod control;
+pub mod frontier;
 pub mod mc;
 pub mod seen;
 pub mod sip;
@@ -40,6 +44,7 @@ pub mod ws;
 
 pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointHeader};
 pub use control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
+pub use frontier::{Frontier, Record};
 pub use mc::{
     bfs, bfs_controlled, fp_collision_bound, BfsOptions, Checkpoints, ControlledSearch,
     Counterexample, ExpandScratch, Fingerprinter, McStats, SearchCheckpoint, SearchResult,

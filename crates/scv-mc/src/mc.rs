@@ -1,20 +1,22 @@
 //! Generic explicit-state reachability: sequential BFS and the search
 //! contract shared with the work-stealing engine ([`crate::ws`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::CheckpointError;
 use crate::control::{InterruptReason, RunControl};
+use crate::frontier::Frontier;
 use crate::sip::{FpBuild, SipHasher13};
+use scv_types::Pack;
 
 /// 128-bit state fingerprints for the seen-set.
 ///
 /// Storing full states for every visited state is the memory bottleneck of
 /// explicit-state search; both searchers instead record a 128-bit hash
-/// per state (full states live only in the current frontier). A collision
-/// would silently merge two distinct states — across n states the
+/// per state (states live only in the current frontier, packed). A
+/// collision would silently merge two distinct states — across n states the
 /// probability is at most n²/2¹²⁹ ([`fp_collision_bound`]), ~10⁻²⁰ even
 /// at 10⁹ states (the same trade Holzmann's bitstate hashing makes far
 /// more aggressively).
@@ -154,8 +156,10 @@ pub(crate) fn eager_expand<T: TransitionSystem + ?Sized>(
 
 /// A finite labeled transition system with a safety predicate.
 pub trait TransitionSystem {
-    /// State type (hashable; `Send` for the parallel searcher).
-    type State: Clone + Eq + Hash + Send;
+    /// State type (hashable; `Send` for the parallel searcher). Both
+    /// engines queue a state as its [`Pack`] record and unpack it into a
+    /// reused state seeded from [`TransitionSystem::initial`].
+    type State: Clone + Eq + Hash + Send + Pack;
     /// Transition label (used in counterexamples).
     type Label: Clone + Send;
     /// Violation diagnosis carried by counterexamples. Structured systems
@@ -345,10 +349,11 @@ impl<L, V> SearchResult<L, V> {
 }
 
 /// Everything an interrupted search needs to continue exactly where it
-/// stopped: the fingerprint seeds, the unexpanded frontier (with per-state
-/// BFS depths), the parent edges accumulated so far, and the running
-/// totals. The parent edges are also the seen-set: every admitted state
-/// but the initial one is the child of exactly one edge.
+/// stopped: the fingerprint seeds, the unexpanded frontier (packed
+/// records with per-state BFS depths, as the engine queued them), the
+/// parent edges accumulated so far, and the running totals. The parent
+/// edges are also the seen-set: every admitted state but the initial one
+/// is the child of exactly one edge.
 ///
 /// The *consistency point* invariant all engines guarantee before handing
 /// one of these back: every expanded state has all of its successors
@@ -362,8 +367,9 @@ pub struct SearchCheckpoint<S, L> {
     /// Fingerprint of the initial state (parent-chain terminator, and a
     /// resume-time sanity check that the system is the same one).
     pub init_fp: u128,
-    /// Admitted-but-unexpanded states: `(state, fingerprint, depth)`.
-    pub frontier: Vec<(S, u128, usize)>,
+    /// Admitted-but-unexpanded states: `(state, fingerprint, depth)`
+    /// records of `S`.
+    pub frontier: Frontier<S>,
     /// Parent edges `(child_fp, parent_fp, label)`, one per admitted state
     /// other than the initial one: with `init_fp`, the admitted set, and
     /// the chains counterexample reconstruction walks after resume.
@@ -492,11 +498,14 @@ impl<S, L, V> ControlledSearch<S, L, V> {
     }
 }
 
-/// The sequential seen map: fingerprint → parent edge (`None` for the
-/// initial state).
-type SeenMap<L> = HashMap<u128, Option<(u128, L)>, FpBuild>;
+/// The sequential seen map: fingerprint → index of the state's parent
+/// edge in the parent log ([`NO_EDGE`] for the initial state).
+type SeenMap = HashMap<u128, usize, FpBuild>;
 
-/// Lend sequential BFS's live seen map and queue to `checkpoints`. Kept
+/// The initial state's [`SeenMap`] entry: it is no edge's child.
+const NO_EDGE: usize = usize::MAX;
+
+/// Lend sequential BFS's live parent log and queue to `checkpoints`. Kept
 /// out of line: it runs once per checkpoint, and inlined into the
 /// expansion loop it slowed t=1 `prove` and `hunt` by 7–10%.
 #[cold]
@@ -506,14 +515,12 @@ fn lend_bfs<S, L>(
     seeds: [u64; 4],
     init_fp: u128,
     stats: &McStats,
-    seen: &SeenMap<L>,
-    frontier: &VecDeque<(S, u128, usize)>,
+    log: &[(u128, u128, L)],
+    frontier: &Frontier<S>,
 ) -> bool {
-    let edges = seen
-        .iter()
-        .filter_map(|(c, p)| p.as_ref().map(|(pf, l)| (*c, *pf, l)));
-    let mut parents = Counted(seen.len() - 1, edges);
-    let mut queued = frontier.iter().map(|(_, fp, d)| (*fp, *d));
+    let mut parents = Counted(log.len(), log.iter().map(|(c, p, l)| (*c, *p, l)));
+    let records = frontier.iter().map(|r| (r.fp, r.depth));
+    let mut queued = Counted(frontier.len(), records);
     checkpoints.write(Snapshot {
         seeds,
         init_fp,
@@ -526,7 +533,7 @@ fn lend_bfs<S, L>(
 
 /// Sequential BFS with parent tracking for counterexample extraction.
 /// The seen-set stores 128-bit fingerprints, not states (see
-/// [`Fingerprinter`]); full states live only in the frontier.
+/// [`Fingerprinter`]); states live only in the frontier, packed.
 pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::Label, T::Violation> {
     let _t = scv_telemetry::timer(scv_telemetry::Phase::Search);
     match bfs_controlled(sys, opts, &RunControl::unlimited(), None, None) {
@@ -542,12 +549,13 @@ pub fn bfs<T: TransitionSystem>(sys: &T, opts: BfsOptions) -> SearchResult<T::La
 ///
 /// Limits and `checkpoints` are checked once per state expansion (the
 /// admission boundary), before the next state leaves the queue. A due
-/// checkpoint lends the live seen map and queue to the writer and the
-/// search goes on; a tripped limit lends them once more, then packages
-/// the whole search — seen-set, frontier, parent edges — into a
-/// checkpoint. The queue is FIFO over `(state, fp, depth)` triples, so
-/// exploration order (and counterexample minimality on fresh runs)
-/// matches the classic level-by-level formulation.
+/// checkpoint lends the live parent log and queue to the writer and the
+/// search goes on; a tripped limit lends them once more, then moves them
+/// — frontier records and parent edges — into a checkpoint. The queue is
+/// a FIFO of packed `(state, fp, depth)` records ([`Frontier`]), each
+/// unpacked into one reused parent state, so exploration order (and
+/// counterexample minimality on fresh runs) matches the classic
+/// level-by-level formulation.
 pub fn bfs_controlled<T: TransitionSystem>(
     sys: &T,
     opts: BfsOptions,
@@ -568,11 +576,14 @@ pub fn bfs_controlled<T: TransitionSystem>(
         workers: 1,
         ..Default::default()
     };
-    // Seen map: fingerprint -> parent edge; the label chain is all a
-    // counterexample needs. Fingerprints are already keyed hashes, so the
-    // map folds them instead of hashing them again.
-    let mut seen: SeenMap<T::Label> = HashMap::with_hasher(FpBuild);
-    let mut frontier: VecDeque<(T::State, u128, usize)> = VecDeque::new();
+    // Seen map: fingerprint -> its parent edge's index in `log`; the label
+    // chain is all a counterexample needs. Fingerprints are already keyed
+    // hashes, so the map folds them instead of hashing them again.
+    let mut seen: SeenMap = HashMap::with_hasher(FpBuild);
+    let mut log: Vec<(u128, u128, T::Label)> = Vec::new();
+    let mut frontier: Frontier<T::State> = Frontier::new();
+    // Every dequeued record is unpacked into this one state.
+    let mut parent = sys.initial();
     let init_fp;
 
     match resume {
@@ -580,21 +591,19 @@ pub fn bfs_controlled<T: TransitionSystem>(
             init_fp = ck.init_fp;
             stats.states = ck.states();
             seen.reserve(stats.states);
-            seen.insert(init_fp, None);
-            for (child, parent, label) in ck.parents {
-                seen.insert(child, Some((parent, label)));
-            }
+            seen.insert(init_fp, NO_EDGE);
+            seen.extend(ck.parents.iter().enumerate().map(|(i, e)| (e.0, i)));
+            log = ck.parents;
             stats.transitions = ck.transitions;
             stats.depth = ck.depth;
-            frontier.extend(ck.frontier);
+            frontier = ck.frontier;
         }
         None => {
-            let init = sys.initial();
-            init_fp = fper.fp(&init);
-            seen.insert(init_fp, None);
+            init_fp = fper.fp(&parent);
+            seen.insert(init_fp, NO_EDGE);
             stats.states = 1;
             scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
-            if let Some(reason) = sys.violation(&init) {
+            if let Some(reason) = sys.violation(&parent) {
                 stats.elapsed = start.elapsed();
                 return ControlledSearch::Finished(SearchResult::Unsafe(
                     Counterexample {
@@ -604,14 +613,14 @@ pub fn bfs_controlled<T: TransitionSystem>(
                     stats,
                 ));
             }
-            frontier.push_back((init, init_fp, 0));
+            frontier.push(&parent, init_fp, 0);
         }
     }
     stats.peak_frontier = frontier.len();
 
-    let rebuild = |seen: &SeenMap<T::Label>, mut at: u128| -> Vec<T::Label> {
+    let rebuild = |seen: &SeenMap, log: &[(u128, u128, T::Label)], mut at: u128| {
         let mut path = Vec::new();
-        while let Some(Some((p, l))) = seen.get(&at) {
+        while let Some((_, p, l)) = seen.get(&at).and_then(|&i| log.get(i)) {
             path.push(l.clone());
             at = *p;
         }
@@ -631,20 +640,20 @@ pub fn bfs_controlled<T: TransitionSystem>(
             tripped.is_some() || c.due.is_some_and(|d| Instant::now() >= d)
         };
         if let Some(c) = checkpoints.as_deref_mut().filter(due) {
-            if !lend_bfs(c, fper.seeds(), init_fp, &stats, &seen, &frontier) {
+            if !lend_bfs(c, fper.seeds(), init_fp, &stats, &log, &frontier) {
                 tripped = tripped.or(Some(InterruptReason::Cancelled));
             }
         }
         if let Some(reason) = tripped {
             stats.elapsed = start.elapsed();
+            // The queue and the log move into the checkpoint: an
+            // interrupted run copies neither.
+            drop(seen);
             let checkpoint = SearchCheckpoint {
                 seeds: fper.seeds(),
                 init_fp,
-                frontier: frontier.into_iter().collect(),
-                parents: seen
-                    .iter()
-                    .filter_map(|(c, p)| p.as_ref().map(|(pf, l)| (*c, *pf, l.clone())))
-                    .collect(),
+                frontier,
+                parents: log,
                 transitions: stats.transitions,
                 depth: stats.depth,
             };
@@ -654,7 +663,9 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 stats,
             };
         }
-        let (s, sfp, d) = frontier.pop_front().expect("the queue is not empty");
+        let (sfp, d) = frontier
+            .pop_into(&mut parent)
+            .expect("the queue is not empty");
         if d >= opts.max_depth {
             depth_limited = true;
             continue;
@@ -679,7 +690,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 keep.clear();
                 keep.extend(fps.iter().map(|fp| !seen.contains_key(fp)));
             };
-            sys.expand_admitted(&s, &mut scratch, &fper, &mut admit, &mut admitted);
+            sys.expand_admitted(&parent, &mut scratch, &fper, &mut admit, &mut admitted);
         }
         // The counters stream as the run goes (admitted states below, one
         // at a time), so `--progress` and the registry follow a t=1 run.
@@ -694,8 +705,9 @@ pub fn bfs_controlled<T: TransitionSystem>(
             // pass the probe, so re-check here.
             match seen.entry(fp) {
                 std::collections::hash_map::Entry::Occupied(_) => continue,
-                std::collections::hash_map::Entry::Vacant(v) => v.insert(Some((sfp, label))),
+                std::collections::hash_map::Entry::Vacant(v) => v.insert(log.len()),
             };
+            log.push((fp, sfp, label));
             stats.states += 1;
             scv_telemetry::add(scv_telemetry::Metric::McStatesAdmitted, 1);
             stats.depth = stats.depth.max(d + 1);
@@ -703,7 +715,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 stats.elapsed = start.elapsed();
                 return ControlledSearch::Finished(SearchResult::Unsafe(
                     Counterexample {
-                        path: rebuild(&seen, fp),
+                        path: rebuild(&seen, &log, fp),
                         reason,
                     },
                     stats,
@@ -713,7 +725,7 @@ pub fn bfs_controlled<T: TransitionSystem>(
                 truncated = true;
                 break;
             }
-            frontier.push_back((t, fp, d + 1));
+            frontier.push(&t, fp, d + 1);
         }
         stats.peak_frontier = stats.peak_frontier.max(frontier.len());
         if truncated {

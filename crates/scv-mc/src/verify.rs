@@ -5,6 +5,7 @@
 use crate::canon::{self, CanonScratch, FastPlan};
 use crate::checkpoint::{CheckpointError, CheckpointFile, CheckpointHeader};
 use crate::control::{Budget, CancelToken, Coverage, InterruptReason, RunControl};
+use crate::frontier::Frontier;
 use crate::mc::{
     bfs_controlled, eager_expand, BfsOptions, Checkpoints, ControlledSearch, ExpandScratch,
     Fingerprinter, McStats, SearchCheckpoint, SearchResult, Snapshot, TransitionSystem,
@@ -15,7 +16,8 @@ use scv_checker::{ScChecker, ScError};
 use scv_descriptor::Symbol;
 use scv_observer::{Observer, ObserverConfig};
 use scv_protocol::{location_maps, Action, Step, Symmetry, Transition};
-use scv_types::{Op, Params, SymDims, SymPerm, Trace};
+use scv_types::pack::{pack_into, put_varint, take_bytes, take_varint, unpack};
+use scv_types::{Op, Pack, Params, SymDims, SymPerm, Trace};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -136,41 +138,6 @@ impl SymmetryMode {
 /// orbit-minimum representative.
 const GROUP_CAP: usize = 1024;
 
-/// Append `words` to `out` packed: each word `w` as the LEB128 varint of
-/// `w.wrapping_add(1)`, so the `u64::MAX` "none" sentinel — over half the
-/// words of a typical product-state encoding — takes a single byte, and
-/// small counts, ranks and IDs take one or two. The code is prefix-free
-/// and every word has exactly one encoding, so two packed byte strings are
-/// equal iff their word sequences are.
-fn pack_into(words: &[u64], out: &mut Vec<u8>) {
-    for &w in words {
-        let mut x = w.wrapping_add(1);
-        while x >= 0x80 {
-            out.push(x as u8 | 0x80);
-            x >>= 7;
-        }
-        out.push(x as u8);
-    }
-}
-
-/// The words of a byte string written by [`pack_into`].
-fn unpack(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    let mut at = 0;
-    std::iter::from_fn(move || {
-        let mut x = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = *bytes.get(at)?;
-            at += 1;
-            x |= ((b & 0x7f) as u64) << shift;
-            if b < 0x80 {
-                return Some(x.wrapping_sub(1));
-            }
-            shift += 7;
-        }
-    })
-}
-
 /// A packed canonical encoding ([`pack_into`]): a view into a shared
 /// chunk.
 ///
@@ -215,6 +182,24 @@ impl EncRef {
     /// The packed bytes.
     fn bytes(&self) -> &[u8] {
         &self.chunk[self.start as usize..(self.start + self.len) as usize]
+    }
+
+    /// View a copy of `bytes` instead. The copy goes into the chunk this
+    /// view already holds when no other view shares it and it is big
+    /// enough, so a reused state refills it without allocating.
+    fn refill(&mut self, bytes: &[u8]) {
+        match Arc::get_mut(&mut self.chunk) {
+            Some(chunk) if chunk.len() >= bytes.len() => {
+                chunk[..bytes.len()].copy_from_slice(bytes)
+            }
+            _ => {
+                let mut grown = vec![0; bytes.len().next_power_of_two()];
+                grown[..bytes.len()].copy_from_slice(bytes);
+                self.chunk = grown.into();
+            }
+        }
+        self.start = 0;
+        self.len = bytes.len() as u32;
     }
 }
 
@@ -293,6 +278,33 @@ impl<PS: Hash> Hash for FpParts<'_, PS> {
             p.hash(state);
         }
         self.enc.hash(state);
+    }
+}
+
+/// A queued state's record: protocol, observer and checker records, then
+/// the packed canonical encoding. The symmetry flag is the system's, so
+/// unpack into a state of the same system (its initial state, for one);
+/// the unpacked state hashes and compares exactly as the packed one did.
+/// A state with a rejection is a counterexample, never queued, so a
+/// record has no room for one.
+impl<PS: Pack> Pack for VerifyState<PS> {
+    fn pack(&self, out: &mut Vec<u8>) {
+        assert!(self.error.is_none(), "a rejected state is never packed");
+        self.proto.pack(out);
+        self.obs.pack(out);
+        self.chk.pack(out);
+        let enc = self.enc.bytes();
+        put_varint(out, enc.len() as u64);
+        out.extend_from_slice(enc);
+    }
+
+    fn unpack_from(&mut self, bytes: &mut &[u8]) {
+        self.proto.unpack_from(bytes);
+        self.obs.unpack_from(bytes);
+        self.chk.unpack_from(bytes);
+        let len = take_varint(bytes) as usize;
+        self.enc.refill(take_bytes(bytes, len));
+        self.error = None;
     }
 }
 
@@ -1448,7 +1460,8 @@ where
 
     /// Validate a checkpoint file against this system and rebuild the
     /// in-memory [`SearchCheckpoint`], rematerializing every frontier
-    /// state by replaying its parent chain from the initial state.
+    /// state by replaying its parent chain from the initial state, and
+    /// packing it into the frontier's record.
     fn rebuild_checkpoint(
         &self,
         file: CheckpointFile,
@@ -1498,11 +1511,17 @@ where
                 )));
             }
         }
-        // Replayed states are cached by fingerprint so frontier states
-        // sharing a prefix walk it only once.
-        let mut cache: HashMap<u128, VerifyState<P::State>> = HashMap::new();
-        cache.insert(init_fp, init);
-        let mut frontier = Vec::with_capacity(file.frontier.len());
+        // Replayed states are cached by fingerprint, packed, so frontier
+        // states sharing a prefix walk it only once. A rejected state is
+        // not cached (nor packable): it has no successors, so no chain
+        // goes on from it, and it is refused below if the frontier names
+        // it.
+        let mut cache: HashMap<u128, Box<[u8]>> = HashMap::new();
+        let mut packed = Vec::new();
+        init.pack(&mut packed);
+        cache.insert(init_fp, packed.as_slice().into());
+        let mut state = init;
+        let mut frontier = Frontier::new();
         let mut succs = Vec::new();
         for &(fp, depth) in &file.frontier {
             let mut chain = Vec::new();
@@ -1519,7 +1538,7 @@ where
                 }
                 cur = parent;
             }
-            let mut state = cache[&cur].clone();
+            state.unpack_from(&mut &cache[&cur][..]);
             for &(child_fp, action) in chain.iter().rev() {
                 succs.clear();
                 self.successors_into(&state, &mut succs);
@@ -1532,10 +1551,19 @@ where
                          (protocol behaviour changed since the checkpoint?)"
                     )));
                 };
-                cache.insert(child_fp, s.clone());
                 state = s;
+                if state.error.is_none() {
+                    packed.clear();
+                    state.pack(&mut packed);
+                    cache.insert(child_fp, packed.as_slice().into());
+                }
             }
-            frontier.push((state, fp, depth as usize));
+            if state.error.is_some() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "frontier state {fp:#034x} is rejected, so no search queued it"
+                )));
+            }
+            frontier.push(&state, fp, depth as usize);
         }
         Ok(SearchCheckpoint {
             seeds: head.seeds,

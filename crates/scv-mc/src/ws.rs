@@ -9,9 +9,10 @@
 //! one seen-set mutex acquisition per successor, and allocator traffic for
 //! every level's frontier vectors. This engine removes each:
 //!
-//! * **No barrier.** Work lives in fixed-size *chunks* of states on
-//!   per-worker deques. Workers pop locally from the back (LIFO — hot
-//!   caches), and steal whole chunks from the *front* of a victim's deque
+//! * **No barrier.** Work lives in fixed-size *chunks* of packed state
+//!   records ([`crate::frontier`]) on per-worker deques. Workers pop
+//!   locally from the back (LIFO — hot caches), and steal whole chunks
+//!   from the *front* of a victim's deque
 //!   (FIFO — steals take the oldest, largest-subtree work, the classic
 //!   Cilk/crossbeam discipline at batch granularity). Deques are
 //!   mutex-guarded `VecDeque`s: operations are chunk-granular, so each
@@ -24,7 +25,8 @@
 //! * **Arena-style reuse.** Each worker owns long-lived successor and
 //!   stripe buffers that are drained and reused, so steady-state
 //!   expansion does per-successor pushes into pre-grown vectors instead
-//!   of allocating fresh frontier vectors every level.
+//!   of allocating fresh frontier vectors every level. A worker unpacks
+//!   every record it dequeues into one reused parent state.
 //!
 //! **Termination detection** uses a pending-chunk count plus a steal
 //! epoch: `pending` counts every chunk from the moment it is enqueued
@@ -67,12 +69,14 @@
 //! counters.
 
 use crate::control::{code_to_reason, reason_to_code, InterruptReason, RunControl};
+use crate::frontier::{Chunk, Frontier};
 use crate::mc::{
     BfsOptions, Checkpoints, ControlledSearch, Counted, Counterexample, ExpandScratch,
     Fingerprinter, McStats, SearchCheckpoint, SearchResult, Snapshot, TransitionSystem,
 };
 use crate::seen::StripedSeen;
 use crate::sip::FpBuild;
+use scv_types::Pack;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -95,7 +99,8 @@ pub struct WorkerStats {
     pub idle_spins: usize,
 }
 
-/// A buffered successor awaiting its stripe's batch insert.
+/// A buffered successor awaiting its stripe's batch insert (live: it is
+/// packed once it is admitted and its safety predicate holds).
 struct PendingSucc<T: TransitionSystem> {
     fp: u128,
     parent_fp: u128,
@@ -103,8 +108,6 @@ struct PendingSucc<T: TransitionSystem> {
     label: T::Label,
     state: T::State,
 }
-
-type Chunk<T> = Vec<(<T as TransitionSystem>::State, u128, usize)>;
 
 /// The interrupt code of a due periodic checkpoint, which is no
 /// [`InterruptReason`]: the main thread writes it and respawns the workers.
@@ -116,7 +119,7 @@ struct Shared<'a, T: TransitionSystem> {
     ctrl: &'a RunControl,
     fper: Fingerprinter,
     seen: StripedSeen,
-    queues: Vec<Mutex<VecDeque<Chunk<T>>>>,
+    queues: Vec<Mutex<VecDeque<Chunk>>>,
     /// Chunks enqueued but not yet fully expanded-and-flushed.
     pending: AtomicUsize,
     /// Bumped on every enqueue; idle workers re-scan when it moves.
@@ -139,7 +142,7 @@ struct Shared<'a, T: TransitionSystem> {
 }
 
 impl<T: TransitionSystem> Shared<'_, T> {
-    fn push_chunk(&self, worker: usize, chunk: Chunk<T>) {
+    fn push_chunk(&self, worker: usize, chunk: Chunk) {
         let items = chunk.len();
         self.pending.fetch_add(1, Ordering::SeqCst);
         let q = self.queued_items.fetch_add(items, Ordering::Relaxed) + items;
@@ -162,7 +165,7 @@ impl<T: TransitionSystem> Shared<'_, T> {
 
     /// Pop from the back of our own deque, else steal from the front of
     /// another worker's (round-robin sweep from our right neighbour).
-    fn obtain_chunk(&self, worker: usize, stats: &mut WorkerStats) -> Option<Chunk<T>> {
+    fn obtain_chunk(&self, worker: usize, stats: &mut WorkerStats) -> Option<Chunk> {
         if let Some(chunk) = self.queues[worker].lock().unwrap().pop_back() {
             self.queued_items.fetch_sub(chunk.len(), Ordering::Relaxed);
             return Some(chunk);
@@ -204,6 +207,10 @@ impl<T: TransitionSystem> Shared<'_, T> {
     }
 }
 
+/// Parent-log entries an interrupt moves from one worker's log to the
+/// checkpoint's at a time.
+const MERGE_BLOCK: usize = 1 << 16;
+
 /// One worker's append-only `(child, parent, label)` fingerprint log —
 /// merged across workers only when a violation needs a counterexample or
 /// an interrupt needs a checkpoint.
@@ -221,7 +228,11 @@ struct Scratch<T: TransitionSystem> {
     stripes: Vec<Vec<PendingSucc<T>>>,
     fp_scratch: Vec<u128>,
     flag_scratch: Vec<bool>,
-    out_chunk: Chunk<T>,
+    /// Records packed for the next chunk this worker hands off (reused:
+    /// each handoff copies them into an exact-size chunk).
+    out_chunk: Chunk,
+    /// Where a state is packed before its record goes into `out_chunk`.
+    stage: Vec<u8>,
     parent_log: ParentLog<T::Label>,
 }
 
@@ -244,9 +255,12 @@ fn worker_loop<T: TransitionSystem>(
         stripes: (0..shared.seen.shard_count()).map(|_| Vec::new()).collect(),
         fp_scratch: Vec::new(),
         flag_scratch: Vec::new(),
-        out_chunk: Vec::with_capacity(shared.chunk_size),
+        out_chunk: Chunk::default(),
+        stage: Vec::new(),
         parent_log: std::mem::take(log),
     };
+    // Every dequeued record is unpacked into this one state.
+    let mut parent = shared.sys.initial();
     let mut ticks = 0u32;
 
     'main: loop {
@@ -289,8 +303,7 @@ fn worker_loop<T: TransitionSystem>(
         // keeps the per-state loop branch-cheap.
         shared.check_trip(&mut ticks);
 
-        let mut idx = 0usize;
-        while idx < chunk.len() {
+        while !chunk.is_empty() {
             if shared.stop.load(Ordering::Relaxed) {
                 break;
             }
@@ -305,21 +318,13 @@ fn worker_loop<T: TransitionSystem>(
                     }
                 }
                 if !scratch.out_chunk.is_empty() {
-                    let out = std::mem::replace(
-                        &mut scratch.out_chunk,
-                        Vec::with_capacity(shared.chunk_size),
-                    );
-                    shared.push_chunk(id, out);
+                    shared.push_chunk(id, scratch.out_chunk.take_exact());
                 }
-                chunk.drain(..idx);
-                if !chunk.is_empty() {
-                    shared.push_chunk(id, chunk);
-                }
+                shared.push_chunk(id, chunk);
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
                 break 'main;
             }
-            let (state, fp, depth) = &chunk[idx];
-            idx += 1;
+            let (fp, depth) = chunk.pop_into(&mut parent).expect("the chunk is not empty");
             stats.expanded += 1;
             // Admission gate: batch-probe the seen-set with successor
             // fingerprints so duplicates are rejected before the system
@@ -337,7 +342,7 @@ fn worker_loop<T: TransitionSystem>(
                     shared.seen.probe_many(fps, keep, probe_order);
                 };
                 shared.sys.expand_admitted(
-                    state,
+                    &parent,
                     &mut scratch.expand,
                     &shared.fper,
                     &mut admit,
@@ -350,7 +355,7 @@ fn worker_loop<T: TransitionSystem>(
                 let stripe = shared.seen.shard_of(sfp);
                 scratch.stripes[stripe].push(PendingSucc {
                     fp: sfp,
-                    parent_fp: *fp,
+                    parent_fp: fp,
                     depth: depth + 1,
                     label,
                     state: succ,
@@ -377,11 +382,7 @@ fn worker_loop<T: TransitionSystem>(
             }
         }
         if !scratch.out_chunk.is_empty() {
-            let chunk = std::mem::replace(
-                &mut scratch.out_chunk,
-                Vec::with_capacity(shared.chunk_size),
-            );
-            shared.push_chunk(id, chunk);
+            shared.push_chunk(id, scratch.out_chunk.take_exact());
         }
         shared.pending.fetch_sub(1, Ordering::SeqCst);
     }
@@ -464,17 +465,15 @@ fn flush_stripe<T: TransitionSystem>(
             shared.depth_limited.store(true, Ordering::Relaxed);
             continue;
         }
+        scratch.stage.clear();
+        pending.state.pack(&mut scratch.stage);
         scratch
             .out_chunk
-            .push((pending.state, pending.fp, pending.depth));
+            .push(pending.fp, pending.depth, &scratch.stage);
         if scratch.out_chunk.len() >= shared.chunk_size {
             // New work stays on the owner's deque (classic work-stealing:
             // distribution happens only through steals).
-            let chunk = std::mem::replace(
-                &mut scratch.out_chunk,
-                Vec::with_capacity(shared.chunk_size),
-            );
-            shared.push_chunk(worker, chunk);
+            shared.push_chunk(worker, scratch.out_chunk.take_exact());
         }
     }
     shared
@@ -583,9 +582,8 @@ where
             per_worker[0].1 = ck.parents;
             // Re-chunk the saved frontier round-robin across the deques so
             // every worker starts with local work.
-            let mut frontier = ck.frontier.into_iter();
-            for w in 0..frontier.len().div_ceil(batch) {
-                shared.push_chunk(w % threads, frontier.by_ref().take(batch).collect());
+            for (w, chunk) in ck.frontier.into_chunks(batch).enumerate() {
+                shared.push_chunk(w % threads, chunk);
             }
         }
         None => {
@@ -632,7 +630,10 @@ where
                     vec![WorkerStats::default(); threads],
                 );
             }
-            shared.push_chunk(0, vec![(init, init_fp, 0usize)]);
+            let (mut first, mut packed) = (Chunk::default(), Vec::new());
+            init.pack(&mut packed);
+            first.push(init_fp, 0, &packed);
+            shared.push_chunk(0, first);
         }
     }
 
@@ -661,7 +662,7 @@ where
             .flat_map(|q| q.get_mut().unwrap().iter());
         let mut frontier = Counted(
             shared.queued_items.load(Ordering::Relaxed),
-            queued.flatten().map(|(_, fp, d)| (*fp, *d)),
+            queued.flat_map(Chunk::records).map(|r| (r.fp, r.depth)),
         );
         let ok = c.write(Snapshot {
             seeds: shared.fper.seeds(),
@@ -736,16 +737,34 @@ where
     let tripped = shared.interrupt.load(Ordering::Relaxed);
     if tripped != 0 {
         // Every worker exited through a consistent point, so the deques
-        // hold exactly the admitted-but-unexpanded states.
+        // hold exactly the admitted-but-unexpanded states. Their chunks
+        // move into the checkpoint. The other logs are appended to the
+        // longest a block at a time from their ends, each shrunk as it
+        // goes, so no more than one block is ever held twice (the log is
+        // a set of edges: their order is no part of it).
         let queued = shared
             .queues
             .iter_mut()
             .flat_map(|q| q.get_mut().unwrap().drain(..));
+        let frontier = Frontier::from_chunks(queued);
+        let mut logs: Vec<ParentLog<T::Label>> =
+            per_worker.into_iter().map(|(_, log)| log).collect();
+        logs.sort_by_key(|log| std::cmp::Reverse(log.len()));
+        let mut logs = logs.into_iter();
+        let mut parents = logs.next().unwrap_or_default();
+        parents.reserve_exact(logs.as_slice().iter().map(Vec::len).sum());
+        for mut log in logs {
+            while !log.is_empty() {
+                let from = log.len().saturating_sub(MERGE_BLOCK);
+                parents.extend(log.drain(from..));
+                log.shrink_to_fit();
+            }
+        }
         let checkpoint = SearchCheckpoint {
             seeds: shared.fper.seeds(),
             init_fp,
-            frontier: queued.flatten().collect(),
-            parents: per_worker.into_iter().flat_map(|(_, log)| log).collect(),
+            frontier,
+            parents,
             transitions: stats.transitions,
             depth: stats.depth,
         };

@@ -3,7 +3,8 @@
 use scv_descriptor::{Descriptor, IdNum, Symbol};
 use scv_graph::EdgeSet;
 use scv_protocol::{Action, CopySrc, LocId, Protocol, Run, StOrderPolicy, Step};
-use scv_types::{Op, Params};
+use scv_types::pack::{put_varint, take_bytes, take_varint};
+use scv_types::{Op, Pack, Params};
 use std::cell::Cell;
 use std::num::NonZeroU32;
 use std::sync::Arc;
@@ -318,6 +319,113 @@ impl Clone for Observer {
         self.next_key = source.next_key;
         self.pending.clone_from(&source.pending);
         self.stats = source.stats;
+    }
+}
+
+/// A node reference as a varint: the key, or 0 for none.
+fn put_key(out: &mut Vec<u8>, key: Option<Key>) {
+    put_varint(out, key.map_or(0, |k| k.get() as u64));
+}
+
+/// Inverse of [`put_key`].
+fn take_key(bytes: &mut &[u8]) -> Option<Key> {
+    Key::new(take_varint(bytes) as u32)
+}
+
+/// A list of `(index byte, node)` pairs: its length, then each pair.
+fn put_pairs(out: &mut Vec<u8>, pairs: &[(u8, Key)]) {
+    put_varint(out, pairs.len() as u64);
+    for &(i, k) in pairs {
+        out.push(i);
+        put_key(out, Some(k));
+    }
+}
+
+/// Inverse of [`put_pairs`], into `pairs`' allocation.
+fn take_pairs(bytes: &mut &[u8], pairs: &mut Vec<(u8, Key)>) {
+    pairs.clear();
+    for _ in 0..take_varint(bytes) {
+        let i = take_bytes(bytes, 1)[0];
+        pairs.push((i, take_key(bytes).expect("a packed pair names a node")));
+    }
+}
+
+impl Pins {
+    /// The five flags as one byte.
+    fn bits(&self) -> u8 {
+        self.po_anchor as u8
+            | (self.sto_tail as u8) << 1
+            | (self.bot_anchor as u8) << 2
+            | (self.first_st as u8) << 3
+            | (self.pending_serialization as u8) << 4
+    }
+}
+
+/// Everything but the shared configuration, which a record leaves out:
+/// unpack into an observer built from the same [`ObserverConfig`] (the
+/// search's initial state). Keys, IDs and counts are varints; the
+/// location-owner and anchor table is one varint per entry, most of them
+/// a single zero byte for "none".
+impl Pack for Observer {
+    fn pack(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.edges.is_empty(), "packed mid-step");
+        for &r in self.refs.iter() {
+            put_key(out, r);
+        }
+        put_varint(out, self.aux_next as u64);
+        self.aux_released.pack(out);
+        put_varint(out, self.nodes.len() as u64);
+        for (key, n) in self.nodes.entries() {
+            put_key(out, Some(*key));
+            put_varint(out, n.loc_count as u64);
+            put_varint(out, n.aux.map_or(0, |a| a as u64 + 1));
+            out.push(n.pins.bits());
+            put_key(out, n.pins.heir_of);
+            put_key(out, n.pins.forced_target_of);
+            put_key(out, n.sto_succ);
+            put_pairs(out, &n.heirs);
+        }
+        put_key(out, Some(self.next_key));
+        put_pairs(out, &self.pending);
+        put_varint(out, self.stats.max_aux_in_use as u64);
+        put_varint(out, self.stats.max_live_nodes as u64);
+        put_varint(out, self.stats.symbols as u64);
+    }
+
+    fn unpack_from(&mut self, bytes: &mut &[u8]) {
+        for r in self.refs.iter_mut() {
+            *r = take_key(bytes);
+        }
+        self.aux_next = take_varint(bytes) as IdNum;
+        self.aux_released.unpack_from(bytes);
+        let n = take_varint(bytes) as usize;
+        let nodes = &mut self.nodes.0;
+        nodes.truncate(n);
+        nodes.resize_with(n, || (Key::MIN, ObsNode::default()));
+        for (key, node) in nodes.iter_mut() {
+            *key = take_key(bytes).expect("a packed node has a key");
+            node.loc_count = take_varint(bytes) as u32;
+            node.aux = (take_varint(bytes) as IdNum).checked_sub(1);
+            let bits = take_bytes(bytes, 1)[0];
+            node.pins = Pins {
+                po_anchor: bits & 1 != 0,
+                sto_tail: bits & 2 != 0,
+                heir_of: take_key(bytes),
+                bot_anchor: bits & 4 != 0,
+                first_st: bits & 8 != 0,
+                forced_target_of: take_key(bytes),
+                pending_serialization: bits & 16 != 0,
+            };
+            node.sto_succ = take_key(bytes);
+            take_pairs(bytes, &mut node.heirs);
+        }
+        self.next_key = take_key(bytes).expect("a packed observer has a next key");
+        take_pairs(bytes, &mut self.pending);
+        self.stats = ObserverStats {
+            max_aux_in_use: take_varint(bytes) as usize,
+            max_live_nodes: take_varint(bytes) as usize,
+            symbols: take_varint(bytes) as usize,
+        };
     }
 }
 

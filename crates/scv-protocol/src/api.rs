@@ -1,7 +1,7 @@
 //! The protocol abstraction: finite-state machines with storage locations
 //! and tracking labels.
 
-use scv_types::{BlockId, Op, Params};
+use scv_types::{BlockId, Op, Pack, Params};
 use std::fmt;
 use std::hash::Hash;
 
@@ -125,8 +125,9 @@ impl StOrderPolicy {
 /// A finite-state memory-system protocol with storage locations and
 /// tracking labels (§2.1 + §4.1).
 pub trait Protocol {
-    /// The protocol state type (finite; hashable for model checking).
-    type State: Clone + Eq + Hash + fmt::Debug;
+    /// The protocol state type (finite; hashable for model checking;
+    /// packed into one byte record while it waits in a search frontier).
+    type State: Clone + Eq + Hash + fmt::Debug + Pack;
 
     /// A short human-readable name.
     fn name(&self) -> &'static str;

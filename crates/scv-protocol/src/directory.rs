@@ -10,12 +10,13 @@
 //! sequentially consistent.
 
 use crate::api::{Action, CopySrc, LocId, Protocol, Tracking, Transition};
-use scv_types::{BlockId, Op, Params, ProcId, Value};
+use scv_types::{BlockId, Op, Pack, Params, ProcId, Value};
 
 /// Per-(processor, block) cache-line state.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum DirLine {
     /// Invalid.
+    #[default]
     I,
     /// Shared (clean).
     S,
@@ -27,15 +28,44 @@ pub enum DirLine {
     WaitM,
 }
 
+scv_types::pack_enum!(DirLine {
+    I,
+    S,
+    M,
+    WaitS,
+    WaitM
+});
+
 /// Directory state per block.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum DirEntry {
     /// No cached copies.
+    #[default]
     Uncached,
     /// Clean copies at the processors in the bitmask.
     Shared(u8),
     /// Dirty exclusive copy at the processor.
     Owned(u8),
+}
+
+/// A tag byte, then the processor mask or owner.
+impl Pack for DirEntry {
+    fn pack(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&match *self {
+            DirEntry::Uncached => [0, 0],
+            DirEntry::Shared(mask) => [1, mask],
+            DirEntry::Owned(p) => [2, p],
+        });
+    }
+
+    fn unpack_from(&mut self, bytes: &mut &[u8]) {
+        let b = scv_types::pack::take_bytes(bytes, 2);
+        *self = match b[0] {
+            0 => DirEntry::Uncached,
+            1 => DirEntry::Shared(b[1]),
+            _ => DirEntry::Owned(b[1]),
+        };
+    }
 }
 
 /// Full protocol state.
@@ -50,6 +80,13 @@ pub struct DirState {
     /// Response buffer per processor (value in flight).
     pub resp: Vec<Value>,
 }
+
+scv_types::pack_struct!(DirState {
+    lines,
+    mem,
+    dir,
+    resp
+});
 
 /// The directory protocol.
 #[derive(Clone, Debug)]

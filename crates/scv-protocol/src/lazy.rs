@@ -44,6 +44,13 @@ pub struct LazyState {
     pub inq: Vec<InEntry>,
 }
 
+scv_types::pack_struct!(LazyState {
+    cache,
+    mem,
+    out,
+    inq
+});
+
 /// The Lazy Caching protocol.
 #[derive(Clone, Debug)]
 pub struct LazyCaching {

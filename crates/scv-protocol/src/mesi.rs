@@ -18,7 +18,7 @@ use crate::api::{Action, CopySrc, LocId, Protocol, Tracking, Transition};
 use scv_types::{BlockId, Op, Params, ProcId, Value};
 
 /// Cache line state.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum MesiLine {
     /// Modified: exclusive, dirty.
     M,
@@ -27,8 +27,11 @@ pub enum MesiLine {
     /// Shared: clean, read-only.
     S,
     /// Invalid.
+    #[default]
     I,
 }
+
+scv_types::pack_enum!(MesiLine { M, E, S, I });
 
 /// Protocol state: one line per (processor, block) plus memory.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -38,6 +41,8 @@ pub struct MesiState {
     /// Memory contents per block.
     pub mem: Vec<Value>,
 }
+
+scv_types::pack_struct!(MesiState { lines, mem });
 
 /// The MESI protocol (optionally fault-injected).
 #[derive(Clone, Debug)]

@@ -15,15 +15,18 @@ use crate::api::{Action, CopySrc, LocId, Protocol, Tracking, Transition};
 use scv_types::{BlockId, Op, Params, ProcId, Value};
 
 /// Cache line state.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Line {
     /// Modified: exclusive, dirty.
     M,
     /// Shared: clean, read-only.
     S,
     /// Invalid.
+    #[default]
     I,
 }
+
+scv_types::pack_enum!(Line { M, S, I });
 
 /// Protocol state: one line per (processor, block) plus memory.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -33,6 +36,8 @@ pub struct MsiState {
     /// Memory contents per block.
     pub mem: Vec<Value>,
 }
+
+scv_types::pack_struct!(MsiState { lines, mem });
 
 /// The MSI protocol (optionally fault-injected).
 #[derive(Clone, Debug)]

@@ -29,6 +29,8 @@ pub struct TsoState {
     pub mem: Vec<Value>,
 }
 
+scv_types::pack_struct!(TsoState { buf, mem });
+
 /// The store-buffer protocol.
 #[derive(Clone, Debug)]
 pub struct StoreBufferTso {

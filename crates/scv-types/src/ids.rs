@@ -15,8 +15,8 @@ pub struct ProcId(pub u8);
 pub struct BlockId(pub u8);
 
 /// A data value `V` with `1 <= V <= v`, or [`Value::BOTTOM`] (`⊥`, encoded
-/// as 0), the initial value of every block.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// as 0), the initial value of every block (and the default).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Value(pub u8);
 
 impl ProcId {

@@ -18,10 +18,12 @@
 
 pub mod ids;
 pub mod op;
+pub mod pack;
 pub mod perm;
 pub mod trace;
 
 pub use ids::{BlockId, Params, ProcId, Value};
 pub use op::{Op, OpKind};
+pub use pack::Pack;
 pub use perm::{Reordering, ResidualEnum, SortKeyBuf, SymDim, SymDims, SymPerm};
 pub use trace::Trace;
