@@ -2,13 +2,13 @@
 //! the sort-based fast path ([`SymmetryMode::Full`]) against the
 //! brute-force group enumeration reference ([`SymmetryMode::FullEnum`]),
 //! resealing the same reachable states through
-//! [`VerifySystem::canonical_encoding_of`] (which bypasses every seal
-//! cache, so this measures pure canonicalization cost).
+//! [`VerifySystem::canonical_encoding_of`], so this measures pure
+//! canonicalization cost.
 //!
 //! Both paths produce byte-identical encodings — asserted here on every
 //! state, so the bench doubles as a parity smoke test. The interesting
-//! number is the ratio: it isolates the refinement, residual-enumeration,
-//! and key-extension win from the seal-cache effects that end-to-end
+//! number is the ratio: it isolates the refinement and
+//! residual-enumeration win from the search around it that end-to-end
 //! timings (verdictbench's `sweep`) fold in.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

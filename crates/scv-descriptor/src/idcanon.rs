@@ -59,9 +59,7 @@ pub struct IdCanon<'a> {
     locs: Option<&'a [u32]>,
 }
 
-// Manual `Clone` so `clone_from` reuses the target's tables: the orbit
-// enumeration restores a warmed-up renaming into its working copy once per
-// group element.
+// Manual `Clone` so `clone_from` reuses the target's tables.
 impl Clone for IdCanon<'_> {
     fn clone(&self) -> Self {
         IdCanon {

@@ -318,7 +318,7 @@ impl Protocol for GenProtocol {
         GenState {
             lines: vec![
                 (GLine::I, Value::BOTTOM);
-                (self.cfg.params.p * self.cfg.params.b) as usize
+                self.cfg.params.p as usize * self.cfg.params.b as usize
             ],
             mem: vec![Value::BOTTOM; self.cfg.params.b as usize],
         }

@@ -32,6 +32,9 @@
 //!    The covered prefix itself is skipped outright
 //!    ([`CmpSink::skip_equal`]) once it is known to tie the incumbent's.
 //!
+//! Refinement reads protocol keys only: the observer and checker sections
+//! are compared word by word, never sorted on.
+//!
 //! Every candidate is a member of the materialized capped group, located
 //! by its factorial-number-system rank, so the precomputed location maps
 //! (and their long-lived borrows inside the aux-ID renamer) are reused —
@@ -42,11 +45,7 @@ use scv_checker::ScChecker;
 use scv_descriptor::{CmpOutcome, CmpSink, EncSink, IdCanon, SymView};
 use scv_observer::Observer;
 use scv_protocol::Symmetry;
-use scv_types::{ResidualEnum, SortKeyBuf, SymDim, SymDims};
-
-fn factorial(n: u8) -> usize {
-    (1..=n as usize).product::<usize>().max(1)
-}
+use scv_types::{factorial, ResidualEnum, SortKeyBuf, SymDim, SymDims};
 
 /// Lexicographic rank of a forward permutation map among all permutations
 /// of its length — the factorial-number-system index matching the order
@@ -74,15 +73,6 @@ pub(crate) struct FastPlan {
     /// Group-list index of every outer element's coset leader, ascending
     /// (so `[0]` is the identity).
     pub(crate) outer_base: Vec<usize>,
-    /// Observer-extension layout: `ext[e]` lists the 0-based locations the
-    /// inner dimension moves together with element `e`, in identity
-    /// position order — verified at build time against every inner
-    /// element's materialized location map (see [`FastPlan::derive_ext`]).
-    /// When present, the owner words of those locations extend each
-    /// element's sort key past the protocol prefix through the encoding's
-    /// `loc_owner` section, and locations in no row are fixed by every
-    /// inner renaming (their words never discriminate).
-    pub(crate) ext: Option<Vec<Vec<u32>>>,
 }
 
 impl FastPlan {
@@ -130,81 +120,11 @@ impl FastPlan {
                 outer_base.push(idx);
             }
         }
-        let ext = Self::derive_ext(params, inner, inner_stride, inner_count, perms);
         Some(FastPlan {
             inner,
             inner_stride,
             outer_base,
-            ext,
         })
-    }
-
-    /// Derive and *verify* the per-element location rows the observer key
-    /// extension needs. The candidate layout is guessed from the standard
-    /// location spaces (`p·b` proc-major cache lines plus `b` memory
-    /// locations, or `b` bare block locations), then checked exhaustively
-    /// against the materialized location map of every inner group element:
-    /// row `j` of element `e` must land on row `j` of `e`'s image, and
-    /// every location outside the rows must be fixed. A protocol with any
-    /// other location structure simply fails verification and keeps
-    /// protocol-only keys — never an unsound extension.
-    fn derive_ext(
-        params: scv_types::Params,
-        inner: SymDim,
-        inner_stride: usize,
-        inner_count: usize,
-        perms: &[PermEntry],
-    ) -> Option<Vec<Vec<u32>>> {
-        let n = inner.count(params) as usize;
-        let l = perms[0].locs.len().checked_sub(1)?;
-        let (p, b) = (params.p as usize, params.b as usize);
-        let rows: Vec<Vec<u32>> = match inner {
-            SymDim::Procs if l == p * b + b => (0..n)
-                .map(|e| (e * b..(e + 1) * b).map(|x| x as u32).collect())
-                .collect(),
-            SymDim::Blocks if l == p * b + b => (0..n)
-                .map(|e| {
-                    (0..p)
-                        .map(|pi| (pi * b + e) as u32)
-                        .chain([(p * b + e) as u32])
-                        .collect()
-                })
-                .collect(),
-            SymDim::Blocks if l == b => (0..n).map(|e| vec![e as u32]).collect(),
-            // Unknown layout (or the values dimension, which never moves
-            // locations): claim no rows — verification below then demands
-            // every location be fixed, which still extends the covered
-            // prefix through the whole (invariant) owner section.
-            _ => vec![Vec::new(); n],
-        };
-        let mut in_row = vec![false; l];
-        for row in &rows {
-            for &pos in row {
-                in_row[pos as usize] = true;
-            }
-        }
-        for w in 0..inner_count {
-            let e = &perms[w * inner_stride];
-            let img = |x: usize| match inner {
-                SymDim::Procs => e.perm.proc_idx(x),
-                SymDim::Blocks => e.perm.block_idx(x),
-                SymDim::Values => e.perm.value_idx(x),
-            };
-            for (elem, row) in rows.iter().enumerate() {
-                let target = &rows[img(elem)];
-                for (j, &pos) in row.iter().enumerate() {
-                    if e.locs[pos as usize + 1] as usize - 1 != target[j] as usize {
-                        return None;
-                    }
-                }
-            }
-            for (pos, covered) in in_row.iter().enumerate() {
-                if !covered && e.locs[pos + 1] as usize - 1 != pos {
-                    return None;
-                }
-            }
-        }
-        Some(rows)
     }
 
     /// Group-list index of the candidate composed of outer coset leader
@@ -226,21 +146,9 @@ fn inner_map_matches(perm: &scv_types::SymPerm, dim: SymDim, fwd: &[u8]) -> bool
 }
 
 /// Reusable work buffers for [`fast_min`] — non-generic, so one instance
-/// serves both the per-worker lazy scratch and the thread-local used by
-/// the materializing seal path (`successors`).
+/// serves every protocol's encoding scratch.
 pub(crate) struct CanonScratch {
     keys: SortKeyBuf,
-    /// Observer-extension key per element (owner words of its location
-    /// row) — compared *after* `keys`, refining its ties.
-    ext_keys: SortKeyBuf,
-    /// Full-observer key per element (`last_op` + `bot_anchor` row) —
-    /// compared after `ext_keys`, refining its ties through the entire
-    /// observer encoding.
-    obs_keys: SortKeyBuf,
-    /// Owner words of the observer's `loc_owner` section, identity order.
-    owner: Vec<u64>,
-    /// Inverse block map of the current outer coset leader.
-    binv: Vec<u8>,
     /// `order[rank]` = inner element stably sorted to that rank.
     order: Vec<u8>,
     /// Maximal tied-key rank runs of `order`.
@@ -269,10 +177,6 @@ impl CanonScratch {
     pub(crate) fn new() -> CanonScratch {
         CanonScratch {
             keys: SortKeyBuf::new(),
-            ext_keys: SortKeyBuf::new(),
-            obs_keys: SortKeyBuf::new(),
-            owner: Vec::new(),
-            binv: Vec::new(),
             order: Vec::new(),
             runs: Vec::new(),
             residual: ResidualEnum::new(),
@@ -290,8 +194,6 @@ impl CanonScratch {
 /// How one residual candidate compared with the incumbent minimum.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Walk {
-    /// The identity, whose encoding already is the incumbent: not walked.
-    Identity,
     /// There was no incumbent: the candidate became the first one.
     First {
         /// The candidate is the identity element.
@@ -307,13 +209,13 @@ enum Walk {
 }
 
 /// Group elements mapping the state to the incumbent minimum, and whether
-/// that minimum beats the identity encoding.
+/// the identity encoding equals that minimum.
 struct Ties {
     count: usize,
-    beaten: bool,
     /// Does the identity encoding (still) equal the incumbent? Tracked so
-    /// `symmetry.canon_hits` stays exact when the identity encoding was
-    /// never materialized.
+    /// `symmetry.canon_hits` stays exact without materializing the
+    /// identity encoding: when the identity is a candidate of the first
+    /// block at all, it is that block's first arrangement.
     identity_min: bool,
 }
 
@@ -322,14 +224,13 @@ impl Ties {
     /// with the same encoding.
     fn tally(&mut self, walk: Walk, weight: usize) {
         match walk {
-            Walk::Identity | Walk::Greater | Walk::BlockLost => {}
+            Walk::Greater | Walk::BlockLost => {}
             Walk::First { identity } => {
                 self.count = weight;
                 self.identity_min = identity;
             }
             Walk::Less => {
                 self.count = weight;
-                self.beaten = true;
                 self.identity_min = false;
             }
             Walk::Equal => self.count += weight,
@@ -338,9 +239,8 @@ impl Ties {
 }
 
 /// Streams residual candidates against the incumbent minimum for one
-/// [`fast_min`] call, carrying what earlier walks proved: the warm aux-ID
-/// map, the observer section's length, and how far the current block's
-/// shared prefix is known to tie the incumbent.
+/// [`fast_min`] call, carrying how far the current block's shared prefix
+/// is known to tie the incumbent.
 struct Walker<'a, P: Symmetry> {
     protocol: &'a P,
     plan: &'a FastPlan,
@@ -358,35 +258,13 @@ struct Walker<'a, P: Symmetry> {
     proto_cand: &'a mut Vec<u64>,
     have_best: bool,
     ids: IdCanon<'a>,
-    /// The aux-ID renaming an observer walk builds is
-    /// arrangement-invariant (first-use order = entry order), so one
-    /// completed walk's map serves every candidate: `ids_warm` snapshots
-    /// it, and candidates known to tie the incumbent through the whole
-    /// observer section skip their observer walk entirely — clone the
-    /// map, rename only the checker.
-    ids_warm: IdCanon<'a>,
-    warm: bool,
-    /// Word index one past the observer section of the identity encoding —
-    /// the same for every candidate (section lengths are
-    /// arrangement-invariant) — or 0 until the first candidate is
-    /// materialized.
-    obs_end: usize,
     /// Group-list index of the current block's outer coset leader.
     base_idx: usize,
     /// Protocol words the block's sort keys cover.
     covered: usize,
-    /// How far the incumbent's prefix is provably shared by every
-    /// candidate of the block.
-    covered_cmp: usize,
-    /// The full-observer key extension is live for the block.
-    use_full: bool,
     /// The block-shared protocol prefix is known to equal the
     /// incumbent's, so candidates skip it without streaming.
     prefix_known_eq: bool,
-    /// Like `prefix_known_eq`, but through the whole observer section
-    /// (`use_full`): the candidates' observer walks are re-derivations
-    /// and are skipped.
-    obs_eq: bool,
 }
 
 impl<'a, P: Symmetry> Walker<'a, P> {
@@ -411,9 +289,6 @@ impl<'a, P: Symmetry> Walker<'a, P> {
     /// incumbent, replacing it when the candidate is smaller.
     fn walk(&mut self, arr: &[u8]) -> Walk {
         let (idx, e) = self.entry(arr);
-        if idx == 0 && self.have_best {
-            return Walk::Identity;
-        }
         let view = SymView {
             perm: &e.perm,
             loc: &e.locs,
@@ -433,47 +308,14 @@ impl<'a, P: Symmetry> Walker<'a, P> {
             self.ids.reset();
             self.ids.set_locs(&e.locs);
             obs.canonical_encoding_into(self.best, &mut self.ids, Some(&view));
-            if !self.warm {
-                self.ids_warm.clone_from(&self.ids);
-                self.warm = true;
-            }
-            if self.obs_end == 0 {
-                self.obs_end = self.best.len();
-                if self.use_full {
-                    self.covered_cmp = self.obs_end;
-                }
-            }
             chk.canonical_encoding_into(self.best, &mut self.ids, Some(&view));
             self.have_best = true;
             self.prefix_known_eq = true;
-            self.obs_eq = self.use_full && self.obs_end != 0;
             return Walk::First { identity: idx == 0 };
         }
-        let (covered, obs_end) = (self.covered, self.obs_end);
+        let covered = self.covered;
         let mut sink = CmpSink::new(self.best, self.cand);
-        let skip_obs = self.obs_eq && self.warm;
-        if skip_obs {
-            // The candidate provably ties the incumbent through the
-            // whole observer section: skip straight to the checker
-            // walk, with the aux-ID map restored from the snapshot.
-            sink.skip_equal(obs_end);
-            #[cfg(debug_assertions)]
-            {
-                self.proto_cand.clear();
-                let ps = protocol.permute_state(proto, &e.perm);
-                protocol.encode_state(&ps, self.proto_cand);
-                let mut dbg_ids = IdCanon::new(self.base);
-                dbg_ids.set_locs(&e.locs);
-                obs.canonical_encoding_into(self.proto_cand, &mut dbg_ids, Some(&view));
-                debug_assert_eq!(
-                    &self.proto_cand[..],
-                    &self.best[..obs_end],
-                    "obs-skip contract violated: skipped region differs"
-                );
-            }
-            self.ids.clone_from(&self.ids_warm);
-            self.ids.set_locs(&e.locs);
-        } else if self.prefix_known_eq && covered == self.proto_len {
+        if self.prefix_known_eq && covered == self.proto_len {
             // The whole protocol prefix ties the incumbent's: no
             // renamed protocol state is materialized at all.
             sink.skip_equal(self.proto_len);
@@ -514,48 +356,24 @@ impl<'a, P: Symmetry> Walker<'a, P> {
                 return Walk::Greater;
             }
         }
-        if !skip_obs {
-            self.ids.reset();
-            self.ids.set_locs(&e.locs);
-            obs.canonical_encoding_into(&mut sink, &mut self.ids, Some(&view));
-            if !self.warm && sink.outcome() != CmpOutcome::Greater {
-                // The walk completed: the aux map is fully built.
-                self.ids_warm.clone_from(&self.ids);
-                self.warm = true;
-            }
-        }
+        self.ids.reset();
+        self.ids.set_locs(&e.locs);
+        obs.canonical_encoding_into(&mut sink, &mut self.ids, Some(&view));
         if sink.outcome() != CmpOutcome::Greater {
             chk.canonical_encoding_into(&mut sink, &mut self.ids, Some(&view));
         }
-        let diverged_at = sink.matched();
-        let full_known = self.use_full && obs_end != 0;
+        // Whatever the outcome, the candidate tied or beat the incumbent
+        // through the protocol prefix, so the block-shared prefix is the
+        // incumbent's from here on (a new incumbent is a member of this
+        // block).
+        self.prefix_known_eq = true;
         match sink.finish() {
             CmpOutcome::Less => {
                 std::mem::swap(self.best, self.cand);
-                // The new incumbent is a member of this block: its whole
-                // shared prefix is now the incumbent's.
-                self.prefix_known_eq = true;
-                self.obs_eq = full_known;
                 Walk::Less
             }
-            CmpOutcome::Equal => {
-                self.prefix_known_eq = true;
-                self.obs_eq = full_known;
-                Walk::Equal
-            }
-            CmpOutcome::Greater => {
-                if diverged_at < self.covered_cmp {
-                    // Lost within the block-shared prefix (extended
-                    // through the owner section when the extension is
-                    // live): every remaining candidate loses there too.
-                    return Walk::BlockLost;
-                }
-                // Lost beyond the shared prefix — the prefix itself tied
-                // the incumbent's.
-                self.prefix_known_eq = true;
-                self.obs_eq = full_known && diverged_at >= obs_end;
-                Walk::Greater
-            }
+            CmpOutcome::Equal => Walk::Equal,
+            CmpOutcome::Greater => Walk::Greater,
         }
     }
 
@@ -613,19 +431,11 @@ impl<'a, P: Symmetry> Walker<'a, P> {
 /// Compute the orbit-minimum encoding of a product state via sort-based
 /// refinement + residual enumeration + incremental comparison.
 ///
-/// On entry, `best` holds the identity candidate (injective protocol
-/// prefix of `proto_len` words, then the plain canonical encodings) when
-/// `have_identity` is true; otherwise only the protocol prefix, and the
-/// first enumerated candidate is materialized as the incumbent instead
-/// (saving the identity's observer/checker walk when no cache key needs
-/// it). On exit `best` holds exactly the encoding `orbit_min` would have
+/// `proto_len` is the length of the protocol encoding (the same under
+/// every renaming). `best` is overwritten: the first enumerated candidate
+/// becomes the incumbent, so the identity encoding is never materialized.
+/// On exit `best` holds exactly the encoding `orbit_min` would have
 /// produced — byte-for-byte, tie counts included.
-///
-/// `identity_obs_end` is the length of `best` after the identity's
-/// observer encoding (before the checker's), used to extend block-shared
-/// prefix pruning through the whole observer section — pass 0 when
-/// unknown (or `have_identity` is false) and it is derived from the first
-/// materialized candidate instead.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fast_min<P: Symmetry>(
     protocol: &P,
@@ -639,23 +449,14 @@ pub(crate) fn fast_min<P: Symmetry>(
     best: &mut Vec<u64>,
     cand: &mut Vec<u64>,
     cs: &mut CanonScratch,
-    have_identity: bool,
-    identity_obs_end: usize,
 ) {
     let params = protocol.params();
     let n = plan.inner.count(params) as usize;
-    // The initial count of 1 is the identity (skipped during enumeration
-    // when its encoding is already the incumbent).
     let mut ties = Ties {
-        count: 1,
-        beaten: false,
-        identity_min: have_identity,
+        count: 0,
+        identity_min: false,
     };
     let mut residual_total = 0u64;
-    // The observer key extension: owner words are arrangement-invariant
-    // node ranks, so tied protocol keys refine further by each element's
-    // slice of the encoding's `loc_owner` section.
-    let have_owner = plan.ext.is_some() && obs.owner_words(&mut cs.owner);
     let mut w = Walker {
         protocol,
         plan,
@@ -670,141 +471,57 @@ pub(crate) fn fast_min<P: Symmetry>(
         cand,
         fwd: &mut cs.fwd,
         proto_cand: &mut cs.proto_cand,
-        have_best: have_identity,
+        have_best: false,
         ids: IdCanon::new(base),
-        ids_warm: IdCanon::new(base),
-        warm: false,
-        obs_end: if have_identity { identity_obs_end } else { 0 },
         base_idx: 0,
         covered: 0,
-        covered_cmp: 0,
-        use_full: false,
         prefix_known_eq: false,
-        obs_eq: false,
     };
 
     for (ui, &base_idx) in plan.outer_base.iter().enumerate() {
-        let u = &perms[base_idx].perm;
         // The outer-renamed state the inner sort keys are read from. The
         // first outer element is the identity: borrow, no clone.
         let owned;
         let s_u: &P::State = if ui == 0 {
             proto
         } else {
-            owned = protocol.permute_state(proto, u);
+            owned = protocol.permute_state(proto, &perms[base_idx].perm);
             &owned
         };
         let covered = protocol
             .sort_keys(s_u, plan.inner, &mut cs.keys)
             .expect("FastPlan::build verified the inner dimension is sortable");
         debug_assert!(covered <= proto_len && cs.keys.len() == n);
-        // The extension is sound only when the protocol keys already cover
-        // the whole protocol prefix: the lex argument needs the covered
-        // region contiguous from word 0.
-        let use_ext = have_owner && covered == proto_len;
-        cs.ext_keys.clear();
-        if use_ext {
-            let rows = plan.ext.as_deref().expect("have_owner implies ext");
-            // Under the outer coset leader `u`, position `pos` of the
-            // owner section reads the owner of `u⁻¹(pos)` — the inner
-            // renaming only reorders whole rows (verified at build time).
-            let u_inv = &perms[base_idx].locs_inv;
-            for row in rows {
-                cs.ext_keys.begin_key();
-                for &pos in row {
-                    cs.ext_keys
-                        .push(cs.owner[u_inv[pos as usize + 1] as usize - 1]);
-                }
-            }
-        }
-        // Full-observer extension: when the inner dimension is processors,
-        // the only encoding words past the owner section that *move* under
-        // an inner renaming are each processor's `last_op` entry and
-        // `bot_anchor` row — everything else (node sections, per-block
-        // sections) is emitted in arrangement-invariant order. Those words
-        // then extend the sort keys through the *entire* observer encoding,
-        // and `proc_key_ext` itself gates the cases that would break the
-        // invariance (heirs, dead keys).
-        cs.obs_keys.clear();
-        let use_full = use_ext && plan.inner == SymDim::Procs && {
-            let b_count = params.b as usize;
-            cs.binv.clear();
-            cs.binv.resize(b_count, 0);
-            for x in 0..b_count {
-                cs.binv[u.block_idx(x)] = x as u8;
-            }
-            let binv = &cs.binv;
-            obs.proc_key_ext(&|bi| binv[bi] as usize, &mut cs.obs_keys)
-        };
-        // Phase 1: stable argsort by composite key = the lexicographically
-        // minimal arrangement of the covered prefix.
+        // Phase 1: stable argsort by key = the lexicographically minimal
+        // arrangement of the covered prefix.
         cs.order.clear();
         cs.order.extend(0..n as u8);
-        {
-            let keys = &cs.keys;
-            let ext = &cs.ext_keys;
-            let obsk = &cs.obs_keys;
-            cs.order.sort_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                let mut c = keys.key(a).cmp(keys.key(b));
-                if use_ext {
-                    c = c.then_with(|| ext.key(a).cmp(ext.key(b)));
-                }
-                if use_full {
-                    c = c.then_with(|| obsk.key(a).cmp(obsk.key(b)));
-                }
-                c
-            });
-        }
+        let keys = &cs.keys;
+        cs.order
+            .sort_by(|&a, &b| keys.key(a as usize).cmp(keys.key(b as usize)));
         // Phase 2: tied runs = the residual subgroup the prefix cannot
         // discriminate.
         cs.runs.clear();
-        {
-            let keys = &cs.keys;
-            let ext = &cs.ext_keys;
-            let obsk = &cs.obs_keys;
-            let tied = |a: usize, b: usize| {
-                keys.key(a) == keys.key(b)
-                    && (!use_ext || ext.key(a) == ext.key(b))
-                    && (!use_full || obsk.key(a) == obsk.key(b))
-            };
-            let mut i = 0usize;
-            while i < n {
-                let mut j = i + 1;
-                while j < n && tied(cs.order[j] as usize, cs.order[i] as usize) {
-                    j += 1;
-                }
-                if j - i >= 2 {
-                    cs.runs.push((i as u32, (j - i) as u32));
-                }
-                i = j;
+        let mut i = 0usize;
+        while i < n {
+            let mut j = i + 1;
+            while j < n && keys.key(cs.order[j] as usize) == keys.key(cs.order[i] as usize) {
+                j += 1;
             }
+            if j - i >= 2 {
+                cs.runs.push((i as u32, (j - i) as u32));
+            }
+            i = j;
         }
         cs.residual.reset(&cs.order, &cs.runs);
         residual_total += cs.residual.count();
         w.base_idx = base_idx;
         w.covered = covered;
-        w.use_full = use_full;
-        // How far the incumbent's prefix is provably shared by every
-        // candidate of this block: through the whole observer encoding
-        // when the full extension is live, through the owner section when
-        // only the owner extension is (protocol prefix + entry-count word
-        // + owners).
-        w.covered_cmp = if use_full && w.obs_end != 0 {
-            w.obs_end
-        } else if use_ext {
-            proto_len + 1 + cs.owner.len()
-        } else {
-            covered
-        };
         // Every candidate of this block shares the same covered prefix
-        // (residual arrangements only permute within tied runs). Initially
-        // it is only known to equal the incumbent's for the identity block
-        // when the identity arrangement is itself minimal (a stable sort
-        // then reproduces the identity order).
-        w.prefix_known_eq =
-            w.have_best && ui == 0 && cs.order.iter().enumerate().all(|(i, &e)| e as usize == i);
-        w.obs_eq = w.prefix_known_eq && use_full && w.obs_end != 0;
+        // (residual arrangements only permute within tied runs); it is
+        // known to equal the incumbent's once a candidate of the block
+        // has been walked to the end of it.
+        w.prefix_known_eq = false;
 
         cs.first.clear();
         cs.first.extend_from_slice(
@@ -839,8 +556,8 @@ pub(crate) fn fast_min<P: Symmetry>(
                         cs.residual.join(r);
                         continue;
                     }
-                    // A lost check is a class boundary. The identity and
-                    // the first incumbent are both g₀, never a check.
+                    // A lost check is a class boundary. The first
+                    // incumbent is g₀, never a check.
                     debug_assert!(matches!(walk, Walk::Less | Walk::Greater | Walk::BlockLost));
                     cs.boundaries.push(r as u8);
                     if walk == Walk::Less {
@@ -886,12 +603,7 @@ pub(crate) fn fast_min<P: Symmetry>(
     if scv_telemetry::enabled() {
         use scv_telemetry::{Hist, Metric};
         scv_telemetry::add(Metric::SymCanonicalized, 1);
-        let min_beats_identity = if have_identity {
-            ties.beaten
-        } else {
-            !ties.identity_min
-        };
-        scv_telemetry::add(Metric::SymCanonHits, min_beats_identity as u64);
+        scv_telemetry::add(Metric::SymCanonHits, !ties.identity_min as u64);
         // Orbit-stabilizer: |orbit| = |G| / |{g : E(g·s) = min}| — only
         // enumerated candidates and their class permutations can tie the
         // minimum (every skipped block has a strictly greater covered
@@ -904,17 +616,6 @@ pub(crate) fn fast_min<P: Symmetry>(
             scv_telemetry::record(Hist::SymResidualGroupSize, residual_total);
         }
     }
-}
-
-/// Access the thread-local scratch used by the materializing seal path
-/// (the lazy expansion path carries a [`CanonScratch`] in its per-worker
-/// scratch instead).
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut CanonScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<CanonScratch> =
-            std::cell::RefCell::new(CanonScratch::new());
-    }
-    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 #[cfg(test)]

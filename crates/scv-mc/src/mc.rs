@@ -35,8 +35,9 @@ use scv_types::Pack;
 pub struct Fingerprinter {
     /// Key of the 128-bit state fingerprint ([`Fingerprinter::fp`]).
     wide: (u64, u64),
-    /// Key of the orbit-seal cache key ([`Fingerprinter::seal_key`]).
-    seal: (u64, u64),
+    /// A second seed pair no hash uses. Kept so [`Fingerprinter::seeds`]
+    /// still yields the four seeds checkpoint format v3 stores.
+    spare: (u64, u64),
 }
 
 impl Fingerprinter {
@@ -57,13 +58,13 @@ impl Fingerprinter {
     pub fn from_seeds(seeds: [u64; 4]) -> Self {
         Fingerprinter {
             wide: (seeds[0], seeds[1]),
-            seal: (seeds[2], seeds[3]),
+            spare: (seeds[2], seeds[3]),
         }
     }
 
     /// The four hash seeds, in [`Fingerprinter::from_seeds`] order.
     pub fn seeds(&self) -> [u64; 4] {
-        [self.wide.0, self.wide.1, self.seal.0, self.seal.1]
+        [self.wide.0, self.wide.1, self.spare.0, self.spare.1]
     }
 
     /// The 128-bit fingerprint of any hashable value: one SipHash-1-3
@@ -75,17 +76,6 @@ impl Fingerprinter {
         s.hash(&mut h);
         h.finish_128()
     }
-
-    /// The orbit-seal cache key: the same 128-bit pass as
-    /// [`Fingerprinter::fp`] under the second seed pair. A key collision
-    /// hands a state a wrong orbit-minimum fingerprint, which drops it
-    /// just like a seen-set collision, so the key is as wide as the
-    /// fingerprint.
-    pub(crate) fn seal_key<S: Hash>(&self, s: &S) -> u128 {
-        let mut h = SipHasher13::new_128(self.seal.0, self.seal.1);
-        s.hash(&mut h);
-        h.finish_128()
-    }
 }
 
 /// The hash-compaction soundness bound of a search that admitted `states`
@@ -94,12 +84,9 @@ impl Fingerprinter {
 /// `states² / 2¹²⁹` — the birthday bound on 128-bit fingerprints, the
 /// figure TLC reports on completion.
 ///
-/// Under symmetry reduction the per-worker orbit-seal cache adds a second,
-/// far smaller term: a probe false-hits only if its 128-bit
-/// [`Fingerprinter::seal_key`] equals one of at most 2²⁰ cached keys,
-/// probability ≤ 2²⁰·2⁻¹²⁸ = 2⁻¹⁰⁸, so a whole run adds at most
-/// `transitions · 2⁻¹⁰⁸` — under 10⁻²² below 10¹⁰ transitions.
-/// The figure returned here is the seen-set term alone.
+/// This is the whole hash-compaction bound, under symmetry reduction as
+/// well: every admitted state's fingerprint is computed from its
+/// canonical encoding, and nothing else answers for one.
 pub fn fp_collision_bound(states: usize) -> f64 {
     let n = states as f64;
     n * n / 2f64.powi(129)
@@ -110,7 +97,7 @@ pub fn fp_collision_bound(states: usize) -> f64 {
 /// Engines obtain one per worker via [`TransitionSystem::expand_scratch`]
 /// and thread it through every expansion on that worker; what lives inside
 /// is the system's business (the product system keeps replay copies of the
-/// observer/checker, encoding arenas, and its orbit-seal cache here).
+/// observer/checker and its encoding buffers here).
 /// Systems that don't override the lazy path use [`ExpandScratch::none`].
 pub struct ExpandScratch(Box<dyn std::any::Any + Send>);
 
@@ -926,7 +913,6 @@ mod tests {
         let f2 = Fingerprinter::from_seeds(f1.seeds());
         for v in [0u64, 1, 42, u64::MAX] {
             assert_eq!(f1.fp(&v), f2.fp(&v));
-            assert_eq!(f1.seal_key(&v), f2.seal_key(&v));
         }
         let f3 = Fingerprinter::new();
         assert_ne!(

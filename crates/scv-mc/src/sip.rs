@@ -19,7 +19,7 @@
 //! which yields a full state fingerprint from a single pass.
 //!
 //! [`FpBuild`] is the other half of the story: maps whose keys are
-//! *already* keyed uniform hashes (fingerprints, seal-cache keys) fold the
+//! *already* keyed uniform hashes (fingerprints) fold the
 //! key instead of hashing it a second time.
 
 use std::hash::{BuildHasher, Hasher};
@@ -246,7 +246,7 @@ impl<const C: usize, const D: usize> Hasher for Sip<C, D> {
 }
 
 /// A [`BuildHasher`] for maps keyed by values that are already keyed,
-/// uniform hashes — 128-bit fingerprints and 64-bit seal-cache keys. The
+/// uniform hashes, such as 128-bit fingerprints. The
 /// hasher folds the key (the two halves of a `u128`, or a `u64` as is)
 /// instead of running SipHash over it a second time.
 #[derive(Clone, Copy, Debug, Default)]

@@ -10,7 +10,6 @@ use crate::mc::{
     bfs_controlled, eager_expand, BfsOptions, Checkpoints, ControlledSearch, ExpandScratch,
     Fingerprinter, McStats, SearchCheckpoint, SearchResult, Snapshot, TransitionSystem,
 };
-use crate::sip::FpBuild;
 use crate::ws::ws_search_controlled;
 use scv_checker::{ScChecker, ScError};
 use scv_descriptor::Symbol;
@@ -339,19 +338,6 @@ pub(crate) struct PermEntry {
     pub(crate) locs_inv: Vec<u32>,
 }
 
-/// Entry bound of the per-worker orbit-seal cache, which is cleared
-/// wholesale when it fills. Below the bound the cache never forgets, so
-/// which states get canonicalized does not depend on the fingerprinter
-/// seeds.
-const SEAL_CACHE_CAP: usize = 1 << 20;
-
-/// Sentinel for [`CandSlot::enc_len`]: the candidate's canonical encoding
-/// was *not* written to the scratch arena (its fingerprint came from the
-/// orbit-seal cache). If such a candidate is admitted — rare, since a
-/// cache hit normally means the state is already in the seen-set — the
-/// encoding is recomputed at freeze time.
-const ENC_UNSEALED: usize = usize::MAX;
-
 /// One replay slot of the lazy expansion scratch: the observer/checker
 /// copies (and protocol successor) for a single candidate transition,
 /// plus where its canonical encoding landed in the scratch arena.
@@ -378,10 +364,39 @@ struct CandSlot<PS> {
     packed_len: usize,
 }
 
+/// Work buffers of [`VerifySystem::encode_into`], reused across
+/// canonicalizations: one per worker inside [`SealScratch`], and one per
+/// thread for states sealed outside the admission gate.
+struct EncodeScratch {
+    /// Aux-ID renaming of the identity encoding (no location map —
+    /// `'static` is the no-borrow case).
+    ids: scv_descriptor::IdCanon<'static>,
+    /// Orbit-minimization incumbent and candidate.
+    best: Vec<u64>,
+    cand: Vec<u64>,
+    /// Sort-based canonicalization work buffers.
+    canon: CanonScratch,
+}
+
+impl EncodeScratch {
+    fn new() -> Self {
+        EncodeScratch {
+            ids: scv_descriptor::IdCanon::new(0),
+            best: Vec::with_capacity(160),
+            cand: Vec::with_capacity(160),
+            canon: CanonScratch::new(),
+        }
+    }
+}
+
+thread_local! {
+    static ENCODE_SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::new());
+}
+
 /// Per-worker scratch for admission-gated lazy expansion, carried by the
 /// engines inside an opaque [`ExpandScratch`]. Everything here is reused
-/// across expansions: the replay slots, the symbol and encoding buffers,
-/// and the orbit-seal cache (per worker, hence lock-free).
+/// across expansions: the replay slots and the symbol and encoding
+/// buffers.
 pub(crate) struct SealScratch<PS> {
     slots: Vec<CandSlot<PS>>,
     syms: Vec<Symbol>,
@@ -390,25 +405,12 @@ pub(crate) struct SealScratch<PS> {
     trans: Vec<Transition<PS>>,
     /// Concatenated candidate encodings for the current expansion.
     enc: Vec<u64>,
-    /// Orbit-minimization work buffers.
-    best: Vec<u64>,
-    cand: Vec<u64>,
     /// Candidate fingerprints and the admission verdicts they received.
     fps: Vec<u128>,
     keep: Vec<bool>,
     /// Freeze buffer: admitted encodings, packed before interning.
     frozen: Vec<u8>,
-    /// Reusable aux-ID renaming for the per-candidate identity encodings
-    /// (no location map — `'static` is the no-borrow case).
-    ids: scv_descriptor::IdCanon<'static>,
-    /// Orbit-seal cache: [`Fingerprinter::seal_key`] of the *identity*
-    /// encoding → orbit-minimum state fingerprint. The identity encoding
-    /// starts with the injective protocol encoding, so it determines the
-    /// product state; re-deriving the same state from another parent hits
-    /// here and skips the whole canonicalization.
-    seal_cache: HashMap<u128, u128, FpBuild>,
-    /// Sort-based canonicalization work buffers.
-    canon: CanonScratch,
+    encode: EncodeScratch,
 }
 
 impl<PS> SealScratch<PS> {
@@ -418,14 +420,10 @@ impl<PS> SealScratch<PS> {
             syms: Vec::new(),
             trans: Vec::new(),
             enc: Vec::with_capacity(1024),
-            best: Vec::with_capacity(160),
-            cand: Vec::with_capacity(160),
             fps: Vec::new(),
             keep: Vec::new(),
             frozen: Vec::with_capacity(2048),
-            ids: scv_descriptor::IdCanon::new(0),
-            seal_cache: HashMap::with_hasher(FpBuild),
-            canon: CanonScratch::new(),
+            encode: EncodeScratch::new(),
         }
     }
 }
@@ -509,7 +507,7 @@ impl<P: Symmetry> VerifySystem<P> {
         chk: ScChecker,
         error: Option<Box<RejectReason>>,
     ) -> VerifyState<P::State> {
-        let enc = EncRef::pack(&self.encode(&proto, &obs, &chk));
+        let enc = EncRef::pack(&self.canonical_encoding(&proto, &obs, &chk));
         VerifyState {
             proto,
             obs,
@@ -520,116 +518,59 @@ impl<P: Symmetry> VerifySystem<P> {
         }
     }
 
-    /// The canonical encoding of a product state's components.
+    /// The canonical encoding of a product state's components, computed
+    /// on this thread's scratch.
+    fn canonical_encoding(&self, proto: &P::State, obs: &Observer, chk: &ScChecker) -> Vec<u64> {
+        let mut enc = Vec::with_capacity(160);
+        ENCODE_SCRATCH.with_borrow_mut(|es| self.encode_into(proto, obs, chk, es, &mut enc));
+        enc
+    }
+
+    /// Recompute the canonical encoding of a product state from scratch —
+    /// the differential-testing and benchmarking hook: two systems over
+    /// the same protocol must produce byte-identical results here whether
+    /// they canonicalize via the sort-based fast path
+    /// ([`SymmetryMode::Full`]) or the brute-force reference
+    /// ([`SymmetryMode::FullEnum`]).
+    pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
+        self.canonical_encoding(&s.proto, &s.obs, &s.chk)
+    }
+
+    /// Append the canonical encoding of a product state's components to
+    /// `out`: the one routine behind every seal, materialized or
+    /// admission-gated, so a state's encoding depends on the state alone.
     ///
     /// Without symmetry this is the aux-ID-canonical encoding of observer
-    /// and checker (the protocol state is hashed natively alongside).
-    /// With symmetry it is the lexicographic minimum, over every group
-    /// element `g`, of `encode(g · (proto, obs, chk))` — computed without
-    /// materialising any renamed structure, by threading a
-    /// [`scv_descriptor::SymView`] through the encoding traversals. A
-    /// cheap prefix comparison on the (injective) protocol part prunes
-    /// most candidates before the expensive observer/checker walk.
-    fn encode(&self, proto: &P::State, obs: &Observer, chk: &ScChecker) -> Vec<u64> {
-        let base = obs.location_count();
-        if self.perms.is_empty() {
-            // One IdCanon across both encodings: auxiliary descriptor IDs
-            // are renamed consistently, so product states differing only
-            // by an aux-ID permutation (which are bisimilar) hash
-            // identically.
-            let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
-            let mut ids = scv_descriptor::IdCanon::new(base);
-            let mut enc = Vec::with_capacity(128);
-            obs.canonical_encoding(&mut enc, &mut ids);
-            chk.canonical_encoding(&mut enc, &mut ids);
-            return enc;
-        }
-
-        let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
-        let mut best = Vec::with_capacity(160);
-        let mut cand = Vec::with_capacity(160);
-        let mut ids = scv_descriptor::IdCanon::new(base);
-        canon::with_thread_scratch(|cs| {
-            self.orbit_min_encoding(proto, obs, chk, &mut ids, &mut best, &mut cand, cs)
-        });
-        best
-    }
-
-    /// Recompute the canonical encoding of a product state from scratch,
-    /// bypassing every seal cache — the key differential-testing and
-    /// benchmarking hook: two systems over the same protocol must produce
-    /// byte-identical results here whether they canonicalize via the
-    /// sort-based fast path ([`SymmetryMode::Full`]) or the brute-force
-    /// reference ([`SymmetryMode::FullEnum`]).
-    pub fn canonical_encoding_of(&self, s: &VerifyState<P::State>) -> Vec<u64> {
-        self.encode(&s.proto, &s.obs, &s.chk)
-    }
-
-    /// Write a state's identity candidate into `best`: the protocol
-    /// encoding (injective, required because `proto` no longer
-    /// participates in the hash), then — if `full` — the aux-ID-canonical
-    /// observer and checker encodings. Returns the protocol prefix length
-    /// and where the observer section ends (0 unless `full`), the layout
-    /// [`VerifySystem::canon_min`] expects on entry.
-    fn identity_encoding(
+    /// and checker under one [`scv_descriptor::IdCanon`], so auxiliary
+    /// descriptor IDs are renamed consistently across both (the protocol
+    /// state is hashed natively alongside). With symmetry it is the
+    /// lexicographic minimum, over every group element `g`, of the
+    /// injective protocol encoding followed by the observer and checker
+    /// encodings of `g · (proto, obs, chk)`, computed without
+    /// materialising any renamed structure: by [`canon::fast_min`] when a
+    /// sort-based plan exists, else by walking the whole group from the
+    /// identity encoding ([`SymmetryMode::FullEnum`]).
+    fn encode_into(
         &self,
         proto: &P::State,
         obs: &Observer,
         chk: &ScChecker,
-        ids: &mut scv_descriptor::IdCanon<'_>,
-        best: &mut Vec<u64>,
-        full: bool,
-    ) -> (usize, usize) {
+        es: &mut EncodeScratch,
+        out: &mut Vec<u64>,
+    ) {
+        let base = obs.location_count();
+        if self.perms.is_empty() {
+            let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
+            es.ids.reset_with(base);
+            obs.canonical_encoding(out, &mut es.ids);
+            chk.canonical_encoding(out, &mut es.ids);
+            return;
+        }
+        let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
+        let best = &mut es.best;
         best.clear();
         self.protocol.encode_state(proto, best);
         let proto_len = best.len();
-        if !full {
-            return (proto_len, 0);
-        }
-        ids.reset_with(obs.location_count());
-        obs.canonical_encoding(best, ids);
-        let obs_end = best.len();
-        chk.canonical_encoding(best, ids);
-        (proto_len, obs_end)
-    }
-
-    /// The orbit-minimum encoding of a state, computed from scratch into
-    /// `best`: the identity candidate, then one orbit-minimization.
-    #[allow(clippy::too_many_arguments)]
-    fn orbit_min_encoding(
-        &self,
-        proto: &P::State,
-        obs: &Observer,
-        chk: &ScChecker,
-        ids: &mut scv_descriptor::IdCanon<'_>,
-        best: &mut Vec<u64>,
-        cand: &mut Vec<u64>,
-        cs: &mut CanonScratch,
-    ) {
-        let (proto_len, obs_end) = self.identity_encoding(proto, obs, chk, ids, best, true);
-        let base = obs.location_count();
-        self.canon_min(
-            proto, obs, chk, base, proto_len, best, cand, cs, true, obs_end,
-        );
-    }
-
-    /// Dispatch one orbit-minimization: the sort-based fast path when a
-    /// plan exists, the full-enumeration reference otherwise. Both produce
-    /// the same bytes in `best` and the same telemetry tie counts.
-    #[allow(clippy::too_many_arguments)]
-    fn canon_min(
-        &self,
-        proto: &P::State,
-        obs: &Observer,
-        chk: &ScChecker,
-        base: u32,
-        proto_len: usize,
-        best: &mut Vec<u64>,
-        cand: &mut Vec<u64>,
-        cs: &mut CanonScratch,
-        have_identity: bool,
-        identity_obs_end: usize,
-    ) {
         match &self.fast {
             Some(plan) => canon::fast_min(
                 &self.protocol,
@@ -641,20 +582,21 @@ impl<P: Symmetry> VerifySystem<P> {
                 base,
                 proto_len,
                 best,
-                cand,
-                cs,
-                have_identity,
-                identity_obs_end,
+                &mut es.cand,
+                &mut es.canon,
             ),
             None => {
-                debug_assert!(have_identity, "the enum path needs the identity encoding");
-                self.orbit_min(proto, obs, chk, base, proto_len, best, cand);
+                es.ids.reset_with(base);
+                obs.canonical_encoding(best, &mut es.ids);
+                chk.canonical_encoding(best, &mut es.ids);
+                self.orbit_min(proto, obs, chk, base, proto_len, best, &mut es.cand);
             }
         }
+        out.extend_from_slice(best);
     }
 
-    /// The orbit-minimization inner loop shared by [`VerifySystem::seal`]
-    /// and the lazy expansion path. On entry `best` holds the identity
+    /// The full-enumeration orbit minimization
+    /// ([`SymmetryMode::FullEnum`]). On entry `best` holds the identity
     /// candidate (injective protocol prefix of `proto_len` words, then the
     /// plain canonical encodings); on exit it holds the lexicographic
     /// minimum over the whole group, computed without materialising any
@@ -795,7 +737,6 @@ where
             return;
         };
         let _t = scv_telemetry::timer(scv_telemetry::Phase::Expand);
-        let base = s.obs.location_count();
         let sym = !self.perms.is_empty();
         // Taken out of the scratch so the loop can mutate `sc` while
         // draining it; the allocation is handed back at the end.
@@ -864,88 +805,13 @@ where
             } else {
                 slot.chk.as_ref().expect("slot.chk filled above")
             };
+            let proto_next = slot.proto.as_ref().expect("slot.proto filled above");
             let start = sc.enc.len();
-            let fp = if !sym {
-                let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::DescriptorEncode);
-                sc.ids.reset_with(base);
-                obs.canonical_encoding(&mut sc.enc, &mut sc.ids);
-                chk.canonical_encoding(&mut sc.enc, &mut sc.ids);
-                fper.fp(&FpParts {
-                    proto: slot.proto.as_ref(),
-                    enc: &sc.enc[start..],
-                })
-            } else {
-                let _t = scv_telemetry::timer_sampled(scv_telemetry::Phase::Canonicalize);
-                let proto_next = slot.proto.as_ref().expect("slot.proto filled above");
-                // Keying the cache costs a hash pass over the identity
-                // encoding, while a hit saves the whole canonicalization —
-                // worthwhile only when the group is big enough to amortize
-                // the key.
-                let use_cache = self.perms.len() >= 4;
-                // The fast path seeds its incumbent from the first
-                // enumerated candidate, so when no cache key is needed the
-                // identity's observer/checker walk is skipped entirely.
-                let have_identity = use_cache || self.fast.is_none();
-                let (proto_len, obs_end) = self.identity_encoding(
-                    proto_next,
-                    obs,
-                    chk,
-                    &mut sc.ids,
-                    &mut sc.best,
-                    have_identity,
-                );
-                let mut key = None;
-                if use_cache {
-                    let k = fper.seal_key(&FpParts::<P::State> {
-                        proto: None,
-                        enc: &sc.best,
-                    });
-                    if let Some(&cached_fp) = sc.seal_cache.get(&k) {
-                        scv_telemetry::add(scv_telemetry::Metric::SealCacheHits, 1);
-                        if scv_telemetry::recorder_enabled() {
-                            scv_telemetry::recorder::instant(
-                                scv_telemetry::recorder::InstantKind::SealCacheHit,
-                                0,
-                            );
-                        }
-                        slot.enc_len = ENC_UNSEALED;
-                        sc.fps.push(cached_fp);
-                        continue;
-                    }
-                    scv_telemetry::add(scv_telemetry::Metric::SealCacheMisses, 1);
-                    if scv_telemetry::recorder_enabled() {
-                        scv_telemetry::recorder::instant(
-                            scv_telemetry::recorder::InstantKind::SealCacheMiss,
-                            0,
-                        );
-                    }
-                    key = Some(k);
-                }
-                self.canon_min(
-                    proto_next,
-                    obs,
-                    chk,
-                    base,
-                    proto_len,
-                    &mut sc.best,
-                    &mut sc.cand,
-                    &mut sc.canon,
-                    have_identity,
-                    obs_end,
-                );
-                let fp = fper.fp(&FpParts::<P::State> {
-                    proto: None,
-                    enc: &sc.best,
-                });
-                if let Some(k) = key {
-                    if sc.seal_cache.len() >= SEAL_CACHE_CAP {
-                        sc.seal_cache.clear();
-                    }
-                    sc.seal_cache.insert(k, fp);
-                }
-                sc.enc.extend_from_slice(&sc.best);
-                fp
-            };
+            self.encode_into(proto_next, obs, chk, &mut sc.encode, &mut sc.enc);
+            let fp = fper.fp(&FpParts {
+                proto: (!sym).then_some(proto_next),
+                enc: &sc.enc[start..],
+            });
             slot.enc_start = start;
             slot.enc_len = sc.enc.len() - start;
             sc.fps.push(fp);
@@ -974,38 +840,10 @@ where
             }
             let before = sc.frozen.len();
             let slot = &sc.slots[i];
-            if slot.enc_len == ENC_UNSEALED {
-                // Admitted on a cache hit: the fingerprint was cached but
-                // the canonical encoding was never written — recompute it.
-                let chk = if slot.chk_is_parent {
-                    &s.chk
-                } else {
-                    slot.chk.as_ref().expect("slot.chk filled above")
-                };
-                self.orbit_min_encoding(
-                    slot.proto.as_ref().expect("slot.proto filled above"),
-                    slot.obs.as_ref().expect("slot.obs filled above"),
-                    chk,
-                    &mut sc.ids,
-                    &mut sc.best,
-                    &mut sc.cand,
-                    &mut sc.canon,
-                );
-                debug_assert_eq!(
-                    fper.fp(&FpParts::<P::State> {
-                        proto: None,
-                        enc: &sc.best,
-                    }),
-                    sc.fps[i],
-                    "recomputed orbit minimum disagrees with the cached fingerprint"
-                );
-                pack_into(&sc.best, &mut sc.frozen);
-            } else {
-                pack_into(
-                    &sc.enc[slot.enc_start..slot.enc_start + slot.enc_len],
-                    &mut sc.frozen,
-                );
-            }
+            pack_into(
+                &sc.enc[slot.enc_start..slot.enc_start + slot.enc_len],
+                &mut sc.frozen,
+            );
             sc.slots[i].packed_len = sc.frozen.len() - before;
         }
         let chunk: Arc<[u8]> = sc.frozen.as_slice().into();

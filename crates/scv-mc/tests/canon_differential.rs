@@ -1,16 +1,16 @@
 //! Differential battery for the sort-based symmetry canonicalizer.
 //!
-//! [`SymmetryMode::Full`] computes orbit minima via sort-based refinement,
-//! residual-subgroup enumeration, and observer-section key extensions;
-//! [`SymmetryMode::FullEnum`] is the brute-force reference that walks the
-//! entire capped group. The two must be *byte-identical* on every state —
-//! fingerprints, canonical state counts, and checkpoints all hash through
-//! the encoding, so a single diverging word silently corrupts the
-//! quotient. These tests drive both canonicalizers over reachable states
-//! of every zoo protocol (deterministic BFS prefixes and proptest-driven
-//! random walks) and demand exact equality via
-//! [`VerifySystem::canonical_encoding_of`], which bypasses every seal
-//! cache. Tie counts are checked too: the fast path prunes interchangeable
+//! [`SymmetryMode::Full`] computes orbit minima via sort-based refinement
+//! on protocol keys, residual-subgroup enumeration with class pruning,
+//! and early-abort comparison; [`SymmetryMode::FullEnum`] is the
+//! brute-force reference that walks the entire capped group. The two
+//! must be *byte-identical* on every state — fingerprints, canonical
+//! state counts, and checkpoints all hash through the encoding, so a
+//! single diverging word silently corrupts the quotient. These tests
+//! drive both canonicalizers over reachable states of every zoo protocol
+//! (deterministic BFS prefixes and proptest-driven random walks) and
+//! demand exact equality via [`VerifySystem::canonical_encoding_of`].
+//! Tie counts are checked too: the fast path prunes interchangeable
 //! elements out of the residual enumeration and multiplies its tie count
 //! instead, so the orbit sizes and canon hits both record must match.
 //!
@@ -137,8 +137,8 @@ where
     assert_eq!(hits_fast, hits_ref, "{label}: canon hits differ");
 }
 
-/// The same parity over a capped sequential search, which also seals
-/// states without the identity encoding and reaches deeper states, where
+/// The same parity over a capped sequential search, which canonicalizes
+/// every candidate transition and reaches deeper states, where
 /// label orders other than the first tie with more than one class
 /// permutation each. Returns the fast path's residual-size histogram (the
 /// size before class pruning).
@@ -183,6 +183,8 @@ fn tie_counts_match_full_enum() {
     // block and one value it is the only (outer) block, so a recorded
     // residual of at least 3! = 6 means a tied run of three or more
     // elements — where class pruning multiplies the tie count.
+    // Refinement reads protocol keys only, so every protocol's key layout
+    // needs a search here.
     let p = Params::new(4, 1, 1);
     assert_tie_parity(|| MsiProtocol::new(p), 200, "msi (4,1,1)");
     assert_tie_parity(|| SerialMemory::new(p), 200, "serial (4,1,1)");
@@ -194,6 +196,14 @@ fn tie_counts_match_full_enum() {
         (
             "serial",
             assert_search_tie_parity(|| SerialMemory::new(p), 3_000, "serial (4,1,1)"),
+        ),
+        (
+            "mesi",
+            assert_search_tie_parity(|| MesiProtocol::new(p), 3_000, "mesi (4,1,1)"),
+        ),
+        (
+            "directory",
+            assert_search_tie_parity(|| DirectoryProtocol::new(p), 3_000, "directory (4,1,1)"),
         ),
     ] {
         assert!(

@@ -20,10 +20,8 @@
 //!
 //! Records are unpacked one after another into the same state, as the
 //! engines do, so a field a record fails to overwrite shows up as a
-//! difference on some later record. States admitted on an orbit-seal
-//! cache hit, whose encoding is recomputed when the chunk is frozen, are
-//! covered too (full symmetry at p = 2, v = 2 has a group of order 4, the
-//! smallest that keys the cache).
+//! difference on some later record. Full symmetry at p = 2, v = 2 (a
+//! group of order 4) is covered too.
 //!
 //! Each zoo protocol runs under every symmetry mode, on sequential BFS
 //! and on the two-worker work-stealing engine, until a state budget

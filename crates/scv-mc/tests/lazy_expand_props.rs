@@ -2,15 +2,11 @@
 //!
 //! The gate fingerprints a candidate through `FpParts` (protocol
 //! component iff unsealed, then the canonical encoding) *before* the
-//! product state exists, and under full symmetry it may take the
-//! fingerprint from the per-worker orbit-seal cache instead of
-//! re-enumerating the group. Both shortcuts must be invisible: the
+//! product state exists. That shortcut must be invisible: the
 //! fingerprint the admission probe saw has to equal the fingerprint of
-//! the state the engine then materializes and stores, and a cached
-//! orbit-minimum fingerprint has to equal the one a fresh group
-//! enumeration would produce.
+//! the state the engine then materializes and stores.
 //!
-//! Neither object is directly observable from outside the crate, but a
+//! Neither fingerprint is directly observable from outside the crate, but a
 //! single wrong fingerprint is: it either drops a reachable state
 //! (probe says "seen" for a state that isn't) or double-counts one
 //! (probe admits a duplicate), so the lazy path and the trait-default
@@ -134,12 +130,12 @@ proptest! {
         assert_parity(proto, p, b, v, sym, cap)?;
     }
 
-    /// Full-symmetry configurations with a non-trivial group (p = 2 and
-    /// v = 2 gives order >= 4), where the orbit-seal cache engages: a
-    /// cached fingerprint that disagreed with a fresh group enumeration
+    /// Full-symmetry configurations with a group of order >= 4 (p = 2
+    /// and v = 2), where canonicalization walks residual candidates: a
+    /// lazy fingerprint that disagreed with the materialized state's
     /// would drop or duplicate an orbit and break the count equality.
     #[test]
-    fn seal_cache_never_changes_a_fingerprint(
+    fn group_order_four_never_changes_a_fingerprint(
         proto in 0u8..5,
         b in 1u8..=2,
         cap in 300usize..1500,

@@ -901,80 +901,6 @@ impl Observer {
         self.encode_canonical(out, ids, None);
     }
 
-    /// The location-owner words of the canonical encoding, in identity
-    /// location order: for each location, the entry rank of its owning
-    /// node (`u64::MAX` when unowned) — exactly the words the encoding's
-    /// `loc_owner` section emits. These ranks are independent of any
-    /// symmetry renaming (entry order is key-creation order), which makes
-    /// them usable as per-element sort-key material during symmetry
-    /// canonicalization. Returns `false` without filling `out` when an
-    /// owner key is dead (its token number would then depend on traversal
-    /// order, so the words are not arrangement-invariant) — callers must
-    /// fall back to protocol-only keys. Owners are pinned by their
-    /// `loc_count` and thus never gc'd, so this is a defensive guard.
-    pub fn owner_words(&self, out: &mut Vec<u64>) -> bool {
-        out.clear();
-        let entries = self.nodes.entries();
-        for k in self.loc_owner() {
-            match k {
-                None => out.push(u64::MAX),
-                Some(k) => match entries.binary_search_by_key(k, |&(ek, _)| ek) {
-                    Ok(r) => out.push(r as u64),
-                    Err(_) => return false,
-                },
-            }
-        }
-        true
-    }
-
-    /// Per-processor sort-key material covering the *rest* of the
-    /// observer encoding beyond the `loc_owner` section — one key per
-    /// processor (old index order): its `last_op` entry rank followed by
-    /// its `bot_anchor` row, block-reordered through `block_inv` to match
-    /// the renamed emission order of the coset being canonicalized.
-    ///
-    /// Sound only when every remaining word of the encoding is either in
-    /// one of these rows or identical across all processor arrangements.
-    /// Returns `false` (keys must be discarded) when that fails: some node
-    /// has heirs — their words interleave renamed processor labels — or a
-    /// referenced key is dead, making its token number depend on traversal
-    /// order. The node sections, `sto_tail`/`first_st`, and `pending` are
-    /// emitted in entry/block order and never mention processors, so with
-    /// the gates above they are arrangement-invariant.
-    pub fn proc_key_ext(
-        &self,
-        block_inv: &dyn Fn(usize) -> usize,
-        keys: &mut scv_types::SortKeyBuf,
-    ) -> bool {
-        let entries = self.nodes.entries();
-        if entries.iter().any(|(_, n)| !n.heirs.is_empty()) {
-            return false;
-        }
-        let rank = |k: Option<Key>| -> Option<u64> {
-            match k {
-                None => Some(u64::MAX),
-                Some(k) => entries
-                    .binary_search_by_key(&k, |&(ek, _)| ek)
-                    .ok()
-                    .map(|r| r as u64),
-            }
-        };
-        for e in 0..self.sh.p() {
-            keys.begin_key();
-            match rank(self.refs[self.sh.last_op(e)]) {
-                Some(w) => keys.push(w),
-                None => return false,
-            }
-            for bi in 0..self.sh.b() {
-                match rank(self.refs[self.sh.bot_anchor(e, block_inv(bi))]) {
-                    Some(w) => keys.push(w),
-                    None => return false,
-                }
-            }
-        }
-        true
-    }
-
     /// Stream [`Observer::canonical_encoding`] (optionally renamed
     /// through `view`) into an arbitrary [`scv_descriptor::EncSink`] —
     /// e.g. an incremental lexicographic comparator that aborts the walk

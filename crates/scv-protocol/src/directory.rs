@@ -158,7 +158,10 @@ impl Protocol for DirectoryProtocol {
 
     fn initial(&self) -> Self::State {
         DirState {
-            lines: vec![(DirLine::I, Value::BOTTOM); (self.params.p * self.params.b) as usize],
+            lines: vec![
+                (DirLine::I, Value::BOTTOM);
+                self.params.p as usize * self.params.b as usize
+            ],
             mem: vec![Value::BOTTOM; self.params.b as usize],
             dir: vec![DirEntry::Uncached; self.params.b as usize],
             resp: vec![Value::BOTTOM; self.params.p as usize],

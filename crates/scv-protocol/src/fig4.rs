@@ -75,7 +75,7 @@ impl Protocol for Fig4Protocol {
     }
 
     fn initial(&self) -> Self::State {
-        vec![None; (self.params.p * self.slots) as usize]
+        vec![None; self.params.p as usize * self.slots as usize]
     }
 
     fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>> {

@@ -154,7 +154,7 @@ impl Protocol for LazyCaching {
 
     fn initial(&self) -> Self::State {
         LazyState {
-            cache: vec![None; (self.params.p * self.params.b) as usize],
+            cache: vec![None; self.params.p as usize * self.params.b as usize],
             mem: vec![Value::BOTTOM; self.params.b as usize],
             out: vec![None; self.params.p as usize * self.qo as usize],
             inq: vec![None; self.params.p as usize * self.qi as usize],
@@ -315,6 +315,19 @@ mod tests {
 
     fn proto() -> LazyCaching {
         LazyCaching::new(Params::new(2, 2, 2), 2, 2)
+    }
+
+    /// 20 × 20 = 400 cache slots, a count past `u8`: the table is sized
+    /// in `usize`.
+    #[test]
+    fn cache_table_is_sized_past_u8_range() {
+        let proto = LazyCaching::new(Params::new(20, 20, 1), 1, 1);
+        let init = proto.initial();
+        assert_eq!(init.cache.len(), 400);
+        assert!(!proto.transitions(&init).is_empty());
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut r = Runner::new(proto);
+        r.run_random(60, 0.5, &mut rng);
     }
 
     #[test]

@@ -128,7 +128,10 @@ impl Protocol for MesiProtocol {
 
     fn initial(&self) -> Self::State {
         MesiState {
-            lines: vec![(MesiLine::I, Value::BOTTOM); (self.params.p * self.params.b) as usize],
+            lines: vec![
+                (MesiLine::I, Value::BOTTOM);
+                self.params.p as usize * self.params.b as usize
+            ],
             mem: vec![Value::BOTTOM; self.params.b as usize],
         }
     }
@@ -324,6 +327,19 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use scv_graph::has_serial_reordering;
+
+    /// 20 × 20 = 400 cache lines, a count past `u8`: the table is sized
+    /// in `usize`.
+    #[test]
+    fn line_table_is_sized_past_u8_range() {
+        let proto = MesiProtocol::new(Params::new(20, 20, 1));
+        let init = proto.initial();
+        assert_eq!(init.lines.len(), 400);
+        assert!(!proto.transitions(&init).is_empty());
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut r = Runner::new(proto);
+        r.run_random(60, 0.5, &mut rng);
+    }
 
     #[test]
     fn random_runs_of_correct_mesi_are_sc() {

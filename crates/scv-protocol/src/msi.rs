@@ -148,7 +148,7 @@ impl Protocol for MsiProtocol {
 
     fn initial(&self) -> Self::State {
         MsiState {
-            lines: vec![(Line::I, Value::BOTTOM); (self.params.p * self.params.b) as usize],
+            lines: vec![(Line::I, Value::BOTTOM); self.params.p as usize * self.params.b as usize],
             mem: vec![Value::BOTTOM; self.params.b as usize],
         }
     }
@@ -284,6 +284,19 @@ mod tests {
 
     fn params() -> Params {
         Params::new(2, 2, 2)
+    }
+
+    /// 20 × 20 = 400 cache lines, a count past `u8`: the table is sized
+    /// in `usize`.
+    #[test]
+    fn line_table_is_sized_past_u8_range() {
+        let proto = MsiProtocol::new(Params::new(20, 20, 1));
+        let init = proto.initial();
+        assert_eq!(init.lines.len(), 400);
+        assert!(!proto.transitions(&init).is_empty());
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut r = Runner::new(proto);
+        r.run_random(60, 0.5, &mut rng);
     }
 
     #[test]

@@ -42,12 +42,13 @@ pub enum Metric {
     /// materialization — each one is a state clone (observer + checker +
     /// encoding buffer) the lazy expansion path never paid for.
     McClonesAvoided,
-    /// Orbit-seal cache hits: canonicalizations answered from the
-    /// per-worker fingerprint-keyed cache, skipping the symmetry-group
-    /// enumeration entirely.
+    /// Always reads 0: no cache answers a canonicalization, every one is
+    /// computed. Kept only because the time-to-verdict benchmark still
+    /// reads it; it will be deleted, together with that benchmark's
+    /// `symmetry.seal_hit_rate`, in the next benchmark change.
     SealCacheHits,
-    /// Orbit-seal cache misses: canonicalizations that had to enumerate
-    /// the symmetry group and then populated the cache.
+    /// Always reads 0, like [`Metric::SealCacheHits`], and kept for the
+    /// same reader until the same change.
     SealCacheMisses,
     /// Bytes frozen into per-worker encoding arenas (admitted states'
     /// interned canonical encodings).
@@ -56,10 +57,10 @@ pub enum Metric {
     /// path: the per-element signature sort was discriminating enough
     /// that exactly one orbit candidate survived per outer coset.
     SymRefineExact,
-    /// Always reads 0: the seal cache has a single level, so every hit is
-    /// a [`Metric::SealCacheHits`]. Kept only because the time-to-verdict
-    /// benchmark still reads it; it will be deleted, together with that
-    /// benchmark's `symmetry.seal_l2_share`, in the next benchmark change.
+    /// Always reads 0, like [`Metric::SealCacheHits`]. Kept only because
+    /// the time-to-verdict benchmark still reads it; it will be deleted,
+    /// together with that benchmark's `symmetry.seal_l2_share`, in the
+    /// next benchmark change.
     SealCacheL2Hits,
 }
 

@@ -6,7 +6,7 @@
 //! * one **thread track per worker** — a `thread_name` metadata record
 //!   per label, then `"B"`/`"E"` duration events for phase spans and
 //!   `"i"` instant events for steals / idle parks / admission batches /
-//!   seal-cache probes;
+//!   checker rejections / checkpoints;
 //! * **counter tracks** (`"C"` events) for frontier depth, seen-set
 //!   load, states-per-sec and the other [`CounterTrack`]s, rendered by
 //!   Perfetto as line charts above the thread tracks.

@@ -4,9 +4,9 @@
 //! While a verify runs, the ticker prints one stderr status line per
 //! period — cumulative states, states/sec over the last window, current
 //! frontier depth, admission rate (states admitted / transitions
-//! probed), symmetry seal-cache hit rate, and an ETA heuristic when a
-//! `--max-states` target is known (`remaining / rate`, a ceiling: runs
-//! that exhaust their true state space finish earlier). On a TTY the
+//! probed), and an ETA heuristic when a `--max-states` target is known
+//! (`remaining / rate`, a ceiling: runs that exhaust their true state
+//! space finish earlier). On a TTY the
 //! line redraws in place; otherwise each sample is its own line so CI
 //! logs stay readable.
 //!
@@ -102,7 +102,6 @@ fn status_line(
     rate: f64,
     frontier: u64,
     admission_rate: Option<f64>,
-    seal_hit_rate: Option<f64>,
     target: Option<u64>,
 ) -> String {
     let mut line = format!(
@@ -113,9 +112,6 @@ fn status_line(
     );
     if let Some(a) = admission_rate {
         line.push_str(&format!(" admit {:.0}%", a * 100.0));
-    }
-    if let Some(h) = seal_hit_rate {
-        line.push_str(&format!(" seal-hit {:.0}%", h * 100.0));
     }
     if let Some(t) = target {
         let remaining = t.saturating_sub(admitted);
@@ -174,31 +170,15 @@ pub fn start_progress(opts: ProgressOptions) -> ProgressHandle {
                 };
                 last_admitted = admitted;
                 last_transitions = transitions;
-                let hits = reg.get(Metric::SealCacheHits);
-                let misses = reg.get(Metric::SealCacheMisses);
-                let seal_hit_rate = if hits + misses > 0 {
-                    Some(hits as f64 / (hits + misses) as f64)
-                } else {
-                    None
-                };
                 let frontier = recorder::live(LiveGauge::FrontierDepth);
                 if recorder::recorder_enabled() {
                     recorder::counter(CounterTrack::StatesPerSec, rate);
                     if let Some(a) = admission_rate {
                         recorder::counter(CounterTrack::AdmissionRate, a);
                     }
-                    if let Some(h) = seal_hit_rate {
-                        recorder::counter(CounterTrack::SealHitRate, h);
-                    }
                 }
-                let line = status_line(
-                    admitted,
-                    rate,
-                    frontier,
-                    admission_rate,
-                    seal_hit_rate,
-                    opts.target_states,
-                );
+                let line =
+                    status_line(admitted, rate, frontier, admission_rate, opts.target_states);
                 let mut err = std::io::stderr().lock();
                 if tty {
                     let _ = write!(err, "\r\x1b[2K{line}");
@@ -222,18 +202,18 @@ mod tests {
 
     #[test]
     fn status_line_formats_all_fields() {
-        let line = status_line(123_456, 9_876.0, 42, Some(0.25), Some(0.381), Some(200_000));
+        let line = status_line(123_456, 9_876.0, 42, Some(0.25), Some(200_000));
         assert_eq!(
             line,
-            "[scv] states 123.5k (9876/s) frontier 42 admit 25% seal-hit 38% eta≤8s"
+            "[scv] states 123.5k (9876/s) frontier 42 admit 25% eta≤8s"
         );
     }
 
     #[test]
     fn status_line_omits_unknown_rates_and_caps_eta() {
-        let line = status_line(10, 0.0, 0, None, None, Some(1_000_000));
+        let line = status_line(10, 0.0, 0, None, Some(1_000_000));
         assert_eq!(line, "[scv] states 10 (0/s) frontier 0 eta≤--");
-        let bare = status_line(5, 2.0, 1, None, None, None);
+        let bare = status_line(5, 2.0, 1, None, None);
         assert_eq!(bare, "[scv] states 5 (2/s) frontier 1");
     }
 

@@ -5,11 +5,12 @@
 //! *when* and *on which worker*: each thread that records owns a private
 //! bounded ring of [`TraceEvent`]s (span begin/end piggybacked on the
 //! existing [`Phase`] guards, plus instants for steals, idle parking,
-//! admission batches and seal-cache probes, plus counter samples for
-//! frontier depth / seen-set load / states-per-sec). Rings drop their
-//! **oldest** entries under overflow — the interesting part of a stall or
-//! a steal storm is its tail — and every event carries a per-worker
-//! monotone sequence number so dropped prefixes are detectable.
+//! admission batches, checker rejections and checkpoints, plus counter
+//! samples for frontier depth / seen-set load / states-per-sec). Rings
+//! drop their **oldest** entries under overflow — the interesting part of
+//! a stall or a steal storm is its tail — and every event carries a
+//! per-worker monotone sequence number so dropped prefixes are
+//! detectable.
 //!
 //! ## Cost model
 //!
@@ -58,10 +59,6 @@ pub enum InstantKind {
     /// Flushed an admission batch into the seen set (`arg` = states
     /// admitted out of the batch).
     AdmissionBatch,
-    /// Symmetry seal-cache hit (identity fingerprint already sealed).
-    SealCacheHit,
-    /// Symmetry seal-cache miss (full orbit minimization paid).
-    SealCacheMiss,
     /// The SC checker rejected (`arg` = symbol position).
     CheckerReject,
     /// Wrote an on-disk search checkpoint (`arg` = snapshot bytes).
@@ -69,12 +66,10 @@ pub enum InstantKind {
 }
 
 /// All instant kinds, in declaration order.
-pub const ALL_INSTANT_KINDS: [InstantKind; 7] = [
+pub const ALL_INSTANT_KINDS: [InstantKind; 5] = [
     InstantKind::Steal,
     InstantKind::Idle,
     InstantKind::AdmissionBatch,
-    InstantKind::SealCacheHit,
-    InstantKind::SealCacheMiss,
     InstantKind::CheckerReject,
     InstantKind::Checkpoint,
 ];
@@ -86,8 +81,6 @@ impl InstantKind {
             InstantKind::Steal => "mc.steal",
             InstantKind::Idle => "mc.idle",
             InstantKind::AdmissionBatch => "mc.admission_batch",
-            InstantKind::SealCacheHit => "symmetry.seal_cache_hit",
-            InstantKind::SealCacheMiss => "symmetry.seal_cache_miss",
             InstantKind::CheckerReject => "checker.reject",
             InstantKind::Checkpoint => "mc.checkpoint",
         }
@@ -106,17 +99,14 @@ pub enum CounterTrack {
     StatesPerSec,
     /// Fraction of probed successors admitted (per sample window).
     AdmissionRate,
-    /// Cumulative symmetry seal-cache hit rate.
-    SealHitRate,
 }
 
 /// All counter tracks, in declaration order.
-pub const ALL_COUNTER_TRACKS: [CounterTrack; 5] = [
+pub const ALL_COUNTER_TRACKS: [CounterTrack; 4] = [
     CounterTrack::FrontierDepth,
     CounterTrack::SeenStates,
     CounterTrack::StatesPerSec,
     CounterTrack::AdmissionRate,
-    CounterTrack::SealHitRate,
 ];
 
 impl CounterTrack {
@@ -127,7 +117,6 @@ impl CounterTrack {
             CounterTrack::SeenStates => "seen.states",
             CounterTrack::StatesPerSec => "mc.states_per_sec",
             CounterTrack::AdmissionRate => "mc.admission_rate",
-            CounterTrack::SealHitRate => "symmetry.seal_hit_rate",
         }
     }
 }

@@ -25,5 +25,5 @@ pub mod trace;
 pub use ids::{BlockId, Params, ProcId, Value};
 pub use op::{Op, OpKind};
 pub use pack::Pack;
-pub use perm::{Reordering, ResidualEnum, SortKeyBuf, SymDim, SymDims, SymPerm};
+pub use perm::{factorial, Reordering, ResidualEnum, SortKeyBuf, SymDim, SymDims, SymPerm};
 pub use trace::Trace;

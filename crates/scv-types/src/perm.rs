@@ -272,8 +272,10 @@ fn all_perms(n: u8) -> Vec<Vec<u8>> {
     out
 }
 
-fn factorial(n: u8) -> usize {
-    (1..=n as usize).product::<usize>().max(1)
+/// `n!`, saturating at `usize::MAX` (21! and up on 64-bit targets), so a
+/// group order compared against a cap never wraps below it.
+pub fn factorial(n: u8) -> usize {
+    (2..=n as usize).fold(1, usize::saturating_mul)
 }
 
 impl SymPerm {
@@ -433,10 +435,12 @@ impl SymPerm {
     }
 
     /// The order of the group `group(params, dims, cap)` would enumerate
-    /// *before* applying the cap.
+    /// *before* applying the cap, saturating at `usize::MAX`.
     pub fn group_order(params: Params, dims: SymDims) -> usize {
         let f = |on: bool, n: u8| if on { factorial(n) } else { 1 };
-        f(dims.procs, params.p) * f(dims.blocks, params.b) * f(dims.values, params.v)
+        f(dims.procs, params.p)
+            .saturating_mul(f(dims.blocks, params.b))
+            .saturating_mul(f(dims.values, params.v))
     }
 
     /// Shrink `dims` until the product group fits under `cap` elements.
@@ -904,6 +908,22 @@ mod tests {
                 assert!(g.contains(&a.compose(b)));
             }
         }
+    }
+
+    #[test]
+    fn group_order_saturates_instead_of_overflowing() {
+        // 31!·255! overflows usize many times over: the order saturates,
+        // and the cap then drops every dimension whose group alone
+        // exceeds it.
+        let params = Params::new(8, 31, 255);
+        assert_eq!(SymPerm::group_order(params, SymDims::FULL), usize::MAX);
+        assert_eq!(factorial(5), 120);
+        assert_eq!(factorial(255), usize::MAX);
+        assert_eq!((factorial(0), factorial(1)), (1, 1));
+        assert_eq!(
+            SymPerm::capped_dims(params, SymDims::FULL, 1024),
+            SymDims::NONE
+        );
     }
 
     #[test]

@@ -141,7 +141,7 @@ const FLAGS: &[Flag] = &[
     ("--resume", "PATH", SEARCH, Text(|a, s| { a.search.resume_from = Some(s.into()); true }),
          "continue from a checkpoint"),
     ("--progress", "", SEARCH, Switch(|a| a.progress = true),
-         "live stderr ticker: states/sec, frontier, admission and seal-cache rates, ETA"),
+         "live stderr ticker: states/sec, frontier, admission rate, ETA"),
     ("--out", "PATH", &[Cmd::Trace], Text(|a, s| { a.out = s.into(); true }),
          "trace file (default trace.json)"),
     ("--dot", "PATH", &[Cmd::Explain], Text(|a, s| { a.dot = Some(s.into()); true }),

@@ -306,6 +306,20 @@ mod tests {
         assert!(checked >= 1, "a verified run records its collision bound");
     }
 
+    #[test]
+    fn a_group_order_past_usize_is_capped_not_wrapped() {
+        // 255! overflows usize: the order saturates, so the cap drops the
+        // values dimension rather than enumerate a wrapped "small" group.
+        let sys = scv_mc::VerifySystem::with_symmetry(
+            scv_protocol::SerialMemory::new(Params::new(1, 1, 255)),
+            SymmetryMode::Full,
+        );
+        assert!(sys.symmetry_group_order() <= 1024);
+        let note = symmetry_note(sys.protocol(), SymmetryMode::Full);
+        let dropped = note.split("group cap dropped ").nth(1).unwrap_or("");
+        assert!(dropped.contains("values"), "{note}");
+    }
+
     fn param<'a>(r: &'a scv_telemetry::RunReport, key: &str) -> Option<&'a str> {
         r.params
             .iter()

@@ -171,10 +171,10 @@ fn bounded_sequential_count_parity() {
 }
 
 /// MSI at `Params(6,2,2)` under full symmetry with a 20k-state cap, where
-/// the orbit-seal cache and the sort-based canonicalizer run at full group
-/// size: the bounded sequential search must cut at the same point on both
-/// paths. Release-mode only, so it
-/// gates on `SCV_STRESS=1` like the other large searches.
+/// the sort-based canonicalizer runs at full group size: the bounded
+/// sequential search must cut at the same point on both paths.
+/// Release-mode only, so it gates on `SCV_STRESS=1` like the other large
+/// searches.
 #[test]
 fn stress_pinned_perf_cell_count_parity() {
     if std::env::var_os("SCV_STRESS").is_none_or(|v| v != "1") {

@@ -297,12 +297,12 @@ fn checkpoint_is_engine_neutral() {
     }
 }
 
-/// A bounded run with the orbit-seal cache engaged (msi (2,1,2) under
-/// full symmetry has group order 4) resumes to the clean run's totals,
-/// on the system that wrote the checkpoint and on a fresh one — each
-/// slice starts with an empty cache.
+/// A bounded run under a group of order 4 (msi (2,1,2) under full
+/// symmetry) resumes to the clean run's totals, on the system that wrote
+/// the checkpoint and on a fresh one: a canonical encoding that depended
+/// on anything but the state would move the transition total.
 #[test]
-fn resume_with_the_seal_cache_engaged_matches_clean_run() {
+fn resume_under_a_group_of_order_four_matches_clean_run() {
     let system =
         || VerifySystem::with_symmetry(MsiProtocol::new(Params::new(2, 1, 2)), SymmetryMode::Full);
     let opts = || VerifyOptions::new().max_states(30_000);
@@ -313,7 +313,7 @@ fn resume_with_the_seal_cache_engaged_matches_clean_run() {
         clean.stats()
     );
 
-    let path = ckpt_path("seal-cache", 0);
+    let path = ckpt_path("group-order-4", 0);
     let _ = std::fs::remove_file(&path);
     let sys = system();
     assert_eq!(sys.symmetry_group_order(), 4);
@@ -327,7 +327,7 @@ fn resume_with_the_seal_cache_engaged_matches_clean_run() {
     assert!(killed.is_inconclusive(), "2 000-state budget must trip");
 
     // Both runs stop at the cap, so `states` agrees trivially; a wrong
-    // cached orbit fingerprint would move the transition total.
+    // orbit fingerprint would move the transition total.
     for resumed_on in [&sys, &system()] {
         let resumed = resumed_on.try_search(&opts().resume_from(&path)).unwrap();
         assert!(
