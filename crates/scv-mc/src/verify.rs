@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a product state was rejected — the typed replacement for the old
@@ -137,90 +136,6 @@ impl SymmetryMode {
 /// orbit-minimum representative.
 const GROUP_CAP: usize = 1024;
 
-/// A packed canonical encoding ([`pack_into`]): a view into a shared
-/// chunk.
-///
-/// Admission-gated expansion freezes *one* `Arc<[u8]>` per parent
-/// expansion, covering the packed encodings of every admitted successor,
-/// instead of allocating per successor. Equality compares the packed
-/// bytes, which is the same relation as comparing the words; hashing
-/// streams the *words*, exactly as `<[u64]>::hash` does (length prefix,
-/// then the words' bytes), so a state hashes as it did when it carried
-/// its encoding unpacked, and as the [`FpParts`] the admission gate
-/// fingerprints before it materializes anything.
-#[derive(Clone, Debug)]
-struct EncRef {
-    chunk: Arc<[u8]>,
-    start: u32,
-    len: u32,
-}
-
-impl EncRef {
-    /// Pack a standalone encoding into its own chunk (initial state and
-    /// successors materialized outside the admission gate).
-    fn pack(words: &[u64]) -> Self {
-        let mut bytes = Vec::new();
-        pack_into(words, &mut bytes);
-        EncRef {
-            len: bytes.len() as u32,
-            chunk: bytes.into(),
-            start: 0,
-        }
-    }
-
-    /// A view of `len` packed bytes at `start` of an already-frozen chunk.
-    fn view(chunk: &Arc<[u8]>, start: usize, len: usize) -> Self {
-        debug_assert!(start + len <= chunk.len());
-        EncRef {
-            chunk: Arc::clone(chunk),
-            start: start as u32,
-            len: len as u32,
-        }
-    }
-
-    /// The packed bytes.
-    fn bytes(&self) -> &[u8] {
-        &self.chunk[self.start as usize..(self.start + self.len) as usize]
-    }
-
-    /// View a copy of `bytes` instead. The copy goes into the chunk this
-    /// view already holds when no other view shares it and it is big
-    /// enough, so a reused state refills it without allocating.
-    fn refill(&mut self, bytes: &[u8]) {
-        match Arc::get_mut(&mut self.chunk) {
-            Some(chunk) if chunk.len() >= bytes.len() => {
-                chunk[..bytes.len()].copy_from_slice(bytes)
-            }
-            _ => {
-                let mut grown = vec![0; bytes.len().next_power_of_two()];
-                grown[..bytes.len()].copy_from_slice(bytes);
-                self.chunk = grown.into();
-            }
-        }
-        self.start = 0;
-        self.len = bytes.len() as u32;
-    }
-}
-
-impl PartialEq for EncRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes() == other.bytes()
-    }
-}
-
-impl Eq for EncRef {}
-
-impl Hash for EncRef {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let bytes = self.bytes();
-        // One word ends at each byte without the continuation bit.
-        state.write_usize(bytes.iter().filter(|&&b| b < 0x80).count());
-        for w in unpack(bytes) {
-            state.write(&w.to_ne_bytes());
-        }
-    }
-}
-
 /// A product state: the protocol state paired with the live observer and
 /// checker. Equality and hashing go through the canonical encodings, so
 /// two product states that behave identically compare equal — this is
@@ -240,7 +155,9 @@ pub struct VerifyState<PS> {
     /// Rejection raised while reaching this state, if any (boxed: rare,
     /// and absorbing, so it costs an accepted state one pointer).
     pub error: Option<Box<RejectReason>>,
-    enc: EncRef,
+    /// The canonical encoding, packed ([`pack_into`]). Equality compares
+    /// these bytes, which is the same relation as comparing the words.
+    enc: Vec<u8>,
     /// True when `enc` is an orbit-canonical encoding that already covers
     /// the protocol component (hash/eq then ignore `proto`).
     sym: bool,
@@ -250,13 +167,13 @@ impl<PS> VerifyState<PS> {
     /// The canonical encoding this state hashes and compares through,
     /// unpacked.
     pub fn encoding(&self) -> Vec<u64> {
-        unpack(self.enc.bytes()).collect()
+        unpack(&self.enc).collect()
     }
 
-    /// Bytes the packed canonical encoding occupies in the chunk it views
-    /// (one byte for each `u64::MAX` sentinel word).
+    /// Bytes the packed canonical encoding occupies (one byte for each
+    /// `u64::MAX` sentinel word).
     pub fn packed_encoding_len(&self) -> usize {
-        self.enc.len as usize
+        self.enc.len()
     }
 }
 
@@ -264,7 +181,7 @@ impl<PS> VerifyState<PS> {
 /// fingerprints *before* materializing it: protocol component iff the
 /// encoding is not symmetry-sealed, then the canonical encoding. Must
 /// hash exactly like [`VerifyState`] (same field order, and `&[u64]`
-/// hashes identically to the packed `EncRef` it stands in for) —
+/// hashes identically to the packed bytes it stands in for) —
 /// `tests/lazy_expand_props.rs` pins this equivalence.
 struct FpParts<'a, PS> {
     proto: Option<&'a PS>,
@@ -292,9 +209,8 @@ impl<PS: Pack> Pack for VerifyState<PS> {
         self.proto.pack(out);
         self.obs.pack(out);
         self.chk.pack(out);
-        let enc = self.enc.bytes();
-        put_varint(out, enc.len() as u64);
-        out.extend_from_slice(enc);
+        put_varint(out, self.enc.len() as u64);
+        out.extend_from_slice(&self.enc);
     }
 
     fn unpack_from(&mut self, bytes: &mut &[u8]) {
@@ -302,7 +218,8 @@ impl<PS: Pack> Pack for VerifyState<PS> {
         self.obs.unpack_from(bytes);
         self.chk.unpack_from(bytes);
         let len = take_varint(bytes) as usize;
-        self.enc.refill(take_bytes(bytes, len));
+        self.enc.clear();
+        self.enc.extend_from_slice(take_bytes(bytes, len));
         self.error = None;
     }
 }
@@ -326,7 +243,13 @@ impl<PS: Hash> Hash for VerifyState<PS> {
         if !self.sym {
             self.proto.hash(state);
         }
-        self.enc.hash(state);
+        // Stream the words exactly as `<[u64]>::hash` does (length prefix,
+        // then the words' bytes), so a state hashes as its `FpParts` did.
+        // One word ends at each byte without the continuation bit.
+        state.write_usize(self.enc.iter().filter(|&&b| b < 0x80).count());
+        for w in unpack(&self.enc) {
+            state.write(&w.to_ne_bytes());
+        }
     }
 }
 
@@ -360,8 +283,6 @@ struct CandSlot<PS> {
     /// arena (words).
     enc_start: usize,
     enc_len: usize,
-    /// Bytes the encoding packed to in the frozen chunk (admitted only).
-    packed_len: usize,
 }
 
 /// Work buffers of [`VerifySystem::encode_into`], reused across
@@ -408,8 +329,9 @@ pub(crate) struct SealScratch<PS> {
     /// Candidate fingerprints and the admission verdicts they received.
     fps: Vec<u128>,
     keep: Vec<bool>,
-    /// Freeze buffer: admitted encodings, packed before interning.
-    frozen: Vec<u8>,
+    /// One admitted encoding, packed, before it is copied out at exact
+    /// size.
+    packed: Vec<u8>,
     encode: EncodeScratch,
 }
 
@@ -422,7 +344,7 @@ impl<PS> SealScratch<PS> {
             enc: Vec::with_capacity(1024),
             fps: Vec::new(),
             keep: Vec::new(),
-            frozen: Vec::with_capacity(2048),
+            packed: Vec::with_capacity(256),
             encode: EncodeScratch::new(),
         }
     }
@@ -507,7 +429,8 @@ impl<P: Symmetry> VerifySystem<P> {
         chk: ScChecker,
         error: Option<Box<RejectReason>>,
     ) -> VerifyState<P::State> {
-        let enc = EncRef::pack(&self.canonical_encoding(&proto, &obs, &chk));
+        let mut enc = Vec::new();
+        pack_into(&self.canonical_encoding(&proto, &obs, &chk), &mut enc);
         VerifyState {
             proto,
             obs,
@@ -715,10 +638,10 @@ where
     // The admission-gated hot path: replay each candidate transition into
     // reused scratch copies, seal only as far as a fingerprint, let the
     // engine's `admit` probe reject duplicates, and materialize (move out
-    // of the scratch slots + intern the encodings in one frozen chunk)
-    // only what survived. In dense product graphs the majority of
-    // candidates are duplicates, so the majority of clone/alloc work is
-    // skipped — `mc.clones_avoided` counts exactly how much.
+    // of the scratch slots + pack the encoding) only what survived. In
+    // dense product graphs the majority of candidates are duplicates, so
+    // the majority of clone/alloc work is skipped — `mc.clones_avoided`
+    // counts exactly how much.
     fn expand_admitted(
         &self,
         s: &Self::State,
@@ -766,7 +689,6 @@ where
                     error: None,
                     enc_start: 0,
                     enc_len: 0,
-                    packed_len: 0,
                 });
             }
             let slot = &mut sc.slots[i];
@@ -831,36 +753,22 @@ where
             return;
         }
 
-        // Freeze the admitted encodings, packed, into one shared chunk: a
-        // single allocation per parent instead of one per successor.
-        sc.frozen.clear();
-        for i in 0..n {
-            if !sc.keep[i] {
-                continue;
-            }
-            let before = sc.frozen.len();
-            let slot = &sc.slots[i];
-            pack_into(
-                &sc.enc[slot.enc_start..slot.enc_start + slot.enc_len],
-                &mut sc.frozen,
-            );
-            sc.slots[i].packed_len = sc.frozen.len() - before;
-        }
-        let chunk: Arc<[u8]> = sc.frozen.as_slice().into();
-        if scv_telemetry::enabled() {
-            scv_telemetry::add(
-                scv_telemetry::Metric::McArenaAllocBytes,
-                sc.frozen.len() as u64,
-            );
-        }
-        let mut off = 0usize;
         for i in 0..n {
             if !sc.keep[i] {
                 continue;
             }
             let slot = &mut sc.slots[i];
-            let enc = EncRef::view(&chunk, off, slot.packed_len);
-            off += slot.packed_len;
+            sc.packed.clear();
+            pack_into(
+                &sc.enc[slot.enc_start..slot.enc_start + slot.enc_len],
+                &mut sc.packed,
+            );
+            if scv_telemetry::enabled() {
+                scv_telemetry::add(
+                    scv_telemetry::Metric::McArenaAllocBytes,
+                    sc.packed.len() as u64,
+                );
+            }
             out.push((
                 slot.action,
                 VerifyState {
@@ -872,7 +780,7 @@ where
                         slot.chk.take().expect("admitted slot has chk")
                     },
                     error: slot.error.take(),
-                    enc,
+                    enc: sc.packed.clone(),
                     sym,
                 },
                 sc.fps[i],

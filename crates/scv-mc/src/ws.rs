@@ -46,12 +46,18 @@
 //!
 //! **Verdict determinism.** `Safe`/`Bounded`/`Unsafe` agree with
 //! sequential BFS whenever the limits are not the deciding factor: an
-//! exhaustive search visits exactly the reachable set regardless of
-//! schedule (same `states` count), and a violation reachable within the
-//! limits is found by *some* worker before quiescence. Only searches
-//! truncated by `max_states`/`max_depth` may differ in which frontier
-//! they saw; a state-capped run still ends at exactly `max_states`.
-//! `tests/parallel_mc.rs` pins this battery down across the protocol zoo.
+//! exhaustive search admits one representative of every reachable class,
+//! and a violation reachable within the limits is found by *some* worker
+//! before quiescence. Only searches truncated by `max_states`/`max_depth`
+//! may differ in which frontier they saw; a state-capped run still ends at
+//! exactly `max_states`. The `states` count of an exhaustive search is
+//! exact only when the canonical encoding is a congruence, and a product
+//! state's is not: which member of a class is admitted first depends on
+//! the schedule, and classes reached from different members can differ
+//! (DESIGN.md §6). Exhaustive counts therefore drift a few percent
+//! between schedules (serial (2,1,1) with symmetry off: 121 469 states at
+//! t=1, 123 342 and 123 209 in two t=2 runs). `tests/parallel_mc.rs` pins
+//! this battery down across the protocol zoo.
 //!
 //! **Interrupts** ([`ws_search_controlled`]): budgets and cancellation are
 //! polled at chunk and flush boundaries, never per successor. A tripped
@@ -612,28 +618,15 @@ where
             shared.seen.insert(init_fp);
             shared.states.store(1, Ordering::Relaxed);
             if opts.max_depth == 0 {
-                // Nothing may be expanded; mirror sequential BFS's verdict.
-                let has_succs = !sys.successors(&init).is_empty();
-                let stats = McStats {
-                    states: 1,
-                    workers: threads,
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                };
-                let result = if has_succs {
-                    SearchResult::Bounded(stats)
-                } else {
-                    SearchResult::Safe(stats)
-                };
-                return (
-                    ControlledSearch::Finished(result),
-                    vec![WorkerStats::default(); threads],
-                );
+                // Visited but not expanded, like any admitted state at the
+                // depth limit.
+                shared.depth_limited.store(true, Ordering::Relaxed);
+            } else {
+                let (mut first, mut packed) = (Chunk::default(), Vec::new());
+                init.pack(&mut packed);
+                first.push(init_fp, 0, &packed);
+                shared.push_chunk(0, first);
             }
-            let (mut first, mut packed) = (Chunk::default(), Vec::new());
-            init.pack(&mut packed);
-            first.push(init_fp, 0, &packed);
-            shared.push_chunk(0, first);
         }
     }
 
@@ -903,6 +896,37 @@ mod tests {
             4,
         );
         assert!(matches!(r, SearchResult::Bounded(_)), "{r:?}");
+    }
+
+    /// At depth 0 both engines count and check the initial state and
+    /// expand nothing, so even a dead end is `Bounded` with one state.
+    #[test]
+    fn depth_zero_dead_end_is_bounded_as_in_bfs() {
+        struct DeadEnd;
+        impl TransitionSystem for DeadEnd {
+            type State = u32;
+            type Label = &'static str;
+            type Violation = String;
+
+            fn initial(&self) -> u32 {
+                0
+            }
+            fn successors(&self, _: &u32) -> Vec<(&'static str, u32)> {
+                Vec::new()
+            }
+            fn violation(&self, _: &u32) -> Option<String> {
+                None
+            }
+        }
+        let opts = BfsOptions::new().max_depth(0);
+        let runs = [
+            crate::mc::bfs(&DeadEnd, opts),
+            ws_search(&DeadEnd, opts, 2, 4),
+        ];
+        for r in runs {
+            assert!(matches!(r, SearchResult::Bounded(_)), "{r:?}");
+            assert_eq!(r.stats().states, 1);
+        }
     }
 
     #[test]

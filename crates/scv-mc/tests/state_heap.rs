@@ -189,8 +189,8 @@ struct Cost {
     record: f64,
     /// The same state queued live, as the frontier held it before it held
     /// records: the inline `VerifyState`, the heap one clone of it
-    /// allocates, its packed encoding (which clones share), and the
-    /// queue's fingerprint and depth beside it.
+    /// allocates (its packed encoding, which each clone owns, included),
+    /// and the queue's fingerprint and depth beside it.
     live: f64,
     /// The record's parts: protocol, observer, checker, packed encoding
     /// (with its length), and the rest — the record header (fingerprint,
@@ -258,7 +258,7 @@ where
     let enc = whole - proto - obs - chk;
     Cost {
         record: mean(record),
-        live: inline as f64 + mean(heap + packed),
+        live: inline as f64 + mean(heap),
         parts: [
             mean(proto),
             mean(obs),

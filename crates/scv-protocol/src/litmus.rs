@@ -124,63 +124,19 @@ pub fn all() -> Vec<Litmus> {
     ]
 }
 
-/// Can `protocol` produce a run whose trace equals `target`? Searches
+/// Can `protocol` produce a run whose trace equals `target`? True when
+/// [`realization`] finds one within `internal_budget`.
+pub fn realizable<P: Protocol>(protocol: &P, target: &Trace, internal_budget: usize) -> bool {
+    realization(protocol, target, internal_budget).is_some()
+}
+
+/// A run of `protocol` whose trace equals `target`, with its tracking
+/// labels, so the realization can be replayed through the
+/// observer/checker pipeline or shrunk into a regression case. Searches
 /// interleavings with memoization on (protocol state, operations matched),
 /// bounding the internal actions taken between consecutive memory
 /// operations by `internal_budget` (internal actions reachable within the
 /// budget are explored exhaustively).
-pub fn realizable<P: Protocol>(protocol: &P, target: &Trace, internal_budget: usize) -> bool {
-    fn dfs<P: Protocol>(
-        protocol: &P,
-        state: P::State,
-        target: &Trace,
-        matched: usize,
-        fuel: usize,
-        budget: usize,
-        seen: &mut HashSet<(P::State, usize, usize)>,
-    ) -> bool
-    where
-        P::State: Hash + Eq + Clone,
-    {
-        if matched == target.len() {
-            return true;
-        }
-        if !seen.insert((state.clone(), matched, fuel)) {
-            return false;
-        }
-        for t in protocol.transitions(&state) {
-            match t.action {
-                Action::Mem(op) => {
-                    if op == target[matched]
-                        && dfs(protocol, t.next, target, matched + 1, budget, budget, seen)
-                    {
-                        return true;
-                    }
-                }
-                Action::Internal(..) => {
-                    if fuel > 0 && dfs(protocol, t.next, target, matched, fuel - 1, budget, seen) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-    let mut seen = HashSet::new();
-    dfs(
-        protocol,
-        protocol.initial(),
-        target,
-        0,
-        internal_budget,
-        internal_budget,
-        &mut seen,
-    )
-}
-
-/// Like [`realizable`], but returns the witnessing run itself (with
-/// tracking labels), so the realization can be replayed through the
-/// observer/checker pipeline or shrunk into a regression case.
 pub fn realization<P: Protocol>(
     protocol: &P,
     target: &Trace,

@@ -50,8 +50,9 @@ pub enum Metric {
     /// Always reads 0, like [`Metric::SealCacheHits`], and kept for the
     /// same reader until the same change.
     SealCacheMisses,
-    /// Bytes frozen into per-worker encoding arenas (admitted states'
-    /// interned canonical encodings).
+    /// Packed canonical encoding bytes of admitted states (each state
+    /// owns its own; the name is kept because the time-to-verdict
+    /// benchmark reads the metric by it).
     McArenaAllocBytes,
     /// Canonicalizations fully resolved by the sort-based refinement fast
     /// path: the per-element signature sort was discriminating enough

@@ -448,8 +448,10 @@ impl SymPerm {
     /// Each round drops the *enabled dimension with the smallest
     /// factorial* — the one whose loss degrades the quotient least
     /// (dropping a dimension of `n` elements forfeits an up-to-`n!`-fold
-    /// state reduction). Ties break values → blocks → procs, matching the
-    /// historical fixed order. The result is always a whole product of
+    /// state reduction). A dimension of at most one element has order 1,
+    /// so dropping it shrinks nothing: it goes only once no larger one is
+    /// left. Ties break values → blocks → procs, matching the historical
+    /// fixed order. The result is always a whole product of
     /// symmetric groups, i.e. a true subgroup of `S_p × S_b × S_v`, which
     /// is what makes orbit-minimum canonicalization sound.
     pub fn capped_dims(params: Params, dims: SymDims, cap: usize) -> SymDims {
@@ -458,7 +460,10 @@ impl SymPerm {
             let weakest = [SymDim::Values, SymDim::Blocks, SymDim::Procs]
                 .into_iter()
                 .filter(|&d| dims.has(d))
-                .min_by_key(|&d| factorial(d.count(params)))
+                .min_by_key(|&d| {
+                    let n = d.count(params);
+                    (n <= 1, factorial(n))
+                })
                 .expect("dims.any() guarantees an enabled dimension");
             dims = dims.with(weakest, false);
         }
@@ -941,6 +946,20 @@ mod tests {
             SymPerm::capped_dims(params, SymDims::FULL, 72),
             SymDims::FULL
         );
+        assert_eq!(
+            SymPerm::capped_dims(params, SymDims::FULL, 0),
+            SymDims::NONE
+        );
+    }
+
+    #[test]
+    fn capped_dims_drops_a_one_element_dimension_last() {
+        // msi (6,1,2): 6!·1!·2! = 1440 > 1024. Dropping the one block
+        // would shrink nothing, so values go and blocks stay.
+        let params = Params::new(6, 1, 2);
+        let d = SymPerm::capped_dims(params, SymDims::FULL, 1024);
+        assert!(d.procs && d.blocks && !d.values);
+        assert_eq!(SymPerm::group_order(params, d), 720);
         assert_eq!(
             SymPerm::capped_dims(params, SymDims::FULL, 0),
             SymDims::NONE

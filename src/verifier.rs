@@ -348,6 +348,12 @@ mod tests {
             symmetry_note(&big, SymmetryMode::Full),
             "symmetry Full: quotient by procs, |G| = 720; group cap dropped blocks+values"
         );
+        // msi (6,1,2): 6!·1!·2! = 1440; dropping the one block shrinks
+        // nothing, so the cap drops values alone.
+        assert_eq!(
+            symmetry_note(&MsiProtocol::new(Params::new(6, 1, 2)), SymmetryMode::Full),
+            "symmetry Full: quotient by procs+blocks, |G| = 720; group cap dropped values"
+        );
         let small = MsiProtocol::new(Params::new(2, 1, 2));
         assert_eq!(
             symmetry_note(&small, SymmetryMode::Full),

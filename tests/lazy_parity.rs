@@ -17,9 +17,10 @@
 //!   that independently fails the §5 online monitor, and sequential BFS
 //!   produces the *same* counterexample either way.
 
+use sc_verify::fuzz::replay;
 use sc_verify::mc::{bfs, ws_search, SearchResult, TransitionSystem};
 use sc_verify::prelude::*;
-use sc_verify::testing::{MonitorStep, RunMonitor};
+use sc_verify::testing::monitor_run;
 
 /// The materialize-then-filter reference: delegates `initial`,
 /// `successors` and `violation` only, so `expand_admitted` is the trait
@@ -201,25 +202,9 @@ fn stress_pinned_perf_cell_count_parity() {
 /// re-deriving the rejection through a codepath separate from the model
 /// checker.
 fn replay_flags_violation<P: Protocol + Clone>(p: &P, run: &[Action]) {
-    let mut runner = Runner::new(p.clone());
-    for (i, action) in run.iter().enumerate() {
-        let t = runner
-            .enabled()
-            .into_iter()
-            .find(|t| t.action == *action)
-            .unwrap_or_else(|| panic!("counterexample action {i} ({action:?}) not enabled"));
-        runner.take(t);
-    }
-    let mut monitor = RunMonitor::new(p);
-    let mut violated = false;
-    for step in &runner.run().steps {
-        if let MonitorStep::Violation(_) = monitor.feed(step) {
-            violated = true;
-            break;
-        }
-    }
+    let replayed = replay(p, run).expect("every counterexample action must be enabled in turn");
     assert!(
-        violated || monitor.finish().is_err(),
+        monitor_run(p, &replayed).is_err(),
         "replayed counterexample must fail the online monitor"
     );
 }

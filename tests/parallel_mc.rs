@@ -28,14 +28,15 @@
 //! violating class still violates.
 //!
 //! Every counterexample any engine produces is independently validated by
-//! replaying it through [`sc_verify::testing::RunMonitor`] — the paper's
+//! replaying it through [`sc_verify::testing::monitor_run`] — the paper's
 //! §5 online monitor, a codepath entirely separate from the model
 //! checker's product construction. Work-stealing counterexamples are not
 //! necessarily shortest (asynchronous order), but they must still replay
 //! to a genuine violation.
 
+use sc_verify::fuzz::replay;
 use sc_verify::prelude::*;
-use sc_verify::testing::{MonitorStep, RunMonitor};
+use sc_verify::testing::monitor_run;
 
 /// The thread-count matrix: 1 is the sequential searcher, the rest run
 /// the work-stealing engine.
@@ -63,25 +64,9 @@ fn verdict(out: &Outcome) -> &'static str {
 /// Replay a counterexample through the protocol (resolving each action to
 /// an enabled transition) and assert the §5 online monitor flags it.
 fn replay_flags_violation<P: Protocol + Clone>(p: &P, run: &[Action]) {
-    let mut runner = Runner::new(p.clone());
-    for (i, action) in run.iter().enumerate() {
-        let t = runner
-            .enabled()
-            .into_iter()
-            .find(|t| t.action == *action)
-            .unwrap_or_else(|| panic!("counterexample action {i} ({action:?}) not enabled"));
-        runner.take(t);
-    }
-    let mut monitor = RunMonitor::new(p);
-    let mut violated = false;
-    for step in &runner.run().steps {
-        if let MonitorStep::Violation(_) = monitor.feed(step) {
-            violated = true;
-            break;
-        }
-    }
+    let replayed = replay(p, run).expect("every counterexample action must be enabled in turn");
     assert!(
-        violated || monitor.finish().is_err(),
+        monitor_run(p, &replayed).is_err(),
         "replayed counterexample must fail the online monitor"
     );
 }
@@ -208,7 +193,8 @@ fn capped_runs_end_at_exactly_max_states() {
 
 /// Maximum relative drift allowed between an asynchronous engine's
 /// reachable-class count and sequential BFS's. Measured drift on the
-/// SerialMemory(2,1,1) product is ~1–3%; 5% gives headroom without
+/// SerialMemory(2,1,1) product is ~1–3% with symmetry off and under the
+/// full quotient alike; 5% gives headroom without
 /// letting a real admission bug (which perturbs counts wildly or trips
 /// the exact conservation laws) hide.
 const CLASS_COUNT_TOLERANCE: f64 = 0.05;
@@ -331,17 +317,20 @@ fn exhaustive_serial_memory_engines_agree() {
         return;
     }
     let p = SerialMemory::new(Params::new(2, 1, 1));
-    // threads == 1 is the sequential FIFO searcher, whose
-    // representative choice — and therefore class count — is
-    // deterministic. It anchors the tolerance band for every schedule.
-    let reference = verify_protocol(p.clone(), opts(400_000, 1));
-    assert!(reference.is_verified(), "{:?}", reference.stats());
-    let want = reference.stats().states;
-    assert!(want > 50_000, "product unexpectedly small: {want}");
-    for threads in THREADS {
-        let out = verify_protocol(p.clone(), opts(400_000, threads));
-        assert!(out.is_verified(), "threads={threads}: {:?}", out.stats());
-        assert_states_close(out.stats().states, want, &format!("threads={threads}"));
+    for sym in [SymmetryMode::Off, SymmetryMode::Full] {
+        // threads == 1 is the sequential FIFO searcher, whose
+        // representative choice — and therefore class count — is
+        // deterministic. It anchors the tolerance band for every schedule.
+        let reference = verify_protocol(p.clone(), opts(400_000, 1).symmetry(sym));
+        assert!(reference.is_verified(), "{sym:?}: {:?}", reference.stats());
+        let want = reference.stats().states;
+        assert!(want > 50_000, "{sym:?}: product unexpectedly small: {want}");
+        for threads in THREADS {
+            let out = verify_protocol(p.clone(), opts(400_000, threads).symmetry(sym));
+            let at = format!("{sym:?}, threads={threads}");
+            assert!(out.is_verified(), "{at}: {:?}", out.stats());
+            assert_states_close(out.stats().states, want, &at);
+        }
     }
 }
 

@@ -30,6 +30,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use sc_verify::fuzz::replay;
 use sc_verify::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -51,30 +52,13 @@ fn base_opts(threads: usize, sym: SymmetryMode) -> VerifyOptions {
         .batch_size(16)
 }
 
-/// Replay a counterexample through the raw protocol: every action must be
-/// enabled in sequence from the initial state.
-fn replays<P: Protocol>(proto: &P, run: &[Action]) -> bool {
-    let mut state = proto.initial();
-    for a in run {
-        let Some(t) = proto
-            .transitions(&state)
-            .into_iter()
-            .find(|t| t.action == *a)
-        else {
-            return false;
-        };
-        state = t.next;
-    }
-    true
-}
-
 /// Validate a counterexample. Every engine must return a run that
 /// replays; only the sequential engine's shortest counterexample is
 /// additionally guaranteed to have a genuinely non-SC trace (a parallel
 /// schedule may surface a longer path whose witness order fails even
 /// though the trace admits some other serial reordering — the same
 /// caveat the CLI prints for its independent cross-check).
-fn check_violation<P: Protocol>(
+fn check_violation<P: Protocol + Clone>(
     proto: &P,
     out: &Outcome,
     require_genuine: bool,
@@ -83,7 +67,11 @@ fn check_violation<P: Protocol>(
     let Outcome::Violation { run, trace, .. } = out else {
         return Err(TestCaseError::fail(format!("{what}: expected Violation")));
     };
-    prop_assert!(replays(proto, run), "{}: counterexample must replay", what);
+    prop_assert!(
+        replay(proto, run).is_some(),
+        "{}: counterexample must replay",
+        what
+    );
     if require_genuine {
         prop_assert!(
             !has_serial_reordering(trace),
@@ -107,7 +95,7 @@ fn kill_resume_case<P, F>(
     expect_violation: bool,
 ) -> Result<(), TestCaseError>
 where
-    P: Symmetry + Sync,
+    P: Symmetry + Clone + Sync,
     P::State: Send + Sync + 'static,
     F: Fn() -> P,
 {

@@ -15,8 +15,9 @@
 //!   members, not representatives), so its trace independently fails the
 //!   direct serial-reordering search.
 
+use sc_verify::fuzz::replay;
 use sc_verify::prelude::*;
-use sc_verify::testing::{MonitorStep, RunMonitor};
+use sc_verify::testing::monitor_run;
 
 /// Engine thread counts exercised by every differential check: 1 runs
 /// sequential BFS, 4 the asynchronous work-stealing engine.
@@ -125,25 +126,9 @@ fn safe_protocols_stay_safe_under_symmetry() {
 /// (every action must be enabled in sequence) and re-derives the
 /// rejection through a codepath separate from the model checker.
 fn replay_flags_violation<P: Protocol + Clone>(p: &P, run: &[Action]) {
-    let mut runner = Runner::new(p.clone());
-    for (i, action) in run.iter().enumerate() {
-        let t = runner
-            .enabled()
-            .into_iter()
-            .find(|t| t.action == *action)
-            .unwrap_or_else(|| panic!("counterexample action {i} ({action:?}) not enabled"));
-        runner.take(t);
-    }
-    let mut monitor = RunMonitor::new(p);
-    let mut violated = false;
-    for step in &runner.run().steps {
-        if let MonitorStep::Violation(_) = monitor.feed(step) {
-            violated = true;
-            break;
-        }
-    }
+    let replayed = replay(p, run).expect("every counterexample action must be enabled in turn");
     assert!(
-        violated || monitor.finish().is_err(),
+        monitor_run(p, &replayed).is_err(),
         "replayed counterexample must fail the online monitor"
     );
 }
